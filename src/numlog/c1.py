@@ -14,19 +14,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import BudgetExhaustedError, CapExceededError, InputError
-from .linsys import EQ, GE, LinearSystem, ilp_solve, sparsify_natural
+from .linsys import GE, LinearSystem, ilp_solve
+from .linsys import sparsify_natural  # noqa: F401  (bench/spans.py rebinds it)
 from .logic import (AT_LEAST, AT_MOST, EXACTLY, And, C1Formula, Count,
                     CountingAtom, FALSE, FiniteStructure, Not, Or, Pred,
-                    RelationalAtom, TRUE, UnaryAtom, as_literal_conjunction,
-                    atom_formula, eval_quantifier_free, evaluate,
-                    formula_predicates, is_closed, is_quantifier_free,
-                    mask_assignment, structure)
+                    RelationalAtom, TRUE, UnaryAtom, atom_formula,
+                    compile_body, evaluate, formula_predicates, is_closed,
+                    is_quantifier_free, live_masks, structure)
 
 SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
+
+# Size caps of one branch's 1-type system.
+PRED_CAP = 30
+MAX_LIVE = 200_000
 
 
 @dataclass(frozen=True)
@@ -41,7 +46,6 @@ class Certificate:
     preds: tuple[str, ...]
     live_types: tuple[int, ...]
     solution: tuple[int, ...]
-    sparse_solution: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -220,17 +224,16 @@ class BuiltSystem:
 
 
 def build_system(normal: NormalC1, preds: list[str] | None = None, *,
-                 max_live: int = 200_000, pred_cap: int = 30,
                  merge: bool = False) -> BuiltSystem:
     """The 1-type cardinality system of a normal-form branch.
 
     One column per live 1-type: a 1-type is dead when some <=0 conjunct's
     body holds under it (such conjuncts are consumed by the pruning and
-    dropped as rows).  Live types are enumerated by a depth-first walk over
-    predicate bits so the full 2^l grid is never materialized.  With
-    merge=True, columns with identical coefficient vectors collapse into
-    their smallest representative (feasibility-preserving; the solver uses
-    this).  A final all-ones >=1 row keeps the domain nonempty.
+    dropped as rows).  Live types come from `live_masks`, in its depth-first
+    order.  With merge=True, columns with identical coefficient vectors
+    collapse into the first of them in that order (feasibility-preserving;
+    the solver uses this).  A final all-ones >=1 row keeps the domain
+    nonempty.
     """
     rows_in: list[tuple[str, int, C1Formula]] = []
     for d, b, body in normal.conjuncts:
@@ -247,8 +250,8 @@ def build_system(normal: NormalC1, preds: list[str] | None = None, *,
     elif not found <= set(preds):
         raise InputError("predicate list does not cover the branch")
     preds = list(preds)
-    if len(preds) > pred_cap:
-        raise CapExceededError(f"{len(preds)} predicates exceed cap {pred_cap}")
+    if len(preds) > PRED_CAP:
+        raise CapExceededError(f"{len(preds)} predicates exceed cap {PRED_CAP}")
     if any(d == AT_MOST and b < 0 for d, b, _ in rows_in):
         return BuiltSystem(None, (), tuple(preds), infeasible=True)
 
@@ -256,61 +259,17 @@ def build_system(normal: NormalC1, preds: list[str] | None = None, *,
     kept = [(d, b, body) for d, b, body in rows_in
             if not (d == AT_MOST and b == 0) and not (d == AT_LEAST and b <= 0)]
 
-    index = {p: i for i, p in enumerate(preds)}
-    by_level: dict[int, list[C1Formula]] = {}
-    for body in kills:
-        kp = formula_predicates(body)
-        level = max((index[p] for p in kp), default=-1)
-        by_level.setdefault(level, []).append(body)
-
-    # constant kill bodies (no predicates) kill every 1-type at once
-    if any(eval_quantifier_free(body, {}) for body in by_level.get(-1, ())):
-        return BuiltSystem(None, (), tuple(preds), infeasible=True)
-
-    live: list[int] = []
-    assignment: dict[str, bool] = {}
-
-    def assign(level: int, mask: int):
-        if level >= 0:
-            for body in by_level.get(level, ()):
-                if eval_quantifier_free(body, assignment):
-                    return
-        if level == len(preds) - 1:
-            if len(live) >= max_live:
-                raise CapExceededError("live 1-type cap exceeded")
-            live.append(mask)
-            return
-        nxt = level + 1
-        for bit in (0, 1):
-            assignment[preds[nxt]] = bool(bit)
-            assign(nxt, mask | (bit << nxt))
-        del assignment[preds[nxt]]
-
-    if preds:
-        assign(-1, 0)
-    else:
-        live.append(0)
-
+    live = list(islice(live_masks(preds, kills), MAX_LIVE + 1))
+    if len(live) > MAX_LIVE:
+        raise CapExceededError("live 1-type cap exceeded")
     if not live:
         return BuiltSystem(None, (), tuple(preds), infeasible=True)
 
-    # Row bodies: fast bit tests for literal conjunctions, generic otherwise.
-    testers = []
-    for _, _, body in kept:
-        lits = as_literal_conjunction(body)
-        if lits is not None:
-            bits = [(index[l.pred], l.positive) for l in lits]
-
-            def tester(mask, _bits=bits):
-                return all(bool((mask >> i) & 1) == want for i, want in _bits)
-        else:
-            def tester(mask, _body=body, _preds=preds):
-                return eval_quantifier_free(_body, mask_assignment(mask, _preds))
-        testers.append(tester)
-
-    coeff_rows = [[1 if t(mask) else 0 for mask in live] for t in testers]
+    index = {p: i for i, p in enumerate(preds)}
+    coeff_rows = [[1 if test(mask) else 0 for mask in live]
+                  for test in (compile_body(body, index) for _, _, body in kept)]
     if merge:
-        # merge identical columns, keeping the smallest 1-type representative
+        # merge identical columns, keeping the first 1-type of each group
         groups: set[tuple] = set()
         merged_live: list[int] = []
         keep_idx: list[int] = []
@@ -350,24 +309,15 @@ def _materialize(built: BuiltSystem, solution) -> FiniteStructure:
     return structure(next_elem, unary, {})
 
 
-def _sparse_certificate(system: LinearSystem, solution):
-    if system.is_boolean and all(rel == EQ for rel in system.relations):
-        return sparsify_natural(system, solution)
-    return None
-
-
-def decide_sat(formulas, *, max_nodes: int = 2_000_000, use_lp: bool = True,
-               max_live: int = 200_000, pred_cap: int = 30,
-               jobs: int = 1) -> SatResult:
+def decide_sat(formulas, *, max_nodes: int = 2_000_000,
+               use_lp: bool = True) -> SatResult:
     """Decide satisfiability of unary counting atoms / closed one-variable
     formulas, producing a model-checked witness on Sat.
 
-    Branches are solved in order; the first Sat wins (with jobs > 1 they run
-    on worker threads and the lowest Sat branch index still wins).  A
-    solution over the live 1-types is searched with every cell capped at
-    max(1, largest bound), which is complete by the finite-model-property
-    cap argument.  Returns Unknown only when some branch exhausted its
-    search budget.
+    Branches are solved in order; the first Sat wins.  A solution over the
+    live 1-types is searched with every cell capped at max(1, largest
+    bound), which is complete by the finite-model-property cap argument.
+    Returns Unknown only when some branch exhausted its search budget.
     """
     formulas = list(formulas)
     all_preds: set[str] = set()
@@ -380,53 +330,27 @@ def decide_sat(formulas, *, max_nodes: int = 2_000_000, use_lp: bool = True,
         else:
             all_preds |= formula_predicates(f)
     preds = sorted(all_preds)
-    branches = normalize(formulas)
-
-    def solve_branch(branch):
-        built = build_system(branch, preds, max_live=max_live,
-                             pred_cap=pred_cap, merge=True)
-        if built.infeasible:
-            return None
-        cap = max(1, max([b for _, b, _ in branch.conjuncts] + [0]))
-        sol = ilp_solve(built.system, [cap] * len(built.live_types),
-                        max_nodes=max_nodes, use_lp=use_lp)
-        if sol is None:
-            return None
-        return built, sol
 
     saw_budget = False
-    outcomes: list = []
-    if jobs > 1 and len(branches) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(solve_branch, b) for b in branches]
-        for fut in futures:
-            try:
-                outcomes.append(fut.result())
-            except BudgetExhaustedError:
-                saw_budget = True
-                outcomes.append(None)
-    else:
-        for branch in branches:
-            try:
-                got = solve_branch(branch)
-            except BudgetExhaustedError:
-                saw_budget = True
-                got = None
-            outcomes.append(got)
-            if got is not None:
-                break
-    for got in outcomes:
-        if got is None:
+    for branch in normalize(formulas):
+        built = build_system(branch, preds, merge=True)
+        if built.infeasible:
             continue
-        built, sol = got
+        cap = max(1, max([b for _, b, _ in branch.conjuncts] + [0]))
+        try:
+            sol = ilp_solve(built.system, [cap] * len(built.live_types),
+                            max_nodes=max_nodes, use_lp=use_lp)
+        except BudgetExhaustedError:
+            saw_budget = True
+            continue
+        if sol is None:
+            continue
         witness = _materialize(built, sol)
         for f in formulas:
             if not evaluate(witness, f):
                 raise AssertionError(f"witness failed model check on {f}")
-        cert = Certificate(built.preds, built.live_types, sol,
-                           _sparse_certificate(built.system, sol))
-        return SatResult(SAT, witness, cert)
+        return SatResult(SAT, witness,
+                         Certificate(built.preds, built.live_types, sol))
     return SatResult(UNKNOWN if saw_budget else UNSAT)
 
 

@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from . import c1, n2, proofs, psat, reductions
-from .errors import BudgetExhaustedError, NumlogError
+from .errors import BudgetExhaustedError, InputError, NumlogError
 from .logic import (RelationalAtom, UnaryAtom, negate_atom, parse_structure,
                     render_structure)
 from .linsys import render_system
@@ -41,7 +41,12 @@ _DECIDED = {VALID, INVALID, SAT, UNSAT, DERIVABLE, NOT_DERIVABLE,
 
 def _default_budget() -> int:
     raw = os.environ.get("NUMLOG_BUDGET")
-    return int(raw) if raw else 200_000
+    if not raw:
+        return 200_000
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"NUMLOG_BUDGET is not an integer: {raw!r}") from None
 
 
 def _out_dir(args, input_path: Path) -> Path:
@@ -82,11 +87,11 @@ def _emit(args, command: str, status: str, certificates: list[str],
 # solve
 # ---------------------------------------------------------------------------
 
-def _solve_unary(arg: ArgumentFile, budget: int, jobs: int):
+def _solve_unary(arg: ArgumentFile, budget: int):
     atoms = list(arg.premises)
     if arg.conclusion is not None:
         atoms.append(negate_atom(arg.conclusion))
-    res = c1.decide_sat(atoms, max_nodes=budget, jobs=jobs)
+    res = c1.decide_sat(atoms, max_nodes=budget)
     return res
 
 
@@ -129,7 +134,7 @@ def cmd_solve(args) -> int:
         return _emit(args, "solve", status, [wpath], detail, started)
 
     try:
-        res = _solve_unary(arg, budget, args.jobs)
+        res = _solve_unary(arg, budget)
     except BudgetExhaustedError:
         return _emit(args, "solve", UNKNOWN, [], detail, started)
     if res.status == c1.UNKNOWN:
@@ -315,7 +320,6 @@ def _load_formulas(args) -> list:
 
 
 def cmd_check(args) -> int:
-    started = time.time()
     from .logic import evaluate
     s = parse_structure(Path(args.structure).read_text(encoding="utf-8"))
     atoms = _load_formulas(args)
@@ -329,7 +333,6 @@ def cmd_check(args) -> int:
         for f, v in results:
             print(f"{v}\t{f}")
         print("all true" if ok else "some false")
-    _ = started
     return 0
 
 
@@ -366,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide satisfiability or validity")
     p.add_argument("argument", help="argument file (symbolic or English)")
     p.add_argument("--lexicon", help="lexicon file for English input")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads across normal-form branches")
     common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -415,9 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BudgetExhaustedError as exc:
         print(f"Unknown: {exc}", file=sys.stderr)

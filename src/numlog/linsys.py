@@ -80,11 +80,6 @@ class LinearSystem:
         return (all(c.denominator == 1 and c >= 0 for c in self.rhs)
                 and all(a == 0 or a == 1 for row in self.coeffs for a in row))
 
-    def row_value(self, i: int, x: Sequence) -> Fraction:
-        row = self.coeffs[i]
-        # iterate the nonzeros of x; solutions are typically sparse
-        return sum((row[j] * v for j, v in enumerate(x) if v), Fraction(0))
-
     def is_solution(self, x: Sequence) -> bool:
         if len(x) != self.num_vars:
             return False
@@ -99,11 +94,6 @@ class LinearSystem:
             if rel == EQ and v != self.rhs[i]:
                 return False
         return True
-
-    def with_rows(self, extra_coeffs, extra_relations, extra_rhs) -> "LinearSystem":
-        return LinearSystem(self.coeffs + tuple(extra_coeffs),
-                            self.relations + tuple(extra_relations),
-                            self.rhs + tuple(extra_rhs))
 
 
 def system_from_rows(rows: Iterable[Sequence], relations: Iterable[str],
@@ -754,11 +744,15 @@ def enumerate_solutions(system: LinearSystem, box: Sequence[int],
 # System file format:  "m L" header, then rows "a1 ... aL (<=|>=|=) c"
 # ---------------------------------------------------------------------------
 
-def _parse_scalar(tok: str) -> Fraction:
-    if "/" in tok:
-        num, _, den = tok.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(tok))
+def parse_scalar(tok: str) -> Fraction:
+    """An integer or a fraction "a/b"."""
+    try:
+        if "/" in tok:
+            num, _, den = tok.partition("/")
+            return Fraction(int(num), int(den))
+        return Fraction(int(tok))
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"bad number {tok!r}") from None
 
 
 def parse_system(text: str) -> LinearSystem:
@@ -777,9 +771,9 @@ def parse_system(text: str) -> LinearSystem:
         toks = ln.split()
         if len(toks) != width + 2 or toks[width] not in _RELATIONS:
             raise InputError(f"bad row: {ln!r}")
-        rows.append([_parse_scalar(t) for t in toks[:width]])
+        rows.append([parse_scalar(t) for t in toks[:width]])
         relations.append(toks[width])
-        rhs.append(_parse_scalar(toks[-1]))
+        rhs.append(parse_scalar(toks[-1]))
     return system_from_rows(rows, relations, rhs)
 
 

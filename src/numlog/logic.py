@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import CapExceededError, InputError, UnknownPredicateError
 
@@ -273,40 +273,6 @@ def is_closed(f: C1Formula) -> bool:
     return True  # Count
 
 
-def eval_quantifier_free(f: C1Formula, assignment: Mapping[str, bool]) -> bool:
-    """Evaluate a quantifier-free formula under a truth assignment."""
-    if isinstance(f, Pred):
-        try:
-            return assignment[f.name]
-        except KeyError:
-            raise UnknownPredicateError(f.name) from None
-    if isinstance(f, Not):
-        return not eval_quantifier_free(f.body, assignment)
-    if isinstance(f, And):
-        return all(eval_quantifier_free(p, assignment) for p in f.parts)
-    if isinstance(f, Or):
-        return any(eval_quantifier_free(p, assignment) for p in f.parts)
-    raise InputError("formula is not quantifier-free")
-
-
-def as_literal_conjunction(f: C1Formula) -> tuple[Lit, ...] | None:
-    """Return the literals of f when it is a flat conjunction of literals,
-    else None.  Used for fast-path column pruning."""
-    if isinstance(f, Pred):
-        return (Lit(f.name),)
-    if isinstance(f, Not) and isinstance(f.body, Pred):
-        return (Lit(f.body.name, False),)
-    if isinstance(f, And):
-        lits: list[Lit] = []
-        for p in f.parts:
-            sub = as_literal_conjunction(p)
-            if sub is None:
-                return None
-            lits.extend(sub)
-        return tuple(lits)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Finite structures
 # ---------------------------------------------------------------------------
@@ -446,13 +412,85 @@ def one_types(preds: list[str], cap: int = ONE_TYPE_CAP) -> list[int]:
     return list(range(1 << len(preds)))
 
 
-def mask_assignment(mask: int, preds: list[str]) -> dict[str, bool]:
-    return {p: bool((mask >> i) & 1) for i, p in enumerate(preds)}
+def _bit(pred: str, index: Mapping[str, int]) -> int:
+    try:
+        return index[pred]
+    except KeyError:
+        raise UnknownPredicateError(pred) from None
 
 
-def mask_satisfies(mask: int, preds_index: Mapping[str, int], lit: Lit) -> bool:
-    bit = (mask >> preds_index[lit.pred]) & 1
-    return bool(bit) == lit.positive
+def _literal_bits(f: C1Formula, connective: type, index: Mapping[str, int]
+                  ) -> tuple[int, int] | None:
+    """(pos_mask, neg_mask) of f when f is a literal or a flat `connective`
+    (And or Or) of literals, else None."""
+    if isinstance(f, Pred):
+        return 1 << _bit(f.name, index), 0
+    if isinstance(f, Not) and isinstance(f.body, Pred):
+        return 0, 1 << _bit(f.body.name, index)
+    if isinstance(f, connective):
+        pos = neg = 0
+        for part in f.parts:
+            bits = _literal_bits(part, connective, index)
+            if bits is None:
+                return None
+            pos, neg = pos | bits[0], neg | bits[1]
+        return pos, neg
+    return None
+
+
+def compile_body(f: C1Formula, index: Mapping[str, int]) -> Callable[[int], bool]:
+    """A test on 1-type masks (bit index[p] = truth of p) equivalent to the
+    quantifier-free formula f.
+
+    A literal conjunction becomes one bit test that all its positive bits
+    are set and all its negative bits clear; a clause, one test that some
+    positive bit is set or some negative bit clear.  Other bodies combine
+    the tests of their parts.  Raises UnknownPredicateError for a predicate
+    outside `index` and InputError for a quantifier.
+    """
+    conj = _literal_bits(f, And, index)
+    if conj is not None:
+        pos, neg = conj
+        return lambda mask: mask & pos == pos and not mask & neg
+    clause = _literal_bits(f, Or, index)
+    if clause is not None:
+        pos, neg = clause
+        return lambda mask: bool(mask & pos or neg & ~mask)
+    if isinstance(f, Not):
+        inner = compile_body(f.body, index)
+        return lambda mask: not inner(mask)
+    if isinstance(f, (And, Or)):
+        tests = [compile_body(p, index) for p in f.parts]
+        combine = all if isinstance(f, And) else any
+        return lambda mask: combine(t(mask) for t in tests)
+    raise InputError("formula is not quantifier-free")
+
+
+def live_masks(preds: Sequence[str], kills: Iterable[C1Formula]) -> Iterator[int]:
+    """Every mask over `preds` on which no quantifier-free kill body holds.
+
+    The walk is depth-first over predicate bits, bit 0 first and the 0
+    branch before the 1 branch, so over [a, b] the order is 0, 2, 1, 3.
+    Each kill is tested as soon as its highest predicate is assigned, which
+    prunes whole subtrees; the full 2^l grid is never materialized.
+    """
+    index = {p: i for i, p in enumerate(preds)}
+    # at_level[k]: the kills decided once bits 0..k-1 are assigned
+    at_level: list[list[Callable[[int], bool]]] = [[] for _ in range(len(preds) + 1)]
+    for body in kills:
+        test = compile_body(body, index)
+        level = max((index[p] + 1 for p in formula_predicates(body)), default=0)
+        at_level[level].append(test)
+    stack = [(0, 0)]
+    while stack:
+        level, mask = stack.pop()
+        if any(test(mask) for test in at_level[level]):
+            continue
+        if level == len(preds):
+            yield mask
+            continue
+        stack.append((level + 1, mask | 1 << level))
+        stack.append((level + 1, mask))
 
 
 def element_one_type(s: FiniteStructure, preds: list[str], element: int) -> int:

@@ -314,14 +314,6 @@ def render_english(a: CountingAtom, lex: Lexicon) -> str:
     raise InputError(f"cannot render {a!r}")
 
 
-def render_argument_english(arg: ArgumentFile, lex: Lexicon) -> str:
-    lines = [render_english(a, lex) for a in arg.premises]
-    if arg.conclusion is not None:
-        lines.append("Therefore:")
-        lines.append(render_english(arg.conclusion, lex))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Symbolic format
 # ---------------------------------------------------------------------------

@@ -14,15 +14,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 from .errors import CapExceededError, InputError, UnknownPredicateError
 from .linsys import (EQ, LinearSystem, lp_feasible, many_nonzeros_instance,
-                     sparsify_rational)
+                     parse_scalar, sparsify_rational)
 from .logic import (AT_LEAST, And, CountingAtom, Lit, Not, Or, Pred,
-                    UnaryAtom, eval_quantifier_free, formula_predicates)
+                    UnaryAtom, compile_body, formula_predicates, lit_formula,
+                    live_masks)
 
 World = frozenset[str]  # the letters true at that world
+
+# Letter caps of psat_decide: at most LETTER_CAP letters, and more than
+# ENUMERATE_CAP only when some 0/1 row prunes the truth assignments; at
+# most MAX_LIVE assignments survive the pruning.
+LETTER_CAP = 20
+ENUMERATE_CAP = 12
+MAX_LIVE = 300_000
 
 
 @dataclass(frozen=True)
@@ -59,20 +68,7 @@ class ProbabilityAssignment:
 def _world_sat(world: World, formula) -> bool:
     if isinstance(formula, Lit):
         return (formula.pred in world) == formula.positive
-    if isinstance(formula, tuple):  # clause: disjunction of literals
-        return any(_world_sat(world, lit) for lit in formula)
-    if isinstance(formula, (Pred, Not, And, Or)):
-        return eval_quantifier_free(formula, _WorldView(world))
-    raise InputError(f"not a propositional formula: {formula!r}")
-
-
-class _WorldView(dict):
-    def __init__(self, world: World):
-        super().__init__()
-        self.world = world
-
-    def __missing__(self, key):
-        return key in self.world
+    return any(_world_sat(world, lit) for lit in formula)  # clause
 
 
 def prob(assignment: ProbabilityAssignment, formula) -> Fraction:
@@ -94,8 +90,13 @@ def prob(assignment: ProbabilityAssignment, formula) -> Fraction:
     unknown = letters - set(assignment.letters)
     if unknown:
         raise UnknownPredicateError(f"unknown letters {sorted(unknown)}")
-    return sum((wt for w, wt in assignment.worlds if _world_sat(w, formula)),
-               Fraction(0))
+    if isinstance(formula, (Lit, tuple)):
+        return sum((wt for w, wt in assignment.worlds
+                    if _world_sat(w, formula)), Fraction(0))
+    index = {p: i for i, p in enumerate(assignment.letters)}
+    test = compile_body(formula, index)
+    return sum((wt for w, wt in assignment.worlds
+                if test(sum(1 << index[p] for p in w))), Fraction(0))
 
 
 def approx_models(assignment: ProbabilityAssignment, atom: CountingAtom) -> bool:
@@ -116,8 +117,11 @@ def approx_models(assignment: ProbabilityAssignment, atom: CountingAtom) -> bool
 # PSAT
 # ---------------------------------------------------------------------------
 
-def psat_decide(instance, *, letter_cap: int = 20, enumerate_cap: int = 12,
-                max_live: int = 300_000) -> ProbabilityAssignment | None:
+def _clause_formula(cl) -> Or:
+    return Or(tuple(lit_formula(lit) for lit in cl))
+
+
+def psat_decide(instance) -> ProbabilityAssignment | None:
     """Decide whether clause probabilities are jointly realizable.
 
     `instance` is a list of (clause, q) pairs, clause a tuple of literals
@@ -144,40 +148,33 @@ def psat_decide(instance, *, letter_cap: int = 20, enumerate_cap: int = 12,
             raise InputError(f"probability {q} outside [0,1]")
         norm.append((tuple(cl), rel, q))
     letters = sorted({lit.pred for cl, _, _ in norm for lit in cl})
-    if len(letters) > letter_cap:
-        raise CapExceededError(f"{len(letters)} letters exceed cap {letter_cap}")
-
-    index = {p: i for i, p in enumerate(letters)}
-
-    def clause_sat(mask: int, cl) -> bool:
-        return any(bool((mask >> index[lit.pred]) & 1) == lit.positive
-                   for lit in cl)
+    if len(letters) > LETTER_CAP:
+        raise CapExceededError(f"{len(letters)} letters exceed cap {LETTER_CAP}")
 
     # live truth assignments: P(clause) = 0 kills its satisfying masks,
     # P(clause) = 1 kills its falsifying masks
     kills = []
     for cl, rel, q in norm:
         if q == 0 and rel in (EQ, "<="):
-            kills.append(lambda mask, _cl=cl: clause_sat(mask, _cl))
+            kills.append(_clause_formula(cl))
         elif q == 1 and rel in (EQ, ">="):
-            kills.append(lambda mask, _cl=cl: not clause_sat(mask, _cl))
-    live: list[int] = []
-    if len(letters) > enumerate_cap and not kills:
+            kills.append(Not(_clause_formula(cl)))
+    if len(letters) > ENUMERATE_CAP and not kills:
         raise CapExceededError(
-            f"{len(letters)} letters need 0/1 rows to prune; cap is {enumerate_cap}")
-    for mask in range(1 << len(letters)):
-        if any(k(mask) for k in kills):
-            continue
-        live.append(mask)
-        if len(live) > max_live:
-            raise CapExceededError("live truth-assignment cap exceeded")
+            f"{len(letters)} letters need 0/1 rows to prune; cap is {ENUMERATE_CAP}")
+    # numeric mask order fixes the LP's column order, hence its answer
+    live = sorted(islice(live_masks(letters, kills), MAX_LIVE + 1))
+    if len(live) > MAX_LIVE:
+        raise CapExceededError("live truth-assignment cap exceeded")
 
+    index = {p: i for i, p in enumerate(letters)}
     rows = []
     relations = []
     rhs = []
     one, zero = Fraction(1), Fraction(0)
     for cl, rel, q in norm:
-        rows.append([one if clause_sat(mask, cl) else zero for mask in live])
+        test = compile_body(_clause_formula(cl), index)
+        rows.append([one if test(mask) else zero for mask in live])
         relations.append(rel)
         rhs.append(q)
     rows.append([one] * len(live))
@@ -229,11 +226,10 @@ def parse_psat_instance(text: str):
                 rel = candidate
                 q_text = q_text[2:].strip()
                 break
-        if "/" in q_text:
-            num, _, den = q_text.partition("/")
-            q = Fraction(int(num), int(den))
-        else:
-            q = Fraction(int(q_text))
+        try:
+            q = parse_scalar(q_text)
+        except InputError as exc:
+            raise InputError(f"line {ln}: {exc}") from None
         out.append((tuple(lits), q) if rel == EQ else (tuple(lits), rel, q))
     return out
 

@@ -227,12 +227,10 @@ class TestDecideSat:
                     break
             assert (base.status == SAT) == doubled_sat
 
-    def test_parallel_branches_same_verdict(self):
+    def test_nested_quantifier_formula_is_sat(self):
         inner = Count(AT_LEAST, 2, Pred("q"))
         f = Count(AT_LEAST, 1, And((Pred("p"), Not(inner))))
-        seq = decide_sat([f])
-        par = decide_sat([f], jobs=4)
-        assert seq.status == par.status == SAT
+        assert decide_sat([f]).status == SAT
 
 
 class TestEntails:

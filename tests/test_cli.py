@@ -91,12 +91,6 @@ class TestSolve:
                         "--budget", "5", "--out", workspace)
         assert code == 2 and out.startswith("Unknown")
 
-    def test_jobs_flag(self, workspace, capsys):
-        (workspace / "j.txt").write_text(">=1 (p & q)\n", encoding="utf-8")
-        code, out = run(capsys, "solve", workspace / "j.txt",
-                        "--jobs", "2", "--out", workspace)
-        assert code == 0 and out.startswith("Sat")
-
     def test_json_envelope(self, workspace, capsys):
         code, out = run(capsys, "solve", workspace / "arg1.txt",
                         "--lexicon", workspace / "lex.txt",
@@ -108,6 +102,15 @@ class TestSolve:
     def test_input_error_exit_code(self, workspace, capsys):
         code = main(["solve", str(workspace / "missing.txt")])
         assert code == 1
+
+    def test_non_integer_budget_environment(self, workspace, capsys,
+                                            monkeypatch):
+        monkeypatch.setenv("NUMLOG_BUDGET", "lots")
+        code = main(["solve", str(workspace / "arg1.txt"),
+                     "--lexicon", str(workspace / "lex.txt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "NUMLOG_BUDGET" in err
 
 
 class TestDerive:
@@ -191,6 +194,14 @@ class TestPsatCommand:
         code, out = run(capsys, "psat", workspace / "bad.psat",
                         "--out", workspace)
         assert code == 0 and out.startswith("Unsat")
+
+    def test_zero_denominator(self, workspace, capsys):
+        (workspace / "zero.psat").write_text("p ; 1/2\np | q ; 1/0\n",
+                                             encoding="utf-8")
+        code = main(["psat", str(workspace / "zero.psat")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: line 2:")
 
 
 class TestCheckAndShrink:

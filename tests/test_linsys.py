@@ -252,6 +252,9 @@ class TestSystemFiles:
             parse_system("2 2\n1 1 = 1\n")
         with pytest.raises(InputError):
             parse_system("1 2\n1 1 ~ 1\n")
+        for bad in ("1/0", "x"):
+            with pytest.raises(InputError):
+                parse_system(f"1 1\n1 = {bad}\n")
 
 
 def test_boolean_flag():

@@ -6,10 +6,10 @@ import random
 import pytest
 
 from numlog.errors import CapExceededError, InputError, UnknownPredicateError
-from numlog.logic import (AT_LEAST, AT_MOST, And, Count, Lit, Not, Pred,
-                          RelationalAtom, at_least, at_most,
-                          cardinality_vector, element_one_type, evaluate,
-                          mask_assignment, negate_atom, one_types,
+from numlog.logic import (AT_LEAST, AT_MOST, FALSE, TRUE, And, Count, Lit,
+                          Not, Or, Pred, RelationalAtom, at_least, at_most,
+                          cardinality_vector, compile_body, element_one_type,
+                          evaluate, live_masks, negate_atom, one_types,
                           parse_structure, render_structure, structure)
 from helpers import random_structure, random_unary_atom
 
@@ -151,12 +151,68 @@ class TestOneTypes:
         with pytest.raises(CapExceededError):
             one_types([f"x{i}" for i in range(25)])
 
-    def test_mask_assignment_round_trip(self):
-        preds = ["a", "b", "c"]
-        for mask in one_types(preds):
-            asg = mask_assignment(mask, preds)
-            rebuilt = sum(1 << i for i, p in enumerate(preds) if asg[p])
-            assert rebuilt == mask
+
+def random_body(rng, preds, depth=3):
+    """A random quantifier-free body over preds, TRUE and FALSE."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        choice = rng.randrange(len(preds) + 2)
+        if choice < len(preds):
+            return Pred(preds[choice])
+        return TRUE if choice == len(preds) else FALSE
+    if roll < 0.45:
+        return Not(random_body(rng, preds, depth - 1))
+    parts = tuple(random_body(rng, preds, depth - 1)
+                  for _ in range(rng.randint(0, 3)))
+    return And(parts) if rng.random() < 0.5 else Or(parts)
+
+
+def realizing_structure(preds, mask):
+    """The one-element structure whose element has 1-type `mask`."""
+    return structure(1, {p: {0} if (mask >> i) & 1 else set()
+                         for i, p in enumerate(preds)})
+
+
+class TestMaskKernel:
+    def test_compiled_test_matches_evaluate(self):
+        rng = random.Random(157)
+        preds = ["p", "q", "r"]
+        index = {p: i for i, p in enumerate(preds)}
+        for _ in range(300):
+            body = random_body(rng, preds)
+            test = compile_body(body, index)
+            for mask in range(1 << len(preds)):
+                s = realizing_structure(preds, mask)
+                assert test(mask) == evaluate(s, Count(AT_LEAST, 1, body))
+
+    def test_unknown_predicate(self):
+        rng = random.Random(163)
+        index = {"p": 0, "q": 1}
+        for _ in range(50):
+            body = random_body(rng, ["p", "q"])
+            bad = rng.choice([And, Or])((body, Pred("z")))
+            with pytest.raises(UnknownPredicateError):
+                compile_body(rng.choice([bad, Not(bad)]), index)
+
+    def test_quantifier_is_rejected(self):
+        with pytest.raises(InputError):
+            compile_body(Or((Pred("p"), Count(AT_LEAST, 1, Pred("p")))),
+                         {"p": 0})
+
+    def test_live_masks_match_brute_force(self):
+        rng = random.Random(167)
+        for _ in range(200):
+            preds = [f"x{i}" for i in range(rng.randint(0, 4))]
+            kills = [random_body(rng, preds) for _ in range(rng.randint(0, 3))]
+            # depth-first from bit 0, 0 branch first: lexicographic in the
+            # bits read from bit 0 upwards
+            order = sorted(range(1 << len(preds)),
+                           key=lambda m: [(m >> i) & 1 for i in range(len(preds))])
+            expected = [m for m in order
+                        if not any(evaluate(realizing_structure(preds, m),
+                                            Count(AT_LEAST, 1, k))
+                                   for k in kills)]
+            assert list(live_masks(preds, kills)) == expected
 
 
 class TestCardinalityVector:

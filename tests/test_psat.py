@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from numlog.errors import InputError, UnknownPredicateError
+from numlog.errors import CapExceededError, InputError, UnknownPredicateError
 from numlog.logic import And, Lit, Not, Or, Pred, at_least, at_most
 from numlog.proofs import incompleteness_instance, rule_conclusions
 from numlog.psat import (ProbabilityAssignment, approx_models,
@@ -110,6 +110,11 @@ class TestPsatDecide:
                 assert len(p.worlds) <= len(inst) + 1
                 for cl, q in inst:
                     assert prob(p, cl) == q
+
+    def test_thirteen_letters_need_a_pruning_row(self):
+        inst = [((Lit(f"x{i}"),), HALF) for i in range(13)]
+        with pytest.raises(CapExceededError):
+            psat_decide(inst)
 
     def test_instance_file_round_trip(self):
         inst = [((Lit("p"), Lit("q", False)), Fraction(3, 5)),
