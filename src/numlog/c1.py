@@ -13,7 +13,6 @@ original input before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 
 from .errors import BudgetExhaustedError, CapExceededError, InputError
@@ -283,16 +282,12 @@ def build_system(normal: NormalC1, preds: list[str] | None = None, *,
     else:
         merged_live = live
         keep_idx = list(range(len(live)))
-    one, zero = Fraction(1), Fraction(0)
-    coeffs = [tuple(one if row[c] else zero for c in keep_idx)
-              for row in coeff_rows]
-    relations = [d for d, _, _ in kept]
-    rhs = [Fraction(b) for _, b, _ in kept]
+    rows = [tuple((k, 1) for k, c in enumerate(keep_idx) if row[c])
+            for row in coeff_rows]
     # nonempty-domain row
-    coeffs.append(tuple(one for _ in keep_idx))
-    relations.append(GE)
-    rhs.append(Fraction(1))
-    system = LinearSystem(tuple(coeffs), tuple(relations), tuple(rhs))
+    rows.append(tuple((k, 1) for k in range(len(keep_idx))))
+    system = LinearSystem(tuple(rows), tuple(d for d, _, _ in kept) + (GE,),
+                          tuple(b for _, b, _ in kept) + (1,), len(keep_idx))
     return BuiltSystem(system, tuple(merged_live), tuple(preds))
 
 
@@ -309,8 +304,7 @@ def _materialize(built: BuiltSystem, solution) -> FiniteStructure:
     return structure(next_elem, unary, {})
 
 
-def decide_sat(formulas, *, max_nodes: int = 2_000_000,
-               use_lp: bool = True) -> SatResult:
+def decide_sat(formulas, *, max_nodes: int = 2_000_000) -> SatResult:
     """Decide satisfiability of unary counting atoms / closed one-variable
     formulas, producing a model-checked witness on Sat.
 
@@ -339,7 +333,7 @@ def decide_sat(formulas, *, max_nodes: int = 2_000_000,
         cap = max(1, max([b for _, b, _ in branch.conjuncts] + [0]))
         try:
             sol = ilp_solve(built.system, [cap] * len(built.live_types),
-                            max_nodes=max_nodes, use_lp=use_lp)
+                            max_nodes=max_nodes)
         except BudgetExhaustedError:
             saw_budget = True
             continue

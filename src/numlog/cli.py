@@ -39,14 +39,20 @@ _DECIDED = {VALID, INVALID, SAT, UNSAT, DERIVABLE, NOT_DERIVABLE,
             "Generated", "Shrunk"}
 
 
+def _budget(raw: str, source: str = "--budget") -> int:
+    """A search budget given as text: a nonnegative integer."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise InputError(f"{source} is not an integer: {raw!r}") from None
+    if value < 0:
+        raise InputError(f"{source} is negative: {raw!r}")
+    return value
+
+
 def _default_budget() -> int:
     raw = os.environ.get("NUMLOG_BUDGET")
-    if not raw:
-        return 200_000
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"NUMLOG_BUDGET is not an integer: {raw!r}") from None
+    return _budget(raw, "NUMLOG_BUDGET") if raw else 200_000
 
 
 def _out_dir(args, input_path: Path) -> Path:
@@ -362,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable verdict envelope")
         p.add_argument("--out", help="directory for certificate files")
-        p.add_argument("--budget", type=int, default=_default_budget(),
+        p.add_argument("--budget", type=_budget, default=_default_budget(),
                        help="search budget (nodes/updates); default from "
                             "NUMLOG_BUDGET or 200000")
 

@@ -1,10 +1,15 @@
 """Exact rational/integer linear feasibility and sparse-solution kernels.
 
-Every operation here is exact: rationals are `fractions.Fraction`, integers
-are Python ints, and no float is ever produced.  The feasibility core is a
-phase-1 simplex with Bland's rule run on an integer tableau carrying one
-shared positive denominator (fraction-free pivoting); every division it
-performs is checked to be exact.
+A system is stored in one form: sparse integer rows.  Each row is scaled
+once, when the system is built, by the least common multiple of its
+denominators (no gcd is divided out), so every kernel below reads the same
+integer data and `render_system` prints exactly those stored rows.
+
+Every operation here is exact: integers are Python ints, rational results
+are `fractions.Fraction`, and no float is ever produced.  The feasibility
+core is a phase-1 simplex with Bland's rule run on an integer tableau
+carrying one shared positive denominator (fraction-free pivoting); every
+division it performs is checked to be exact.
 
 A "Boolean" system has all coefficients in {0, 1} and natural right-hand
 sides; the two sparsifiers implement support-reduction exchanges that keep a
@@ -16,7 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from numbers import Rational
 from typing import Iterable, Sequence
 
 from .errors import (BudgetExhaustedError, CapExceededError, InputError,
@@ -28,96 +35,111 @@ EQ = "="
 
 _RELATIONS = (LE, GE, EQ)
 
+# Pivot cap of every phase-1 LP (Bland's rule terminates; this bounds time).
+MAX_PIVOTS = 500_000
+# sparsify_natural spends equal-column pairs before general subset
+# collisions once the support is larger than this.
+PAIR_FIRST_ABOVE = 40
 
-_FRAC_CACHE = {v: Fraction(v) for v in range(-2, 65)}
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        raise InputError("floats are not accepted; use Fraction or int")
-    if isinstance(x, int):
-        cached = _FRAC_CACHE.get(x)
-        if cached is not None:
-            return cached
-    return Fraction(x)
+SparseVector = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """m rows of rational coefficients, one relation and rhs per row."""
+    """m sparse integer rows over num_vars columns, one relation and rhs
+    per row.
 
-    coeffs: tuple[tuple[Fraction, ...], ...]
+    Row i is the tuple of its nonzero `(j, a)` entries in increasing j; it
+    reads sum(a * x_j) rel_i rhs_i.  Build systems from rational data with
+    `system_from_rows` or `scaled_system`, which scale each row to integers;
+    the constructor takes rows already in this form.
+    """
+
+    rows: tuple[SparseVector, ...]
     relations: tuple[str, ...]
-    rhs: tuple[Fraction, ...]
+    rhs: tuple[int, ...]
+    num_vars: int
 
     def __post_init__(self):
-        coeffs = tuple(tuple(_frac(a) for a in row) for row in self.coeffs)
-        rhs = tuple(_frac(c) for c in self.rhs)
-        if len(coeffs) != len(self.relations) or len(coeffs) != len(rhs):
-            raise InputError("row count mismatch between coeffs, relations, rhs")
+        if len(self.rows) != len(self.relations) or len(self.rows) != len(self.rhs):
+            raise InputError("row count mismatch between rows, relations, rhs")
         if any(rel not in _RELATIONS for rel in self.relations):
             raise InputError("relations must be <=, >= or =")
-        widths = {len(row) for row in coeffs}
-        if len(widths) > 1:
-            raise InputError("ragged coefficient rows")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "relations", tuple(self.relations))
 
     @property
     def m(self) -> int:
-        return len(self.coeffs)
+        return len(self.rows)
 
-    @property
-    def num_vars(self) -> int:
-        return len(self.coeffs[0]) if self.coeffs else 0
+    @cached_property
+    def columns(self) -> tuple[SparseVector, ...]:
+        """Column j as the tuple of its nonzero `(i, a)` entries in increasing i."""
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vars)]
+        for i, row in enumerate(self.rows):
+            for j, a in row:
+                cols[j].append((i, a))
+        return tuple(map(tuple, cols))
 
     @property
     def is_boolean(self) -> bool:
         """True when every coefficient is 0/1 and every rhs is a natural."""
-        return (all(c.denominator == 1 and c >= 0 for c in self.rhs)
-                and all(a == 0 or a == 1 for row in self.coeffs for a in row))
+        return (all(c >= 0 for c in self.rhs)
+                and all(a == 1 for row in self.rows for _, a in row))
 
     def is_solution(self, x: Sequence) -> bool:
         if len(x) != self.num_vars:
             return False
-        nz = [(j, Fraction(v)) for j, v in enumerate(x) if v]
-        for i, rel in enumerate(self.relations):
-            row = self.coeffs[i]
-            v = sum((row[j] * xv for j, xv in nz), Fraction(0))
-            if rel == LE and not v <= self.rhs[i]:
+        lhs = [0] * self.m
+        for j, xj in enumerate(x):
+            if xj:
+                for i, a in self.columns[j]:
+                    lhs[i] += a * xj
+        for v, rel, c in zip(lhs, self.relations, self.rhs):
+            if rel == LE and not v <= c:
                 return False
-            if rel == GE and not v >= self.rhs[i]:
+            if rel == GE and not v >= c:
                 return False
-            if rel == EQ and v != self.rhs[i]:
+            if rel == EQ and v != c:
                 return False
         return True
 
 
+def scaled_system(rows: Iterable[Iterable[tuple[int, Rational]]],
+                  relations: Iterable[str], rhs: Iterable[Rational],
+                  num_vars: int) -> LinearSystem:
+    """The system of sparse rational rows `(j, a)`, each row multiplied by
+    the lcm of its denominators and of its rhs's denominator.  Entries come
+    in increasing j; zero entries are dropped."""
+    rows, rhs = list(rows), list(rhs)
+    if len(rows) != len(rhs):
+        raise InputError("row count mismatch between rows, relations, rhs")
+    out_rows, out_rhs = [], []
+    for row, c in zip(rows, rhs):
+        row = [(j, a) for j, a in row if a]
+        if not all(isinstance(v, Rational) for v in (c, *(a for _, a in row))):
+            raise InputError("coefficients must be int or Fraction")
+        den = math.lcm(c.denominator, *(a.denominator for _, a in row))
+        out_rows.append(tuple((j, int(a * den)) for j, a in row))
+        out_rhs.append(int(c * den))
+    return LinearSystem(tuple(out_rows), tuple(relations), tuple(out_rhs),
+                        num_vars)
+
+
 def system_from_rows(rows: Iterable[Sequence], relations: Iterable[str],
                      rhs: Iterable) -> LinearSystem:
-    return LinearSystem(tuple(tuple(_frac(a) for a in row) for row in rows),
-                        tuple(relations), tuple(_frac(c) for c in rhs))
+    """The system of dense rational rows, scaled as in `scaled_system`."""
+    rows = [list(row) for row in rows]
+    if len({len(row) for row in rows}) > 1:
+        raise InputError("ragged coefficient rows")
+    return scaled_system((enumerate(row) for row in rows), relations, rhs,
+                         len(rows[0]) if rows else 0)
 
 
 # ---------------------------------------------------------------------------
 # Exact LP feasibility (phase-1 simplex, integer tableau)
 # ---------------------------------------------------------------------------
 
-def _scaled_rows(system: LinearSystem) -> list[tuple[list[tuple[int, int]], str, int]]:
-    """Rows as (sparse integer coefficients, relation, integer rhs)."""
-    out = []
-    for i in range(system.m):
-        den = math.lcm(*(a.denominator for a in system.coeffs[i]),
-                       system.rhs[i].denominator)
-        sparse = [(j, int(a * den)) for j, a in enumerate(system.coeffs[i]) if a]
-        out.append((sparse, system.relations[i], int(system.rhs[i] * den)))
-    return out
-
-
-def _phase1(rows, n: int, max_pivots: int) -> tuple[Fraction, ...] | None:
+def _phase1(rows: Sequence[SparseVector], relations: Sequence[str],
+            rhs_in: Sequence[int], n: int) -> tuple[Fraction, ...] | None:
     """Revised phase-1 simplex over integer data.
 
     The basis inverse is kept as an integer matrix with one shared positive
@@ -133,7 +155,7 @@ def _phase1(rows, n: int, max_pivots: int) -> tuple[Fraction, ...] | None:
     cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     rhs: list[int] = []
     basis: list[int] = []
-    for i, (sparse, rel, c) in enumerate(rows):
+    for i, (sparse, rel, c) in enumerate(zip(rows, relations, rhs_in)):
         flip = -1 if c < 0 else 1
         slack = None
         if rel != EQ:
@@ -233,7 +255,7 @@ def _phase1(rows, n: int, max_pivots: int) -> tuple[Fraction, ...] | None:
         is_art_basis[leave] = False
         d = piv
         pivots += 1
-        if pivots > max_pivots:
+        if pivots > MAX_PIVOTS:
             raise BudgetExhaustedError("simplex pivot budget exhausted")
 
     if any(is_art_basis[i] and xb[i] != 0 for i in range(m)):
@@ -245,14 +267,13 @@ def _phase1(rows, n: int, max_pivots: int) -> tuple[Fraction, ...] | None:
     return tuple(x)
 
 
-def lp_feasible(system: LinearSystem, *, max_pivots: int = 500_000
-                ) -> tuple[Fraction, ...] | None:
+def lp_feasible(system: LinearSystem) -> tuple[Fraction, ...] | None:
     """Some nonnegative rational solution of the system, or None.
 
-    Exact and deterministic.  Raises BudgetExhaustedError only if the pivot
-    budget is hit (Bland's rule guarantees finite termination).
+    Exact and deterministic.  Raises BudgetExhaustedError only if MAX_PIVOTS
+    is hit (Bland's rule guarantees finite termination).
     """
-    return _phase1(_scaled_rows(system), system.num_vars, max_pivots)
+    return _phase1(system.rows, system.relations, system.rhs, system.num_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +284,14 @@ def _support(x: Sequence) -> list[int]:
     return [j for j, v in enumerate(x) if v != 0]
 
 
-def _kernel_vector(columns: list[list[Fraction]], m: int) -> list[Fraction] | None:
-    """A nonzero rational kernel vector of the m x k matrix given by columns,
-    canonical: the RREF null vector for the first free column."""
+def _kernel_vector(columns: Sequence[SparseVector], m: int) -> list[Fraction] | None:
+    """A nonzero rational kernel vector of the m x k matrix given by sparse
+    columns, canonical: the RREF null vector for the first free column."""
     k = len(columns)
-    rows = [[columns[j][i] for j in range(k)] for i in range(m)]
+    rows = [[Fraction(0)] * k for _ in range(m)]
+    for j, col in enumerate(columns):
+        for i, a in col:
+            rows[i][j] = Fraction(a)
     pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(k):
@@ -315,8 +339,7 @@ def sparsify_rational(system: LinearSystem, solution: Sequence
         support = _support(sol)
         if len(support) <= m:
             break
-        cols = [[system.coeffs[i][j] for i in range(m)] for j in support]
-        kern = _kernel_vector(cols, m)
+        kern = _kernel_vector([system.columns[j] for j in support], m)
         assert kern is not None, "more than m columns must be dependent"
         # Feasible step range; candidates that zero a coordinate.
         eps_neg = None  # largest (closest to 0) negative candidate
@@ -356,13 +379,16 @@ def _colliding_subsets(system: LinearSystem, support: list[int],
                        ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Two distinct subsets of the support whose column sums agree,
     enumerated by increasing size then lexicographically."""
-    m = system.m
+    m, columns = system.m, system.columns
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     count = 0
     for size in range(1, len(support) + 1):
         for subset in combinations(support, size):
-            vec = tuple(int(sum(system.coeffs[i][j] for j in subset))
-                        for i in range(m))
+            sums = [0] * m
+            for j in subset:
+                for i, a in columns[j]:
+                    sums[i] += a
+            vec = tuple(sums)
             prev = seen.get(vec)
             if prev is not None:
                 return prev, subset
@@ -373,15 +399,15 @@ def _colliding_subsets(system: LinearSystem, support: list[int],
     raise AssertionError("no colliding subsets below the proven bound")
 
 
-def sparsify_natural(system: LinearSystem, solution: Sequence[int],
-                     *, pair_first_above: int = 40) -> tuple[int, ...]:
+def sparsify_natural(system: LinearSystem, solution: Sequence[int]
+                     ) -> tuple[int, ...]:
     """Reduce a natural solution of a Boolean all-equality system to at most
     ceil(m * log2(L+1)) nonzero entries.
 
     The exchange step finds distinct support subsets with equal column sums,
     then shifts value from one to the other until a coordinate reaches zero;
     the solution re-solves the system exactly after every exchange.  For
-    supports above `pair_first_above` the search first spends equal-column
+    supports above PAIR_FIRST_ABOVE the search first spends equal-column
     pairs before general subsets.
     """
     if not system.is_boolean:
@@ -391,17 +417,16 @@ def sparsify_natural(system: LinearSystem, solution: Sequence[int],
     sol = [int(v) for v in solution]
     if any(v < 0 for v in sol) or list(solution) != sol or not system.is_solution(sol):
         raise NotASolutionError("input does not solve the system over N")
-    m = system.m
-    bound = natural_sparsity_bound(m, system.num_vars)
+    bound = natural_sparsity_bound(system.m, system.num_vars)
     while True:
         support = _support(sol)
         if len(support) <= bound:
             break
         pair = None
-        if len(support) > pair_first_above:
+        if len(support) > PAIR_FIRST_ABOVE:
             cols = {}
             for j in support:
-                key = tuple(system.coeffs[i][j] for i in range(m))
+                key = system.columns[j]
                 if key in cols:
                     pair = ((cols[key],), (j,))
                     break
@@ -445,41 +470,19 @@ def many_nonzeros_instance(m: int) -> LinearSystem:
     """
     if m < 6:
         raise InputError("many_nonzeros_instance needs m >= 6")
-    width = m + 1
-    rows = []
-    for i in range(m - 1):
-        row = [0] * width
-        row[i] = row[i + 1] = row[i + 2] = 1
-        rows.append(row)
-    last = [0] * width
-    for j in (0, 1, 3, 6):
-        last[j] = 1
-    rows.append(last)
-    rhs = [3] * (m - 1) + [4]
-    return system_from_rows(rows, [EQ] * m, rhs)
+    rows = [((i, 1), (i + 1, 1), (i + 2, 1)) for i in range(m - 1)]
+    rows.append(tuple((j, 1) for j in (0, 1, 3, 6)))
+    return LinearSystem(tuple(rows), (EQ,) * m, (3,) * (m - 1) + (4,), m + 1)
 
 
 # ---------------------------------------------------------------------------
 # Bounded integer feasibility
 # ---------------------------------------------------------------------------
 
-def _prop_rows(system: LinearSystem):
-    """Preprocess rows for propagation; integer rows get pure-int arithmetic."""
-    out = []
-    for i in range(system.m):
-        nz = [(j, a) for j, a in enumerate(system.coeffs[i]) if a != 0]
-        c = system.rhs[i]
-        if all(a.denominator == 1 for _, a in nz) and c.denominator == 1:
-            nz = [(j, int(a)) for j, a in nz]
-            c = int(c)
-        amax = max((abs(a) for _, a in nz), default=0)
-        out.append((nz, system.relations[i], c, amax))
-    return out
-
-
 def _propagate(rows, lo: list[int], hi: list[int], max_passes: int = 60) -> bool:
     """Interval tightening per row to fixpoint; False on conflict.
 
+    Each of `rows` is (sparse row, relation, rhs, largest |coefficient|).
     Bounds derived here are valid for every integer solution inside the box.
     A row's per-variable pass is skipped when the row slack provably cannot
     tighten anything (slack >= amax * widest interval).
@@ -545,25 +548,12 @@ def _greedy_seed(system: LinearSystem, ubs: list[int],
     most unmet >=-rows without breaking any <=/=-row.  Sound (the result is
     verified exactly); returns None when the heuristic dead-ends."""
     m, n = system.m, system.num_vars
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i in range(m):
-        for j, a in enumerate(system.coeffs[i]):
-            if a != 0:
-                if a.denominator != 1:
-                    return None
-                cols[j].append((i, int(a)))
-    if any(c.denominator != 1 for c in system.rhs):
-        return None
-    rhs = [int(c) for c in system.rhs]
+    cols, rhs = system.columns, system.rhs
     vals = [0] * n
     sums = [0] * m
     ge_rows = [i for i in range(m)
                if system.relations[i] in (GE, EQ) and rhs[i] > 0]
-    row_pos_cols: dict[int, list[int]] = {i: [] for i in ge_rows}
-    for j in range(n):
-        for i, a in cols[j]:
-            if a > 0 and i in row_pos_cols:
-                row_pos_cols[i].append(j)
+    row_pos_cols = {i: [j for j, a in system.rows[i] if a > 0] for i in ge_rows}
     for _ in range(max_steps):
         unmet = [i for i in ge_rows if sums[i] < rhs[i]]
         if not unmet:
@@ -614,20 +604,20 @@ def ilp_solve(system: LinearSystem, upper_bounds: Sequence[int], *,
     ubs = [int(b) for b in upper_bounds]
     if len(ubs) != n or any(b < 0 for b in ubs):
         raise InputError("need one nonnegative upper bound per variable")
-    rows = _prop_rows(system)
     seed = _greedy_seed(system, ubs)
     if seed is not None:
         return seed
-    base_int_rows = _scaled_rows(system)
+    rows = [(row, rel, c, max((abs(a) for _, a in row), default=0))
+            for row, rel, c in zip(system.rows, system.relations, system.rhs)]
     nodes = 0
     lazy_ub: set[int] = set()  # box rows added to the LP on demand
 
     def lp_check(branch_rows) -> tuple[Fraction, ...] | None:
         extra = list(branch_rows) + [(j, LE, ubs[j]) for j in sorted(lazy_ub)]
         while True:
-            lp_rows = base_int_rows + [([(j, 1)], rel, int(v))
-                                       for j, rel, v in extra]
-            sol = _phase1(lp_rows, n, 500_000)
+            sol = _phase1(system.rows + tuple(((j, 1),) for j, _, _ in extra),
+                          system.relations + tuple(rel for _, rel, _ in extra),
+                          system.rhs + tuple(v for _, _, v in extra), n)
             if sol is None:
                 return None
             violated = [j for j in range(n) if sol[j] > ubs[j] and j not in lazy_ub]
@@ -696,19 +686,20 @@ def enumerate_solutions(system: LinearSystem, box: Sequence[int],
         volume *= b + 1
         if volume > volume_cap:
             raise CapExceededError("box volume exceeds the enumeration cap")
-    m = system.m
+    m, columns = system.m, system.columns
     # suffix_min[i][j], suffix_max[i][j]: extreme contribution of vars j..n-1
-    suffix_min = [[Fraction(0)] * (n + 1) for _ in range(m)]
-    suffix_max = [[Fraction(0)] * (n + 1) for _ in range(m)]
-    for i in range(m):
+    suffix_min = [[0] * (n + 1) for _ in range(m)]
+    suffix_max = [[0] * (n + 1) for _ in range(m)]
+    for i, row in enumerate(system.rows):
+        coeff = dict(row)
         for j in range(n - 1, -1, -1):
-            a = system.coeffs[i][j]
+            a = coeff.get(j, 0)
             lo_c = a * 0 if a > 0 else a * box[j]
             hi_c = a * box[j] if a > 0 else a * 0
             suffix_min[i][j] = suffix_min[i][j + 1] + lo_c
             suffix_max[i][j] = suffix_max[i][j + 1] + hi_c
     out: list[tuple[int, ...]] = []
-    partial = [Fraction(0)] * m
+    partial = [0] * m
     x = [0] * n
 
     def viable(depth: int) -> bool:
@@ -727,12 +718,12 @@ def enumerate_solutions(system: LinearSystem, box: Sequence[int],
             return
         for v in range(box[depth] + 1):
             x[depth] = v
-            for i in range(m):
-                partial[i] += system.coeffs[i][depth] * v
+            for i, a in columns[depth]:
+                partial[i] += a * v
             if viable(depth + 1):
                 walk(depth + 1)
-            for i in range(m):
-                partial[i] -= system.coeffs[i][depth] * v
+            for i, a in columns[depth]:
+                partial[i] -= a * v
         x[depth] = 0
 
     if viable(0):
@@ -774,15 +765,16 @@ def parse_system(text: str) -> LinearSystem:
         rows.append([parse_scalar(t) for t in toks[:width]])
         relations.append(toks[width])
         rhs.append(parse_scalar(toks[-1]))
-    return system_from_rows(rows, relations, rhs)
+    return scaled_system((enumerate(row) for row in rows), relations, rhs, width)
 
 
 def render_system(system: LinearSystem) -> str:
-    def show(v: Fraction) -> str:
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
+    """The system file of the stored integer rows (rational input rows
+    therefore come back scaled)."""
     lines = [f"{system.m} {system.num_vars}"]
-    for i in range(system.m):
-        lines.append(" ".join(show(a) for a in system.coeffs[i])
-                     + f" {system.relations[i]} {show(system.rhs[i])}")
+    for row, rel, c in zip(system.rows, system.relations, system.rhs):
+        dense = [0] * system.num_vars
+        for j, a in row:
+            dense[j] = a
+        lines.append(" ".join(map(str, dense)) + f" {rel} {c}")
     return "\n".join(lines) + "\n"

@@ -458,8 +458,9 @@ def incompleteness_instance(m: int) -> tuple[list[UnaryAtom], list[UnaryAtom]]:
             for j in range(m + 1) for k in range(j + 1, m + 1)]
     phi += [at_most(0, x, t.opposite()) for x in si]
     for i in range(m):
+        ones = {j for j, _ in system.rows[i]}
         for j in range(m + 1):
-            if system.coeffs[i][j] == 1:
+            if j in ones:
                 phi.append(at_most(0, tj[j], si[i].opposite()))
             else:
                 phi.append(at_most(0, tj[j], si[i]))

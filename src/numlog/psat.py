@@ -18,8 +18,8 @@ from itertools import islice
 from math import lcm
 
 from .errors import CapExceededError, InputError, UnknownPredicateError
-from .linsys import (EQ, LinearSystem, lp_feasible, many_nonzeros_instance,
-                     parse_scalar, sparsify_rational)
+from .linsys import (EQ, lp_feasible, many_nonzeros_instance, parse_scalar,
+                     scaled_system, sparsify_rational)
 from .logic import (AT_LEAST, And, CountingAtom, Lit, Not, Or, Pred,
                     UnaryAtom, compile_body, formula_predicates, lit_formula,
                     live_masks)
@@ -169,19 +169,12 @@ def psat_decide(instance) -> ProbabilityAssignment | None:
 
     index = {p: i for i, p in enumerate(letters)}
     rows = []
-    relations = []
-    rhs = []
-    one, zero = Fraction(1), Fraction(0)
-    for cl, rel, q in norm:
+    for cl, _, _ in norm:
         test = compile_body(_clause_formula(cl), index)
-        rows.append([one if test(mask) else zero for mask in live])
-        relations.append(rel)
-        rhs.append(q)
-    rows.append([one] * len(live))
-    relations.append(EQ)
-    rhs.append(one)
-    system = LinearSystem(tuple(tuple(r) for r in rows),
-                          tuple(relations), tuple(rhs))
+        rows.append([(k, 1) for k, mask in enumerate(live) if test(mask)])
+    rows.append([(k, 1) for k in range(len(live))])
+    system = scaled_system(rows, [rel for _, rel, _ in norm] + [EQ],
+                           [q for _, _, q in norm] + [1], len(live))
     sol = lp_feasible(system)
     if sol is None:
         return None
@@ -230,6 +223,8 @@ def parse_psat_instance(text: str):
             q = parse_scalar(q_text)
         except InputError as exc:
             raise InputError(f"line {ln}: {exc}") from None
+        if not 0 <= q <= 1:
+            raise InputError(f"line {ln}: probability {q} outside [0,1]")
         out.append((tuple(lits), q) if rel == EQ else (tuple(lits), rel, q))
     return out
 
@@ -286,8 +281,8 @@ def counterexample_assignment(m: int) -> tuple[ProbabilityAssignment, int]:
         r_states.update(range(3 * u * j, 3 * u * j + int(count)))
     pad = half - len(r_states)
     r_states.update(range(half, half + pad))
-    s_members = {i: {w for w in range(half)
-                     if system.coeffs[i][cell_of[w]] == 1}
+    s_members = {i: {w for j, _ in system.rows[i]
+                     for w in range(3 * u * j, 3 * u * (j + 1))}
                  for i in range(m)}
 
     letters = tuple(["t"] + [f"t{j}" for j in range(1, m + 2)]

@@ -112,6 +112,23 @@ class TestSolve:
         assert code == 1
         assert err.startswith("error: ") and "NUMLOG_BUDGET" in err
 
+    def test_negative_budget_option(self, workspace, capsys):
+        (workspace / "a.txt").write_text(">=1 (p & q)\n", encoding="utf-8")
+        code = main(["solve", str(workspace / "a.txt"), "--budget", "-3",
+                     "--out", str(workspace)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and "--budget" in captured.err
+
+    def test_negative_budget_environment(self, workspace, capsys,
+                                         monkeypatch):
+        (workspace / "a.txt").write_text(">=1 (p & q)\n", encoding="utf-8")
+        monkeypatch.setenv("NUMLOG_BUDGET", "-3")
+        code = main(["solve", str(workspace / "a.txt"), "--out", str(workspace)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and "NUMLOG_BUDGET" in captured.err
+
 
 class TestDerive:
     def test_flagship_derivable_with_explanation(self, workspace, capsys):
@@ -202,6 +219,14 @@ class TestPsatCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: line 2:")
+
+    def test_probability_out_of_range(self, workspace, capsys):
+        (workspace / "big.psat").write_text("q ; 1/2\np ; 3/2\n",
+                                            encoding="utf-8")
+        code = main(["psat", str(workspace / "big.psat")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: line 2: probability 3/2 outside [0,1]")
 
 
 class TestCheckAndShrink:

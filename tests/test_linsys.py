@@ -167,8 +167,8 @@ class TestManyNonzerosInstance:
     def test_m6_shape(self):
         s = many_nonzeros_instance(6)
         assert (s.m, s.num_vars) == (6, 7)
-        assert [int(a) for a in s.coeffs[0]] == [1, 1, 1, 0, 0, 0, 0]
-        assert [int(a) for a in s.coeffs[5]] == [1, 1, 0, 1, 0, 0, 1]
+        assert [dict(s.rows[0]).get(j, 0) for j in range(7)] == [1, 1, 1, 0, 0, 0, 0]
+        assert [dict(s.rows[5]).get(j, 0) for j in range(7)] == [1, 1, 0, 1, 0, 0, 1]
         assert [int(c) for c in s.rhs] == [3, 3, 3, 3, 3, 4]
         assert s.is_boolean
 
@@ -247,6 +247,18 @@ class TestSystemFiles:
                              [Fraction(7, 3), 4])
         assert parse_system(render_system(s)) == s
 
+    def test_rational_rows_render_scaled(self):
+        s = system_from_rows([[1, Fraction(1, 2)], [0, 3]], [LE, EQ],
+                             [Fraction(7, 3), 4])
+        assert render_system(s) == "2 2\n6 3 <= 14\n0 3 = 4\n"
+
+    def test_boolean_rendering_pinned(self):
+        s = system_from_rows([[1, 0, 1], [0, 1, 1]], [LE, GE], [2, 0])
+        assert render_system(s) == "2 3\n1 0 1 <= 2\n0 1 1 >= 0\n"
+        assert render_system(many_nonzeros_instance(6)) == (
+            "6 7\n1 1 1 0 0 0 0 = 3\n0 1 1 1 0 0 0 = 3\n0 0 1 1 1 0 0 = 3\n"
+            "0 0 0 1 1 1 0 = 3\n0 0 0 0 1 1 1 = 3\n1 1 0 1 0 0 1 = 4\n")
+
     def test_parse_errors(self):
         with pytest.raises(InputError):
             parse_system("2 2\n1 1 = 1\n")
@@ -284,3 +296,60 @@ def test_every_produced_value_is_reduced_and_exact():
             assert isinstance(v, Fraction) and not isinstance(v, float)
             assert math.gcd(v.numerator, v.denominator) == 1
             assert v.denominator > 0
+
+
+class TestScaleInvariance:
+    """Multiplying a row by a positive rational keeps every answer.
+
+    The stored rows differ (scaling clears denominators but keeps a row's
+    common factor), and the phase-1 vertex may differ too, because the LP's
+    artificial variables are weighted by the row scale; so LP and ILP
+    answers are compared by feasibility and cross-checked on both systems.
+    """
+
+    @staticmethod
+    def pair(rng, relations):
+        m = len(relations)
+        l = rng.randint(2, 5)
+        coeffs = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                   for _ in range(l)] for _ in range(m)]
+        rhs = [Fraction(rng.randint(-4, 8), rng.randint(1, 3))
+               for _ in range(m)]
+        factors = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                   for _ in range(m)]
+        s = system_from_rows(coeffs, relations, rhs)
+        t = system_from_rows([[a * f for a in row]
+                              for row, f in zip(coeffs, factors)],
+                             relations, [c * f for c, f in zip(rhs, factors)])
+        return s, t
+
+    def test_lp_ilp_and_membership(self):
+        rng = random.Random(67)
+        for _ in range(150):
+            s, t = self.pair(rng, [rng.choice([LE, GE, EQ])
+                                   for _ in range(rng.randint(1, 3))])
+            a, b = lp_feasible(s), lp_feasible(t)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert t.is_solution(a) and s.is_solution(b)
+            box = [rng.randint(0, 3) for _ in range(s.num_vars)]
+            a, b = ilp_solve(s, box), ilp_solve(t, box)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert t.is_solution(a) and s.is_solution(b)
+            for _ in range(5):
+                x = [Fraction(rng.randint(0, 6), rng.randint(1, 2))
+                     for _ in range(s.num_vars)]
+                assert s.is_solution(x) == t.is_solution(x)
+
+    def test_sparsify_rational(self):
+        rng = random.Random(71)
+        checked = 0
+        for _ in range(150):
+            s, t = self.pair(rng, [EQ] * rng.randint(1, 3))
+            x = lp_feasible(s)
+            if x is None:
+                continue
+            checked += 1
+            assert sparsify_rational(s, x) == sparsify_rational(t, x)
+        assert checked > 20
