@@ -200,7 +200,9 @@ def cmd_derive(args) -> int:
             print(text)
         return _emit(args, "derive", DERIVABLE, [str(cpath)], detail, started)
     if not res.complete:
-        return _emit(args, "derive", UNKNOWN, [], detail, started)
+        return _emit(args, "derive", UNKNOWN, [],
+                     {**detail, "note": f"saturation budget of {args.budget} "
+                      "updates ran out"}, started)
     return _emit(args, "derive", NOT_DERIVABLE, [],
                  {**detail, "note": "saturation reached its fixpoint"}, started)
 

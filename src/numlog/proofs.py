@@ -11,16 +11,21 @@ integers; negative bounds mean constant-true / constant-false sentences):
 
 Derivability is decided by saturating a table of best bounds per literal
 pair: each rule's output improves monotonically with its inputs' best
-bounds, so applying rules to table optima is exhaustive.  A goal weaker
-than a table bound is still derivable - one extra rule step against an
-axiom instance with a positive subscript weakens any bound - and the
-derivation trees returned include that step so they replay exactly.
+bounds, so applying rules to table optima is exhaustive.  Saturation is
+semi-naive, as in Datalog evaluation: a worklist holds the pairs whose
+bound just improved, and only those are fired against the rest of the
+table.  The fixpoint does not depend on the firing order; the shape of a
+derivation may, because provenance keeps the first justification found for
+each value.  A goal weaker than a table bound is still derivable - one extra
+rule step against an axiom instance with a positive subscript weakens any
+bound - and the derivation trees returned include that step so they replay
+exactly.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 
 from .errors import InputError
 from .linsys import many_nonzeros_instance
@@ -147,7 +152,8 @@ class BoundTable:
     offending pair once some lower exceeds an upper, after which every
     sentence is derivable by ex falso.  `complete` is False when saturation
     stopped on budget rather than at the fixpoint: the table is still sound,
-    but "not in the table" then means "not shown derivable".
+    but "not in the table" then means "not shown derivable".  `updates`
+    counts the bound improvements made, premises included.
     """
 
     lower: dict[PairKey, int] = field(default_factory=dict)
@@ -157,6 +163,7 @@ class BoundTable:
     contradiction: PairKey | None = None
     complete: bool = True
     literals: tuple[Lit, ...] = ()
+    updates: int = 0
 
     def lower_of(self, pair: PairKey) -> int:
         return self.lower.get(pair, 0)
@@ -176,124 +183,168 @@ def _check_unary(phi) -> list[UnaryAtom]:
     return atoms
 
 
+class _Halt(Exception):
+    """Raised inside `saturate` on a contradiction or a spent budget."""
+
+
 def saturate(phi, *, max_updates: int = 500_000) -> BoundTable:
     """Fixpoint of rule application over best-known bounds.
 
     Uppers only decrease and lowers only increase, both within finite
     ranges, so the fixpoint exists; rules applied to the optima dominate all
-    other applications.  Saturation halts early when a contradiction
-    surfaces (everything is then derivable).
+    other applications.  The kernel is semi-naive: literals are integers in
+    `sort_key` order (2k for a predicate, 2k+1 for its negation, so the
+    opposite of i is i ^ 1), bounds sit in flat lists indexed by pair id, and
+    a FIFO worklist holds the pairs whose lower or upper just improved.  A
+    popped pair is fired, with its current bounds, in every premise role of
+    R1, R2 and R3 against the pairs it can meet in one rule instance.  A
+    rule instance whose premises are all axioms improves nothing, so each
+    instance that can is fired after its last premise improved.  The fixpoint
+    does not depend on the firing order, but a derivation's shape may:
+    provenance keeps the first justification found for each value.
+
+    Saturation halts early when a contradiction surfaces (everything is then
+    derivable).  Each improvement, premises included, counts as one update;
+    once the count exceeds `max_updates` after the premises are in, the
+    table is returned with complete=False.
     """
     atoms = _check_unary(phi)
     preds = sorted({l.pred for a in atoms for l in a.lits})
-    literals = [Lit(p, pol) for p in preds for pol in (True, False)]
-    literals.sort(key=lambda l: l.sort_key)
-    pairs = [(_pair(a, b)) for a, b in
-             combinations_with_replacement(literals, 2)]
-    table = BoundTable(literals=tuple(literals))
-    for pr in pairs:
-        table.lower[pr] = 0
-        table.prov_lower[pr] = [(0, ("axiom",))]
-        if pr[0] == pr[1].opposite():
-            table.upper[pr] = 0
-            table.prov_upper[pr] = [(0, ("axiom",))]
+    literals = tuple(Lit(p, pos) for p in preds for pos in (True, False))
+    index = {l: i for i, l in enumerate(literals)}
+    n = len(literals)
+    pid = [[0] * n for _ in range(n)]
+    ends: list[tuple[int, int]] = []
+    for a in range(n):
+        for b in range(a, n):
+            pid[a][b] = pid[b][a] = len(ends)
+            ends.append((a, b))
+    partners = [[(pid[l][o], o) for o in range(n)] for l in range(n)]
+    axiom = (0, ("axiom",))
+    lower = [0] * len(ends)
+    upper: list[int | None] = [None] * len(ends)
+    prov_lower = [[axiom] for _ in ends]
+    prov_upper: list[list] = [[] for _ in ends]
+    for k in range(0, n, 2):
+        upper[pid[k][k + 1]] = 0
+        prov_upper[pid[k][k + 1]].append(axiom)
+    queue: deque[int] = deque()
+    queued = [False] * len(ends)
     updates = 0
+    limit = None  # no budget while the premises go in
+    contradiction = None
+    complete = True
 
-    def improve_lower(pr: PairKey, val: int, just) -> bool:
-        nonlocal updates
-        if val <= table.lower.get(pr, 0):
-            return False
-        table.lower[pr] = val
-        table.prov_lower.setdefault(pr, []).append((val, just))
+    def improved(t: int) -> None:
+        nonlocal updates, contradiction, complete
         updates += 1
-        up = table.upper_of(pr)
-        if up is not None and val > up and table.contradiction is None:
-            table.contradiction = pr
-        return True
+        up = upper[t]
+        if up is not None and lower[t] > up:
+            contradiction = t
+            raise _Halt
+        if not queued[t]:
+            queued[t] = True
+            queue.append(t)
+        if limit is not None and updates > limit:
+            complete = False
+            raise _Halt
 
-    def improve_upper(pr: PairKey, val: int, just) -> bool:
-        nonlocal updates
-        cur = table.upper_of(pr)
-        if cur is not None and val >= cur:
-            return False
-        table.upper[pr] = val
-        table.prov_upper.setdefault(pr, []).append((val, just))
-        updates += 1
-        if table.lower.get(pr, 0) > val and table.contradiction is None:
-            table.contradiction = pr
-        return True
+    def raise_lower(t: int, val: int, just) -> None:
+        lower[t] = val
+        prov_lower[t].append((val, just))
+        improved(t)
 
-    for a in atoms:
-        pr = a.lits
-        if a.direction == AT_LEAST:
-            improve_lower(pr, a.bound, ("premise", a))
-        else:
-            improve_upper(pr, a.bound, ("premise", a))
-        if table.contradiction:
-            return table
+    def cut_upper(t: int, val: int, just) -> None:
+        upper[t] = val
+        prov_upper[t].append((val, just))
+        improved(t)
 
-    by_lit: dict[Lit, list[PairKey]] = {l: [] for l in literals}
-    for pr in pairs:
-        by_lit[pr[0]].append(pr)
-        if pr[1] != pr[0]:
-            by_lit[pr[1]].append(pr)
+    try:
+        for atom in atoms:
+            t = pid[index[atom.lits[0]]][index[atom.lits[1]]]
+            if atom.direction == AT_LEAST:
+                if atom.bound > lower[t]:
+                    raise_lower(t, atom.bound, ("premise", atom))
+            elif upper[t] is None or atom.bound < upper[t]:
+                cut_upper(t, atom.bound, ("premise", atom))
+        limit = max_updates
+        if updates > limit:
+            complete = False
+            raise _Halt
+        while queue:
+            p = queue.popleft()
+            queued[p] = False
+            a, b = ends[p]
+            lo, up = lower[p], upper[p]
+            # x is the literal p shares with the other premise, y its partner
+            for x, y in ((a, b), (b, a)) if a != b else ((a, a),):
+                if up is not None:
+                    # R1: p and an upper through ~x, in either premise order
+                    for q, o in partners[x ^ 1]:
+                        uq = upper[q]
+                        if uq is not None:
+                            t, v = pid[y][o], up + uq
+                            if upper[t] is None or v < upper[t]:
+                                cut_upper(t, v, (R1, (p, "upper", up),
+                                                 (q, "upper", uq)))
+                    # R2 with p as the upper premise
+                    for q, o in partners[x]:
+                        lq = lower[q]
+                        if lq > 0:
+                            t, v = pid[o][y ^ 1], lq - up
+                            if v > lower[t]:
+                                raise_lower(t, v, (R2, (q, "lower", lq),
+                                                   (p, "upper", up)))
+                if lo > 0:
+                    # R2 with p as the lower premise
+                    for q, o in partners[x]:
+                        uq = upper[q]
+                        if uq is not None:
+                            t, v = pid[y][o ^ 1], lo - uq
+                            if v > lower[t]:
+                                raise_lower(t, v, (R2, (p, "lower", lo),
+                                                   (q, "upper", uq)))
+                    # R3 with p as the lower premise through x
+                    xx = pid[x][x]
+                    ux = upper[xx]
+                    if ux is not None:
+                        t, v = pid[x][y ^ 1], ux - lo
+                        if upper[t] is None or v < upper[t]:
+                            cut_upper(t, v, (R3, (xx, "upper", ux),
+                                             (p, "lower", lo)))
+            if a == b and up is not None:
+                # R3 with p as the same-literal upper; axiom lowers count too
+                for q, o in partners[a]:
+                    lq = lower[q]
+                    t, v = pid[a][o ^ 1], up - lq
+                    if upper[t] is None or v < upper[t]:
+                        cut_upper(t, v, (R3, (p, "upper", up),
+                                         (q, "lower", lq)))
+    except _Halt:
+        pass
 
-    while table.contradiction is None:
-        changed = False
-        # R1: two uppers sharing a complementary literal
-        for pa in pairs:
-            ua = table.upper_of(pa)
-            if ua is None:
-                continue
-            for x in {pa[0], pa[1]}:
-                for pb in by_lit[x.opposite()]:
-                    ub = table.upper_of(pb)
-                    if ub is None:
-                        continue
-                    target = _pair(_other(pa, x), _other(pb, x.opposite()))
-                    if improve_upper(
-                            target, ua + ub,
-                            (R1, (pa, "upper", ua), (pb, "upper", ub))):
-                        changed = True
-        if table.contradiction:
-            break
-        # R2: a lower and an upper sharing a literal
-        for pa in pairs:
-            la = table.lower.get(pa, 0)
-            if la <= 0:
-                continue
-            for x in {pa[0], pa[1]}:
-                for pb in by_lit[x]:
-                    ub = table.upper_of(pb)
-                    if ub is None:
-                        continue
-                    target = _pair(_other(pa, x), _other(pb, x).opposite())
-                    if improve_lower(
-                            target, la - ub,
-                            (R2, (pa, "lower", la), (pb, "upper", ub))):
-                        changed = True
-        if table.contradiction:
-            break
-        # R3: a same-literal upper and a lower through that literal
-        for l in literals:
-            pa = (l, l)
-            ua = table.upper_of(pa)
-            if ua is None:
-                continue
-            for pb in by_lit[l]:
-                lb = table.lower.get(pb, 0)
-                if lb <= 0:
-                    continue
-                target = _pair(l, _other(pb, l).opposite())
-                if improve_upper(
-                        target, ua - lb,
-                        (R3, (pa, "upper", ua), (pb, "lower", lb))):
-                    changed = True
-        if not changed:
-            break
-        if updates > max_updates:
-            table.complete = False
-            break
+    def key(t: int) -> PairKey:
+        return literals[ends[t][0]], literals[ends[t][1]]
+
+    def keyed(entries: list) -> list:
+        out = []
+        for val, just in entries:
+            if just[0] in (R1, R2, R3):
+                rule, (pa, sa, va), (pb, sb, vb) = just
+                just = (rule, (key(pa), sa, va), (key(pb), sb, vb))
+            out.append((val, just))
+        return out
+
+    table = BoundTable(literals=literals, updates=updates, complete=complete,
+                       contradiction=None if contradiction is None
+                       else key(contradiction))
+    for t in range(len(ends)):
+        pr = key(t)
+        table.lower[pr] = lower[t]
+        table.prov_lower[pr] = keyed(prov_lower[t])
+        if upper[t] is not None:
+            table.upper[pr] = upper[t]
+            table.prov_upper[pr] = keyed(prov_upper[t])
     return table
 
 

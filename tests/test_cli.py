@@ -154,6 +154,20 @@ class TestDerive:
                         "--out", workspace)
         assert code == 0 and out.startswith("Derivable")
 
+    def test_budget_out_is_unknown_with_note(self, workspace, capsys):
+        (workspace / "chain.txt").write_text(
+            ">=2 (p & q)\n<=1 (q & r)\nTherefore:\n>=1 (p & !r)\n",
+            encoding="utf-8")
+        code, out = run(capsys, "derive", workspace / "chain.txt",
+                        "--out", workspace, "--budget", "1", "--json")
+        payload = json.loads(out)
+        assert code == 2 and payload["status"] == "Unknown"
+        assert payload["detail"]["note"] == \
+            "saturation budget of 1 updates ran out"
+        code, out = run(capsys, "derive", workspace / "chain.txt",
+                        "--out", workspace)
+        assert code == 0 and out.startswith("Derivable")
+
     def test_missing_conclusion(self, workspace, capsys):
         (workspace / "nc.txt").write_text(">=1 (p & p)\n", encoding="utf-8")
         code = main(["derive", str(workspace / "nc.txt")])

@@ -11,7 +11,7 @@ from numlog.logic import Lit, at_least, at_most, evaluate
 from numlog.proofs import (apply_rule, check_derivation, derives,
                            incompleteness_instance, is_numerically_explicit,
                            render_derivation, rule_conclusions, saturate)
-from helpers import random_structure
+from helpers import random_structure, random_unary_atom
 
 P, Q, R_ = Lit("p"), Lit("q"), Lit("r")
 
@@ -150,6 +150,40 @@ class TestSaturateAndDerive:
         phi, _ = incompleteness_instance(6)
         table = saturate(phi)
         assert table.complete and table.contradiction is None
+
+
+class TestBudget:
+    @staticmethod
+    def entries(table):
+        return sum(1 for prov in (table.prov_lower, table.prov_upper)
+                   for got in prov.values() for _, just in got
+                   if just[0] != "axiom")
+
+    def test_budget_caps_updates(self):
+        phi, _ = incompleteness_instance(6)
+        full = saturate(phi)
+        assert full.complete and full.updates == self.entries(full)
+        for budget in (0, 10, 100, 1000):
+            table = saturate(phi, max_updates=budget)
+            assert not table.complete
+            assert table.updates == self.entries(table)
+            assert table.updates <= max(budget + 1, len(phi))
+
+    def test_budget_never_flips_a_verdict(self):
+        rng = random.Random(127)
+        preds = ["p", "q", "r"]
+        for _ in range(150):
+            prem = [random_unary_atom(rng, preds, max_bound=6)
+                    for _ in range(rng.randint(1, 6))]
+            goal = random_unary_atom(rng, preds, max_bound=6)
+            want = derives(prem, goal)
+            assert want.complete
+            for budget in (0, 1, 3, 10, 30):
+                got = derives(prem, goal, max_updates=budget)
+                if got.derivable != want.derivable:
+                    assert not got.derivable and not got.complete
+                if got.derivable:
+                    assert check_derivation(got.derivation, prem)
 
 
 class TestNumericallyExplicit:
