@@ -21,8 +21,9 @@ from .linsys import sparsify_natural  # noqa: F401  (bench/spans.py rebinds it)
 from .logic import (AT_LEAST, AT_MOST, EXACTLY, And, C1Formula, Count,
                     CountingAtom, FALSE, FiniteStructure, Not, Or, Pred,
                     RelationalAtom, TRUE, UnaryAtom, atom_formula,
-                    compile_body, evaluate, formula_predicates, is_closed,
-                    is_quantifier_free, live_masks, structure)
+                    cell_structure, compile_body, evaluate,
+                    formula_predicates, is_closed, is_quantifier_free,
+                    live_masks)
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -291,19 +292,6 @@ def build_system(normal: NormalC1, preds: list[str] | None = None, *,
     return BuiltSystem(system, tuple(merged_live), tuple(preds))
 
 
-def _materialize(built: BuiltSystem, solution) -> FiniteStructure:
-    """Fresh consecutive element indices per 1-type cell, in column order."""
-    unary: dict[str, set[int]] = {p: set() for p in built.preds}
-    next_elem = 0
-    for mask, count in zip(built.live_types, solution):
-        for _ in range(count):
-            for i, p in enumerate(built.preds):
-                if (mask >> i) & 1:
-                    unary[p].add(next_elem)
-            next_elem += 1
-    return structure(next_elem, unary, {})
-
-
 def decide_sat(formulas, *, max_nodes: int = 2_000_000) -> SatResult:
     """Decide satisfiability of unary counting atoms / closed one-variable
     formulas, producing a model-checked witness on Sat.
@@ -339,7 +327,7 @@ def decide_sat(formulas, *, max_nodes: int = 2_000_000) -> SatResult:
             continue
         if sol is None:
             continue
-        witness = _materialize(built, sol)
+        witness = cell_structure(built.preds, zip(built.live_types, sol))
         for f in formulas:
             if not evaluate(witness, f):
                 raise AssertionError(f"witness failed model check on {f}")

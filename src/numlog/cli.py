@@ -61,13 +61,13 @@ def _out_dir(args, input_path: Path) -> Path:
     return out
 
 
-def _load_argument(args) -> tuple[ArgumentFile, Path]:
-    path = Path(args.argument)
+def _load_argument(path: Path, args) -> ArgumentFile:
+    """Parse the argument file at `path` with the lexicon of `args`, if any."""
     text = path.read_text(encoding="utf-8")
     lex = None
     if getattr(args, "lexicon", None):
         lex = parse_lexicon(Path(args.lexicon).read_text(encoding="utf-8"))
-    return parse_argument(text, lex), path
+    return parse_argument(text, lex)
 
 
 def _emit(args, command: str, status: str, certificates: list[str],
@@ -93,14 +93,6 @@ def _emit(args, command: str, status: str, certificates: list[str],
 # solve
 # ---------------------------------------------------------------------------
 
-def _solve_unary(arg: ArgumentFile, budget: int):
-    atoms = list(arg.premises)
-    if arg.conclusion is not None:
-        atoms.append(negate_atom(arg.conclusion))
-    res = c1.decide_sat(atoms, max_nodes=budget)
-    return res
-
-
 def _write_witness(out: Path, stem: str, structure) -> str:
     path = out / f"{stem}.witness.structure"
     path.write_text(render_structure(structure), encoding="utf-8")
@@ -109,19 +101,18 @@ def _write_witness(out: Path, stem: str, structure) -> str:
 
 def cmd_solve(args) -> int:
     started = time.time()
-    arg, path = _load_argument(args)
+    path = Path(args.argument)
+    arg = _load_argument(path, args)
     out = _out_dir(args, path)
     budget = args.budget
-    relational = any(isinstance(a, RelationalAtom)
-                     for a in arg.premises + ((arg.conclusion,)
-                                              if arg.conclusion else ()))
+    # premises plus the negated conclusion: Sat means Invalid, Unsat Valid
+    atoms = list(arg.premises)
+    if arg.conclusion is not None:
+        atoms.append(negate_atom(arg.conclusion))
     detail = {"premises": len(arg.premises),
               "conclusion": render_symbolic(arg.conclusion)
               if arg.conclusion else None}
-    if relational:
-        atoms = list(arg.premises)
-        if arg.conclusion is not None:
-            atoms.append(negate_atom(arg.conclusion))
+    if any(isinstance(a, RelationalAtom) for a in atoms):
         cap = n2.size_bound(atoms)
         detail["model_size_bound"] = cap
         try:
@@ -140,7 +131,7 @@ def cmd_solve(args) -> int:
         return _emit(args, "solve", status, [wpath], detail, started)
 
     try:
-        res = _solve_unary(arg, budget)
+        res = c1.decide_sat(atoms, max_nodes=budget)
     except BudgetExhaustedError:
         return _emit(args, "solve", UNKNOWN, [], detail, started)
     if res.status == c1.UNKNOWN:
@@ -158,9 +149,6 @@ def cmd_solve(args) -> int:
     # unsat: dump every branch system
     cpath = out / f"{path.stem}.certificate.txt"
     chunks = []
-    atoms = list(arg.premises)
-    if arg.conclusion is not None:
-        atoms.append(negate_atom(arg.conclusion))
     for i, branch in enumerate(c1.normalize(atoms)):
         built = c1.build_system(branch)
         if built.infeasible:
@@ -180,7 +168,8 @@ def cmd_solve(args) -> int:
 
 def cmd_derive(args) -> int:
     started = time.time()
-    arg, path = _load_argument(args)
+    path = Path(args.argument)
+    arg = _load_argument(path, args)
     out = _out_dir(args, path)
     if arg.conclusion is None:
         raise NumlogError("derive needs a conclusion after 'Therefore:'")
@@ -316,11 +305,7 @@ def cmd_psat(args) -> int:
 
 
 def _load_formulas(args) -> list:
-    text = Path(args.formulas).read_text(encoding="utf-8")
-    lex = None
-    if getattr(args, "lexicon", None):
-        lex = parse_lexicon(Path(args.lexicon).read_text(encoding="utf-8"))
-    arg = parse_argument(text, lex)
+    arg = _load_argument(Path(args.formulas), args)
     atoms = list(arg.premises)
     if arg.conclusion is not None:
         atoms.append(arg.conclusion)

@@ -284,7 +284,7 @@ class FiniteStructure:
     Elements are the dense indices 0..domain_size-1.  `unary` maps each unary
     predicate to its extension, `binary` each binary predicate to a set of
     ordered pairs.  Values are normalized to frozensets; treat instances as
-    immutable (they are shared freely across threads).
+    immutable.
     """
 
     domain_size: int
@@ -366,6 +366,23 @@ def _holds_at(s: FiniteStructure, f: C1Formula, element: int | None) -> bool:
     raise InputError(f"cannot evaluate {f!r}")
 
 
+def satisfiers(s: FiniteStructure, a: CountingAtom) -> frozenset[int]:
+    """The elements a counting atom counts: those satisfying both literals
+    of a unary atom, or the subjects of a relational atom whose tally of
+    VERB-successors in the object meets the inner bound.  `evaluate` counts
+    the same elements without building the set, which is faster per call."""
+    if isinstance(a, UnaryAtom):
+        return s.lit_ext(a.lits[0]) & s.lit_ext(a.lits[1])
+    if isinstance(a, RelationalAtom):
+        subj = s.unary_ext(a.subject)
+        obj = s.unary_ext(a.obj)
+        edges = s.binary_ext(a.verb)
+        return frozenset(
+            e for e in subj if _compare(sum(1 for b in obj if (e, b) in edges),
+                                        a.inner_direction, a.inner_bound))
+    raise InputError(f"not a counting atom: {a!r}")
+
+
 def evaluate(s: FiniteStructure, f) -> bool:
     """Exact truth value of a counting atom or closed formula in s.
 
@@ -416,7 +433,20 @@ def _bit(pred: str, index: Mapping[str, int]) -> int:
     try:
         return index[pred]
     except KeyError:
-        raise UnknownPredicateError(pred) from None
+        raise UnknownPredicateError(f"unknown predicate {pred!r}") from None
+
+
+def mask_of(true: Iterable[str], index: Mapping[str, int]) -> int:
+    """The 1-type mask in which exactly the predicates `true` hold."""
+    mask = 0
+    for p in true:
+        mask |= 1 << _bit(p, index)
+    return mask
+
+
+def true_preds(mask: int, preds: Sequence[str]) -> list[str]:
+    """The predicates of `preds` that hold in a 1-type mask, in order."""
+    return [p for i, p in enumerate(preds) if mask >> i & 1]
 
 
 def _literal_bits(f: C1Formula, connective: type, index: Mapping[str, int]
@@ -510,6 +540,21 @@ def cardinality_vector(s: FiniteStructure, preds: list[str],
     for e in range(s.domain_size):
         vec[element_one_type(s, preds, e)] += 1
     return vec
+
+
+def cell_structure(preds: Sequence[str], cells: Iterable[tuple[int, int]]
+                   ) -> FiniteStructure:
+    """The structure whose 1-type cells are the given (mask, count) pairs,
+    in order: each cell takes the next `count` consecutive elements, which
+    satisfy exactly the predicates of its mask."""
+    unary: dict[str, set[int]] = {p: set() for p in preds}
+    lo = 0
+    for mask, count in cells:
+        if count:
+            for p in true_preds(mask, preds):
+                unary[p].update(range(lo, lo + count))
+            lo += count
+    return structure(lo, unary)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ input sentences and is at most L*(C*|Phi|+1) elements for L = 2^l.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 from .errors import BudgetExhaustedError, CapExceededError, InputError
-from .logic import (AT_LEAST, CountingAtom, FiniteStructure,
-                    RelationalAtom, UnaryAtom, element_one_type, evaluate,
-                    structure)
+from .logic import (AT_LEAST, CountingAtom, FiniteStructure, Or, Pred,
+                    RelationalAtom, UnaryAtom, cell_structure, compile_body,
+                    element_one_type, evaluate, satisfiers, structure)
 
 
 def _check_atoms(phi) -> list[CountingAtom]:
@@ -65,24 +65,6 @@ class ShrinkReport:
     kept_elements: tuple[int, ...] = ()          # original indices, ascending
 
 
-def _witness_elements(s: FiniteStructure, a: CountingAtom) -> list[int]:
-    """Elements satisfying the body of an atom, ascending."""
-    if isinstance(a, UnaryAtom):
-        ext = s.lit_ext(a.lits[0]) & s.lit_ext(a.lits[1])
-        return sorted(ext)
-    subj = s.unary_ext(a.subject)
-    obj = s.unary_ext(a.obj)
-    edges = s.binary_ext(a.verb)
-    out = []
-    for e in sorted(subj):
-        inner = sum(1 for b in obj if (e, b) in edges)
-        ok = inner >= a.inner_bound if a.inner_direction == AT_LEAST \
-            else inner <= a.inner_bound
-        if ok:
-            out.append(e)
-    return sorted(out)
-
-
 def shrink_model(s: FiniteStructure, phi) -> ShrinkReport:
     """Shrink a model of phi to at most L*(C*|Phi|+1) elements, preserving
     truth of every sentence in phi.
@@ -103,7 +85,7 @@ def shrink_model(s: FiniteStructure, phi) -> ShrinkReport:
     a_phi: set[int] = set()
     for a in atoms:
         if a.direction == AT_LEAST and a.bound > 0:
-            a_phi.update(_witness_elements(s, a)[:a.bound])
+            a_phi.update(sorted(satisfiers(s, a))[:a.bound])
 
     cells: dict[int, list[int]] = {}
     for e in range(s.domain_size):
@@ -197,24 +179,16 @@ def bounded_search(phi, domain_cap: int, *, budget: int = 200_000
     for r in verbs:
         objs = {a.obj for a in atoms
                 if isinstance(a, RelationalAtom) and a.verb == r}
-        relevant[r] = [k for k in range(cells)
-                       if any((k >> pred_index[o]) & 1 for o in objs)]
+        sees = compile_body(Or(tuple(map(Pred, objs))), pred_index)
+        relevant[r] = [k for k in range(cells) if sees(k)]
     spent = 0
     for n in range(1, domain_cap + 1):
         for alpha in _compositions(n, cells):
             spent += 1
             if spent > budget:
                 raise BudgetExhaustedError("bounded_search budget exhausted")
-            unary = {p: set() for p in preds}
-            starts = []
-            pos = 0
-            for mask, count in enumerate(alpha):
-                starts.append(pos)
-                for i, p in enumerate(preds):
-                    if (mask >> i) & 1:
-                        unary[p].update(range(pos, pos + count))
-                pos += count
-            base = structure(n, unary, {r: () for r in verbs})
+            starts = list(accumulate(alpha, initial=0))
+            base = cell_structure(preds, enumerate(alpha))
             if not all(evaluate(base, a) for a in atoms
                        if isinstance(a, UnaryAtom)):
                 continue

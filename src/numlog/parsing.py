@@ -367,12 +367,9 @@ def parse_symbolic(text: str) -> ArgumentFile:
 
 
 def render_symbolic(a: CountingAtom) -> str:
-    if isinstance(a, UnaryAtom):
-        return f"{a.direction}{a.bound} ({a.lits[0]} & {a.lits[1]})"
-    if isinstance(a, RelationalAtom):
-        return (f"{a.direction}{a.bound} {a.subject} "
-                f"[{a.verb} {a.inner_direction}{a.inner_bound} {a.obj}]")
-    raise InputError(f"cannot render {a!r}")
+    if not isinstance(a, (UnaryAtom, RelationalAtom)):
+        raise InputError(f"cannot render {a!r}")
+    return str(a)
 
 
 def render_argument_symbolic(arg: ArgumentFile) -> str:

@@ -12,17 +12,17 @@ underivable - even though it is semantically entailed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from math import lcm
 
-from .errors import CapExceededError, InputError, UnknownPredicateError
+from .errors import CapExceededError, InputError
 from .linsys import (EQ, lp_feasible, many_nonzeros_instance, parse_scalar,
                      scaled_system, sparsify_rational)
 from .logic import (AT_LEAST, And, CountingAtom, Lit, Not, Or, Pred,
-                    UnaryAtom, compile_body, formula_predicates, lit_formula,
-                    live_masks)
+                    UnaryAtom, compile_body, lit_formula, live_masks,
+                    mask_of, true_preds)
 
 World = frozenset[str]  # the letters true at that world
 
@@ -40,12 +40,14 @@ class ProbabilityAssignment:
 
     Worlds are deduplicated (equal assignments merge their weights).  `scale`
     is the fixed denominator N used by the threshold semantics; None when
-    the assignment is not meant for threshold evaluation.
+    the assignment is not meant for threshold evaluation.  `masks` holds
+    each world's truth assignment as a mask over `letters`.
     """
 
     letters: tuple[str, ...]
     worlds: tuple[tuple[World, Fraction], ...]
     scale: int | None = None
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         merged: dict[World, Fraction] = {}
@@ -63,12 +65,13 @@ class ProbabilityAssignment:
             raise InputError("world weights must sum to exactly 1")
         object.__setattr__(self, "worlds", worlds)
         object.__setattr__(self, "letters", tuple(self.letters))
+        index = {p: i for i, p in enumerate(self.letters)}
+        object.__setattr__(self, "masks",
+                           tuple(mask_of(w, index) for w, _ in worlds))
 
 
-def _world_sat(world: World, formula) -> bool:
-    if isinstance(formula, Lit):
-        return (formula.pred in world) == formula.positive
-    return any(_world_sat(world, lit) for lit in formula)  # clause
+def _clause_formula(cl) -> Or:
+    return Or(tuple(lit_formula(lit) for lit in cl))
 
 
 def prob(assignment: ProbabilityAssignment, formula) -> Fraction:
@@ -78,25 +81,15 @@ def prob(assignment: ProbabilityAssignment, formula) -> Fraction:
     Accepts a literal, a clause (tuple of literals), or a formula tree over
     Pred/Not/And/Or.  Letters outside the signature are an error.
     """
-    letters = set()
     if isinstance(formula, Lit):
-        letters = {formula.pred}
+        formula = lit_formula(formula)
     elif isinstance(formula, tuple):
-        letters = {lit.pred for lit in formula}
-    elif isinstance(formula, (Pred, Not, And, Or)):
-        letters = formula_predicates(formula)
-    else:
+        formula = _clause_formula(formula)
+    elif not isinstance(formula, (Pred, Not, And, Or)):
         raise InputError(f"not a propositional formula: {formula!r}")
-    unknown = letters - set(assignment.letters)
-    if unknown:
-        raise UnknownPredicateError(f"unknown letters {sorted(unknown)}")
-    if isinstance(formula, (Lit, tuple)):
-        return sum((wt for w, wt in assignment.worlds
-                    if _world_sat(w, formula)), Fraction(0))
-    index = {p: i for i, p in enumerate(assignment.letters)}
-    test = compile_body(formula, index)
-    return sum((wt for w, wt in assignment.worlds
-                if test(sum(1 << index[p] for p in w))), Fraction(0))
+    test = compile_body(formula, {p: i for i, p in enumerate(assignment.letters)})
+    return sum((wt for (_, wt), mask in zip(assignment.worlds, assignment.masks)
+                if test(mask)), Fraction(0))
 
 
 def approx_models(assignment: ProbabilityAssignment, atom: CountingAtom) -> bool:
@@ -106,9 +99,7 @@ def approx_models(assignment: ProbabilityAssignment, atom: CountingAtom) -> bool
         raise InputError("threshold semantics covers unary sentences only")
     if assignment.scale is None:
         raise InputError("assignment has no scale N attached")
-    l1, l2 = atom.lits
-    p = sum((wt for w, wt in assignment.worlds
-             if _world_sat(w, l1) and _world_sat(w, l2)), Fraction(0))
+    p = prob(assignment, And(tuple(map(lit_formula, atom.lits))))
     threshold = Fraction(atom.bound, assignment.scale)
     return p >= threshold if atom.direction == AT_LEAST else p <= threshold
 
@@ -116,10 +107,6 @@ def approx_models(assignment: ProbabilityAssignment, atom: CountingAtom) -> bool
 # ---------------------------------------------------------------------------
 # PSAT
 # ---------------------------------------------------------------------------
-
-def _clause_formula(cl) -> Or:
-    return Or(tuple(lit_formula(lit) for lit in cl))
-
 
 def psat_decide(instance) -> ProbabilityAssignment | None:
     """Decide whether clause probabilities are jointly realizable.
@@ -180,12 +167,9 @@ def psat_decide(instance) -> ProbabilityAssignment | None:
         return None
     if all(rel == EQ for rel in system.relations):
         sol = sparsify_rational(system, sol)
-    worlds = []
-    for mask, weight in zip(live, sol):
-        if weight:
-            world = frozenset(p for p, i in index.items() if (mask >> i) & 1)
-            worlds.append((world, weight))
-    out = ProbabilityAssignment(tuple(letters), tuple(worlds))
+    worlds = tuple((frozenset(true_preds(mask, letters)), weight)
+                   for mask, weight in zip(live, sol) if weight)
+    out = ProbabilityAssignment(tuple(letters), worlds)
     for cl, rel, q in norm:
         got = prob(out, cl)
         ok = got == q if rel == EQ else (got <= q if rel == "<=" else got >= q)

@@ -12,7 +12,7 @@ from numlog.c1 import (SAT, UNSAT, build_system, decide_sat, entails,
 from numlog.errors import InputError
 from numlog.logic import (AT_LEAST, AT_MOST, And, Count, Lit, Not, Pred,
                           RelationalAtom, at_least, at_most, evaluate,
-                          negate_atom, structure)
+                          negate_atom, render_structure, structure)
 from helpers import random_unary_atom
 
 
@@ -231,6 +231,18 @@ class TestDecideSat:
         inner = Count(AT_LEAST, 2, Pred("q"))
         f = Count(AT_LEAST, 1, And((Pred("p"), Not(inner))))
         assert decide_sat([f]).status == SAT
+
+    def test_witness_is_pinned(self):
+        # each live 1-type takes the next consecutive elements, in the
+        # column order of the certificate: c twice, then a&b, then a&b&c
+        a, b, c = Lit("a"), Lit("b"), Lit("c")
+        res = decide_sat([at_least(3, a, b), at_most(1, a, c.opposite()),
+                          at_least(2, b.opposite(), c), at_most(4, b, c)])
+        assert res.certificate.live_types == (0, 4, 6, 1, 3, 7)
+        assert res.certificate.solution == (0, 2, 0, 0, 1, 2)
+        assert render_structure(res.witness) == (
+            "domain 5\nunary a: 2, 3, 4\nunary b: 2, 3, 4\n"
+            "unary c: 0, 1, 3, 4\n")
 
 
 class TestEntails:

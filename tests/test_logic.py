@@ -8,9 +8,11 @@ import pytest
 from numlog.errors import CapExceededError, InputError, UnknownPredicateError
 from numlog.logic import (AT_LEAST, AT_MOST, FALSE, TRUE, And, Count, Lit,
                           Not, Or, Pred, RelationalAtom, at_least, at_most,
-                          cardinality_vector, compile_body, element_one_type,
-                          evaluate, live_masks, negate_atom, one_types,
-                          parse_structure, render_structure, structure)
+                          cardinality_vector, cell_structure, compile_body,
+                          element_one_type, evaluate, live_masks, mask_of,
+                          negate_atom, one_types, parse_structure,
+                          render_structure, satisfiers, structure,
+                          true_preds)
 from helpers import random_structure, random_unary_atom
 
 
@@ -244,6 +246,77 @@ class TestCardinalityVector:
         assert [vec[m] for m in sorted(tally)] == [1, 1, 1]
         assert sum(vec) == 3
         assert sorted(v for v in vec if v) == [1, 1, 1]
+
+
+class TestCellModels:
+    def test_cell_structure_round_trip(self):
+        rng = random.Random(211)
+        for _ in range(200):
+            preds = sorted(rng.sample(["p", "q", "r", "s"], rng.randint(0, 4)))
+            masks = list(range(1 << len(preds)))
+            rng.shuffle(masks)
+            cells = [(m, rng.randint(0, 5))
+                     for m in masks[:rng.randint(0, len(masks))]]
+            s = cell_structure(preds, cells)
+            placed = [0] * len(masks)
+            for m, count in cells:
+                placed[m] = count
+            assert cardinality_vector(s, preds) == placed
+            # each cell takes the next consecutive elements, in cell order
+            types = [element_one_type(s, preds, e) for e in range(s.domain_size)]
+            assert types == [m for m, count in cells for _ in range(count)]
+
+    def test_mask_conversions(self):
+        preds = ["a", "b", "c"]
+        index = {p: i for i, p in enumerate(preds)}
+        for mask in range(8):
+            assert mask_of(true_preds(mask, preds), index) == mask
+        assert true_preds(0b101, preds) == ["a", "c"]
+        with pytest.raises(UnknownPredicateError):
+            mask_of(["z"], index)
+
+
+class TestSatisfiers:
+    @staticmethod
+    def brute_satisfiers(s, a):
+        def holds(l, e):
+            return (e in s.unary[l.pred]) == l.positive
+        if isinstance(a, RelationalAtom):
+            out = set()
+            for e in s.unary[a.subject]:
+                tally = sum(1 for b in s.unary[a.obj]
+                            if (e, b) in s.binary[a.verb])
+                if (tally >= a.inner_bound if a.inner_direction == AT_LEAST
+                        else tally <= a.inner_bound):
+                    out.add(e)
+            return out
+        return {e for e in range(s.domain_size)
+                if holds(a.lits[0], e) and holds(a.lits[1], e)}
+
+    def test_count_agrees_with_evaluate(self):
+        rng = random.Random(223)
+        preds = ["p", "q", "r"]
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            s = random_structure(rng, preds, verbs=("v",))
+            if rng.random() < 0.5:
+                a = random_unary_atom(rng, preds, max_bound=4)
+            else:
+                a = RelationalAtom(rng.choice((AT_LEAST, AT_MOST)),
+                                   rng.randint(0, 4), rng.choice(preds), "v",
+                                   rng.choice((AT_LEAST, AT_MOST)),
+                                   rng.randint(0, 3), rng.choice(preds))
+            expected = self.brute_satisfiers(s, a)
+            assert satisfiers(s, a) == expected
+            n = len(expected)
+            truth = n >= a.bound if a.direction == AT_LEAST else n <= a.bound
+            assert evaluate(s, a) == truth
+            seen[truth] += 1
+        assert min(seen.values()) > 50
+
+    def test_rejects_formulas(self):
+        with pytest.raises(InputError):
+            satisfiers(structure(1, {"p": {0}}), Pred("p"))
 
 
 class TestStructureFiles:

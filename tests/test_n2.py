@@ -6,7 +6,7 @@ import pytest
 
 from numlog.errors import BudgetExhaustedError, InputError
 from numlog.logic import (AT_LEAST, AT_MOST, Lit, RelationalAtom, at_least,
-                          at_most, evaluate, structure)
+                          at_most, evaluate, render_structure, structure)
 from numlog.n2 import bounded_search, shrink_model, size_bound
 from numlog.parsing import parse_english, Lexicon
 
@@ -155,6 +155,18 @@ class TestBoundedSearch:
             found = bounded_search(atoms, size_bound(atoms),
                                    budget=2_000_000)
             assert (found is not None) == via_c1
+
+    def test_planted_model_is_pinned(self):
+        # cells p (mask 1) and q (mask 2) get elements 0-1 and 2 in mask
+        # order; successor profiles fill ascending indices of each cell
+        phi = [RelationalAtom(AT_LEAST, 2, "p", "r", AT_LEAST, 1, "q"),
+               RelationalAtom(AT_MOST, 0, "q", "r", AT_LEAST, 1, "p"),
+               at_most(0, Lit("p"), Lit("q")),
+               at_least(1, Lit("q"), Lit("q"))]
+        model = bounded_search(phi, size_bound(phi))
+        assert render_structure(model) == (
+            "domain 3\nunary p: 0, 1\nunary q: 2\n"
+            "binary r: (0,0), (0,1), (0,2), (1,0), (1,1), (1,2), (2,2)\n")
 
     def test_budget_is_distinct_from_no_model(self):
         phi = [RelationalAtom(AT_LEAST, 2, "p", "r", AT_LEAST, 2, "q")]

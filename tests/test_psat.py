@@ -75,6 +75,14 @@ class TestApproxModels:
         with pytest.raises(InputError):
             approx_models(p, at_least(1, Lit("p"), Lit("p")))
 
+    def test_unknown_letter(self):
+        # as in prob, every letter must belong to the signature
+        p = flat(["p"], [{"p"}], scale=1)
+        for atom in (at_most(0, Lit("z"), Lit("z")),
+                     at_least(1, Lit("z", False), Lit("p"))):
+            with pytest.raises(UnknownPredicateError):
+                approx_models(p, atom)
+
 
 class TestPsatDecide:
     def test_contradictory_unit_probabilities(self):
