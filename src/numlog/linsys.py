@@ -9,7 +9,12 @@ Every operation here is exact: integers are Python ints, rational results
 are `fractions.Fraction`, and no float is ever produced.  The feasibility
 core is a phase-1 simplex with Bland's rule run on an integer tableau
 carrying one shared positive denominator (fraction-free pivoting); every
-division it performs is checked to be exact.
+division it performs is checked to be exact.  Before it runs, the rows are
+presolved: divided by their gcd, given a positive first coefficient and
+merged when their coefficients agree.  The presolve lives only inside
+`lp_feasible` and `ilp_solve`; stored rows are never gcd-divided.
+`ilp_solve` presolves once at the root, and every branch-and-bound child
+re-solves from its parent's tableau with one more row (a warm start).
 
 A "Boolean" system has all coefficients in {0, 1} and natural right-hand
 sides; the two sparsifiers implement support-reduction exchanges that keep a
@@ -135,145 +140,262 @@ def system_from_rows(rows: Iterable[Sequence], relations: Iterable[str],
 
 
 # ---------------------------------------------------------------------------
-# Exact LP feasibility (phase-1 simplex, integer tableau)
+# Exact LP feasibility (presolve, then phase-1 simplex on an integer tableau)
 # ---------------------------------------------------------------------------
 
-def _phase1(rows: Sequence[SparseVector], relations: Sequence[str],
-            rhs_in: Sequence[int], n: int) -> tuple[Fraction, ...] | None:
-    """Revised phase-1 simplex over integer data.
+_FLIP = {LE: GE, GE: LE, EQ: EQ}
 
-    The basis inverse is kept as an integer matrix with one shared positive
-    denominator d (fraction-free pivoting; every division is exact by the
-    subdeterminant argument, and checked).  Bland's rule everywhere; columns
-    are priced sparsely, artificial variables never re-enter.
+Row = tuple[SparseVector, str, int]
+
+
+def _presolve(system: LinearSystem) -> list[Row] | None:
+    """The system's rows in canonical form and merged, or None when a row
+    alone is infeasible.
+
+    Each row is divided by the gcd of its coefficients and rhs, and negated
+    (its relation flipped) when its first coefficient is negative, so rows
+    that are positive multiples of each other become equal.  Rows with equal
+    coefficients share one interval [lo, hi]: it gives one `=` row when
+    lo == hi, otherwise a `<=` and/or a `>=` row, at the place of the first
+    such row; lo > hi is infeasible.  Empty rows are checked and dropped.
+    A row that is already canonical is used as it is, not copied.
     """
-    m = len(rows)
-    if m == 0:
-        return tuple(Fraction(0) for _ in range(n))
+    bounds: dict[SparseVector, list] = {}
+    for row, rel, c in zip(system.rows, system.relations, system.rhs):
+        if not row:  # 0 rel c
+            if not {LE: c >= 0, GE: c <= 0, EQ: c == 0}[rel]:
+                return None
+            continue
+        g = 0
+        for _, a in row:
+            g = math.gcd(g, a)
+            if g == 1:
+                break
+        if g != 1:
+            g = math.gcd(g, c)
+        if row[0][1] < 0:
+            g, rel = -g, _FLIP[rel]
+        if g != 1:
+            row = tuple((j, a // g) for j, a in row)
+            c //= g
+        b = bounds.setdefault(row, [None, None])
+        if rel != LE and (b[0] is None or c > b[0]):
+            b[0] = c
+        if rel != GE and (b[1] is None or c < b[1]):
+            b[1] = c
+    out = []
+    for row, (lo, hi) in bounds.items():
+        if lo is not None and hi is not None and lo >= hi:
+            if lo > hi:
+                return None
+            out.append((row, EQ, lo))
+            continue
+        if hi is not None:
+            out.append((row, LE, hi))
+        if lo is not None:
+            out.append((row, GE, lo))
+    return out
 
-    # Column-major sparse matrix: originals, then slacks, then artificials.
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    rhs: list[int] = []
-    basis: list[int] = []
-    for i, (sparse, rel, c) in enumerate(zip(rows, relations, rhs_in)):
-        flip = -1 if c < 0 else 1
-        slack = None
-        if rel != EQ:
-            slack = len(cols)
-            cols.append([(i, (1 if rel == LE else -1) * flip)])
-        for j, a in sparse:
-            cols[j].append((i, a * flip))
-        rhs.append(c * flip)
-        if slack is not None and cols[slack][0][1] == 1:
-            basis.append(slack)
-        else:
-            basis.append(-1)  # placeholder for artificial
-    n_struct = len(cols)
-    art_rows = []
-    for i in range(m):
-        if basis[i] < 0:
+
+class _Tableau:
+    """A revised phase-1 simplex over integer data that can grow by rows.
+
+    `cols` holds sparse columns of `(i, a)` entries: the n structural
+    columns first, then each added batch's slack columns and artificial
+    columns, in that order.  `price` lists every column except the
+    artificials, which never re-enter.  The basis inverse is kept
+    fraction-free: `binv` is an integer matrix whose shared positive
+    denominator `d` is det B, so every division in a pivot is exact by the
+    subdeterminant argument (and checked), and `xb` holds d times the basic
+    values.  Bland's rule everywhere: the entering column is the first one
+    with a positive reduced cost, ties in the ratio test go to the smallest
+    basic column.
+
+    Warm start: `add_rows` appends rows to a solved tableau and keeps its
+    basis.  Each new row is negated (its relation flipped) when its
+    residual c - r_B . x_B is negative, or zero on a `>=` row; its basic
+    variable is then its slack when the row is a `<=` row, whose slack
+    comes out nonnegative, and a fresh artificial otherwise.  With B'
+    = [[B, 0], [r_B, 1]], the new row of `binv` is -(r_B . binv) with d on
+    the diagonal, and d = det B' is unchanged.  `solve` then continues
+    phase 1 from that basis.  A cold solve is the same `add_rows` on an
+    empty tableau, where every residual is the row's rhs.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        self.price: list[int] = list(range(n))
+        self.basis: list[int] = []
+        self.art: list[bool] = []  # row's basic variable is artificial
+        self.binv: list[list[int]] = []
+        self.xb: list[int] = []
+        self.d = 1
+
+    def copy(self) -> _Tableau:
+        t = _Tableau.__new__(_Tableau)
+        t.n, t.d, t.price = self.n, self.d, self.price[:]
+        t.basis, t.art, t.xb = self.basis[:], self.art[:], self.xb[:]
+        t.cols = [col[:] for col in self.cols]
+        t.binv = [row[:] for row in self.binv]
+        return t
+
+    def add_rows(self, rows: Sequence[Row]) -> None:
+        """Append rows `(sparse row, relation, rhs)`, each with a basic
+        variable of its own; the current basis is kept."""
+        m0, n, d = len(self.basis), self.n, self.d
+        m = m0 + len(rows)
+        cols, binv, xb = self.cols, self.binv, self.xb
+        where = {b: i for i, b in enumerate(self.basis) if b < n}
+        for row in binv:
+            row.extend([0] * (m - m0))
+        slacks, arts = [], []
+        for i, (sparse, rel, c) in enumerate(rows, m0):
+            res = d * c
+            r_binv = [0] * m  # r_B . binv
+            if where:
+                for j, a in sparse:
+                    p = where.get(j)
+                    if p is not None:
+                        res -= a * xb[p]
+                        for k, v in enumerate(binv[p]):
+                            if v:
+                                r_binv[k] += a * v
+            sign = 1
+            if res < 0 or (res == 0 and rel == GE):
+                sign, res, rel = -1, -res, _FLIP[rel]
+            for j, a in sparse:
+                cols[j].append((i, sign * a))
+            new = [-sign * v for v in r_binv]
+            new[i] = d
+            binv.append(new)
+            xb.append(res)
+            if rel != EQ:
+                slacks.append((i, 1 if rel == LE else -1))
+            if rel != LE:
+                arts.append(i)
+        basis = self.basis
+        basis.extend([-1] * (m - m0))
+        for i, a in slacks:
+            self.price.append(len(cols))
+            if a == 1:
+                basis[i] = len(cols)
+            cols.append([(i, a)])
+        self.art.extend([False] * (m - m0))
+        for i in arts:
             basis[i] = len(cols)
+            self.art[i] = True
             cols.append([(i, 1)])
-            art_rows.append(i)
-    first_art = n_struct
 
-    binv = [[0] * m for _ in range(m)]
-    for i in range(m):
-        binv[i][i] = 1
-    xb = list(rhs)
-    d = 1
-    is_art_basis = [basis[i] >= first_art for i in range(m)]
+    def solve(self) -> bool:
+        """Phase 1 from the current basis; True iff the rows are feasible.
 
-    pivots = 0
-    while True:
-        # y = (basis cost vector) . Binv; cost 1 on artificial basics.
-        y = [0] * m
-        for i in range(m):
-            if is_art_basis[i]:
+        Stops as soon as every artificial is zero: further pivots would be
+        degenerate and leave the point unchanged.  Raises
+        BudgetExhaustedError after MAX_PIVOTS pivots in this call.
+        """
+        m = len(self.basis)
+        cols, basis, art, binv, xb = (self.cols, self.basis, self.art,
+                                      self.binv, self.xb)
+        pivots = 0
+        while True:
+            art_rows = [i for i in range(m) if art[i]]
+            if not any(xb[i] for i in art_rows):
+                return True
+            # y = (basis cost vector) . Binv; cost 1 on artificial basics.
+            y = [0] * m
+            for i in art_rows:
                 row = binv[i]
                 for k in range(m):
                     y[k] += row[k]
-        enter = -1
-        for j in range(first_art):
-            # reduced cost numerator of a zero-cost column is -(y . A_j)
-            acc = 0
-            for r, a in cols[j]:
-                acc += y[r] * a
-            if acc > 0:
-                enter = j
-                break
-        if enter < 0:
-            break
-        u = [0] * m
-        for r, a in cols[enter]:
+            enter = -1
+            for j in self.price:
+                # reduced cost numerator of a zero-cost column is -(y . A_j)
+                acc = 0
+                for r, a in cols[j]:
+                    acc += y[r] * a
+                if acc > 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return False
+            u = [0] * m
+            for r, a in cols[enter]:
+                for i in range(m):
+                    u[i] += binv[i][r] * a
+            leave = -1
             for i in range(m):
-                u[i] += binv[i][r] * a
-        leave = -1
-        for i in range(m):
-            if u[i] > 0:
-                if leave < 0:
-                    leave = i
+                if u[i] > 0:
+                    if leave < 0:
+                        leave = i
+                        continue
+                    lhs = xb[i] * u[leave]
+                    rhs_ = xb[leave] * u[i]
+                    if lhs < rhs_ or (lhs == rhs_ and basis[i] < basis[leave]):
+                        leave = i
+            if leave < 0:
+                raise AssertionError("phase-1 objective unbounded below")
+            d = self.d
+            piv = u[leave]
+            lrow = binv[leave]
+            lxb = xb[leave]
+            for i in range(m):
+                if i == leave:
                     continue
-                lhs = xb[i] * u[leave]
-                rhs_ = xb[leave] * u[i]
-                if lhs < rhs_ or (lhs == rhs_ and basis[i] < basis[leave]):
-                    leave = i
-        if leave < 0:
-            raise AssertionError("phase-1 objective unbounded below")
-        piv = u[leave]
-        lrow = binv[leave]
-        lxb = xb[leave]
-        for i in range(m):
-            if i == leave:
-                continue
-            f = u[i]
-            row = binv[i]
-            if f == 0:
-                if piv != d:
+                f = u[i]
+                row = binv[i]
+                if f == 0:
+                    if piv != d:
+                        for k in range(m):
+                            v = row[k]
+                            if v:
+                                q, rr = divmod(v * piv, d)
+                                if rr:
+                                    raise ArithmeticError("non-exact pivot division")
+                                row[k] = q
+                        q, rr = divmod(xb[i] * piv, d)
+                        if rr:
+                            raise ArithmeticError("non-exact pivot division")
+                        xb[i] = q
+                else:
                     for k in range(m):
-                        v = row[k]
-                        if v:
-                            q, rr = divmod(v * piv, d)
-                            if rr:
-                                raise ArithmeticError("non-exact pivot division")
-                            row[k] = q
-                    q, rr = divmod(xb[i] * piv, d)
+                        q, rr = divmod(row[k] * piv - f * lrow[k], d)
+                        if rr:
+                            raise ArithmeticError("non-exact pivot division")
+                        row[k] = q
+                    q, rr = divmod(xb[i] * piv - f * lxb, d)
                     if rr:
                         raise ArithmeticError("non-exact pivot division")
                     xb[i] = q
-            else:
-                for k in range(m):
-                    q, rr = divmod(row[k] * piv - f * lrow[k], d)
-                    if rr:
-                        raise ArithmeticError("non-exact pivot division")
-                    row[k] = q
-                q, rr = divmod(xb[i] * piv - f * lxb, d)
-                if rr:
-                    raise ArithmeticError("non-exact pivot division")
-                xb[i] = q
-        basis[leave] = enter
-        is_art_basis[leave] = False
-        d = piv
-        pivots += 1
-        if pivots > MAX_PIVOTS:
-            raise BudgetExhaustedError("simplex pivot budget exhausted")
+            basis[leave] = enter
+            art[leave] = False
+            self.d = piv
+            pivots += 1
+            if pivots > MAX_PIVOTS:
+                raise BudgetExhaustedError("simplex pivot budget exhausted")
 
-    if any(is_art_basis[i] and xb[i] != 0 for i in range(m)):
-        return None
-    x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = Fraction(xb[i], d)
-    return tuple(x)
+    def solution(self) -> tuple[Fraction, ...]:
+        """The current basic point over the n structural columns."""
+        x = [Fraction(0)] * self.n
+        for b, v in zip(self.basis, self.xb):
+            if b < self.n:
+                x[b] = Fraction(v, self.d)
+        return tuple(x)
 
 
 def lp_feasible(system: LinearSystem) -> tuple[Fraction, ...] | None:
     """Some nonnegative rational solution of the system, or None.
 
-    Exact and deterministic.  Raises BudgetExhaustedError only if MAX_PIVOTS
-    is hit (Bland's rule guarantees finite termination).
+    Presolve, then one cold phase-1 solve.  Exact and deterministic; raises
+    BudgetExhaustedError only if MAX_PIVOTS is hit (Bland's rule guarantees
+    finite termination).
     """
-    return _phase1(system.rows, system.relations, system.rhs, system.num_vars)
+    rows = _presolve(system)
+    if rows is None:
+        return None
+    tab = _Tableau(system.num_vars)
+    tab.add_rows(rows)
+    return tab.solution() if tab.solve() else None
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +716,16 @@ def ilp_solve(system: LinearSystem, upper_bounds: Sequence[int], *,
               ) -> tuple[int, ...] | None:
     """A natural solution with x_j <= upper_bounds[j], or None.
 
-    Depth-first search: interval propagation per row, LP-relaxation pruning
-    (exact simplex over the rows plus accumulated branch constraints), and
+    After a greedy try, the system is presolved once and searched depth
+    first: interval propagation per row, LP-relaxation pruning, and
     bisection on the LP-fractional variable with the smallest remaining
-    interval.  Deterministic.  Raises BudgetExhaustedError when the node
-    budget runs out; that is reported distinctly from infeasibility.
+    interval.  The root LP is one cold solve; each child copies its
+    parent's solved tableau, appends its branch row and continues phase 1
+    from the parent's basis (the last child takes the parent's tableau
+    itself).  Box rows x_j <= upper_bounds[j] join the LP only once a
+    solution violates them, and are appended to the tableau the same way.
+    Deterministic.  Raises BudgetExhaustedError when the node budget runs
+    out; that is reported distinctly from infeasibility.
     """
     n = system.num_vars
     ubs = [int(b) for b in upper_bounds]
@@ -607,46 +734,54 @@ def ilp_solve(system: LinearSystem, upper_bounds: Sequence[int], *,
     seed = _greedy_seed(system, ubs)
     if seed is not None:
         return seed
-    rows = [(row, rel, c, max((abs(a) for _, a in row), default=0))
-            for row, rel, c in zip(system.rows, system.relations, system.rhs)]
-    nodes = 0
-    lazy_ub: set[int] = set()  # box rows added to the LP on demand
+    presolved = _presolve(system)
+    if presolved is None:
+        return None
+    rows = [(row, rel, c, max(abs(a) for _, a in row))
+            for row, rel, c in presolved]
+    boxed: list[int] = []  # box rows in the order they joined the LP
 
-    def lp_check(branch_rows) -> tuple[Fraction, ...] | None:
-        extra = list(branch_rows) + [(j, LE, ubs[j]) for j in sorted(lazy_ub)]
+    def lp_check(tab: _Tableau, have: int, new_rows: list[Row]):
+        """Append new_rows and the box rows past the first `have`, solve;
+        the LP solution (or None) and the number of box rows now in."""
         while True:
-            sol = _phase1(system.rows + tuple(((j, 1),) for j, _, _ in extra),
-                          system.relations + tuple(rel for _, rel, _ in extra),
-                          system.rhs + tuple(v for _, _, v in extra), n)
-            if sol is None:
-                return None
-            violated = [j for j in range(n) if sol[j] > ubs[j] and j not in lazy_ub]
+            tab.add_rows(new_rows + [(((j, 1),), LE, ubs[j])
+                                     for j in boxed[have:]])
+            have = len(boxed)
+            if not tab.solve():
+                return None, have
+            sol = tab.solution()
+            violated = [j for j in range(n) if sol[j] > ubs[j]]
             if not violated:
-                return sol
-            lazy_ub.update(violated)
-            extra += [(j, LE, ubs[j]) for j in violated]
+                return sol, have
+            boxed.extend(violated)
+            new_rows = []
 
-    def search(lo: list[int], hi: list[int], branch_rows) -> tuple[int, ...] | None:
-        nonlocal nodes
+    # Depth first over a stack of open nodes (lo, hi, tableau, box rows in
+    # it, rows still to append); the low child is searched first.
+    stack = [([0] * n, list(ubs), _Tableau(n) if use_lp else None, 0,
+              presolved)]
+    nodes = 0
+    while stack:
+        lo, hi, tab, have, new_rows = stack.pop()
         nodes += 1
         if nodes > max_nodes:
             raise BudgetExhaustedError("ilp_solve node budget exhausted")
         if not _propagate(rows, lo, hi):
-            return None
+            continue
         if all(l == h for l, h in zip(lo, hi)):
-            cand = tuple(lo)
-            return cand if system.is_solution(cand) else None
+            if system.is_solution(lo):
+                return tuple(lo)
+            continue
         branch_j = -1
-        split = None
-        if use_lp:
-            sol = lp_check(branch_rows)
+        if tab is not None:
+            sol, have = lp_check(tab, have, new_rows)
             if sol is None:
-                return None
+                continue
             if all(v.denominator == 1 for v in sol):
                 cand = tuple(int(v) for v in sol)
-                if all(0 <= v <= u for v, u in zip(cand, ubs)):
-                    assert system.is_solution(cand)
-                    return cand
+                assert system.is_solution(cand)
+                return cand
             frac = [(hi[j] - lo[j], j) for j in range(n)
                     if sol[j].denominator != 1 and hi[j] > lo[j]]
             if frac:
@@ -657,16 +792,15 @@ def ilp_solve(system: LinearSystem, upper_bounds: Sequence[int], *,
             open_vars = [(hi[j] - lo[j], j) for j in range(n) if hi[j] > lo[j]]
             _, branch_j = min(open_vars)
             split = (lo[branch_j] + hi[branch_j]) // 2
-        lo_child_hi = hi[:]
-        lo_child_hi[branch_j] = min(hi[branch_j], split)
-        got = search(lo[:], lo_child_hi, branch_rows + ((branch_j, LE, split),))
-        if got is not None:
-            return got
+        var = ((branch_j, 1),)
         hi_child_lo = lo[:]
         hi_child_lo[branch_j] = max(lo[branch_j], split + 1)
-        return search(hi_child_lo, hi[:], branch_rows + ((branch_j, GE, split + 1),))
-
-    return search([0] * n, list(ubs), ())
+        stack.append((hi_child_lo, hi, tab, have, [(var, GE, split + 1)]))
+        lo_child_hi = hi[:]
+        lo_child_hi[branch_j] = min(hi[branch_j], split)
+        stack.append((lo, lo_child_hi, tab.copy() if tab else None, have,
+                      [(var, LE, split)]))
+    return None
 
 
 def enumerate_solutions(system: LinearSystem, box: Sequence[int],

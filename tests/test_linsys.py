@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 from numlog.errors import (CapExceededError, InputError, NotASolutionError)
-from numlog.linsys import (EQ, GE, LE, check_prop2_bound,
-                           enumerate_solutions, ilp_solve, lp_feasible,
-                           many_nonzeros_instance, natural_sparsity_bound,
-                           parse_system, render_system, sparsify_natural,
-                           sparsify_rational, system_from_rows)
+from numlog.linsys import (EQ, GE, LE, LinearSystem, _presolve, _Tableau,
+                           check_prop2_bound, enumerate_solutions, ilp_solve,
+                           lp_feasible, many_nonzeros_instance,
+                           natural_sparsity_bound, parse_system,
+                           render_system, sparsify_natural, sparsify_rational,
+                           system_from_rows)
 
 
 def nnz(x):
@@ -302,9 +303,9 @@ class TestScaleInvariance:
     """Multiplying a row by a positive rational keeps every answer.
 
     The stored rows differ (scaling clears denominators but keeps a row's
-    common factor), and the phase-1 vertex may differ too, because the LP's
-    artificial variables are weighted by the row scale; so LP and ILP
-    answers are compared by feasibility and cross-checked on both systems.
+    common factor), but the solvers' presolve divides each row by its gcd,
+    so both systems reach the LP as the same rows and the LP vertex and
+    the ILP solution are equal, not just equally feasible.
     """
 
     @staticmethod
@@ -328,19 +329,30 @@ class TestScaleInvariance:
         for _ in range(150):
             s, t = self.pair(rng, [rng.choice([LE, GE, EQ])
                                    for _ in range(rng.randint(1, 3))])
-            a, b = lp_feasible(s), lp_feasible(t)
-            assert (a is None) == (b is None)
+            a = lp_feasible(s)
+            assert lp_feasible(t) == a
             if a is not None:
-                assert t.is_solution(a) and s.is_solution(b)
+                assert s.is_solution(a) and t.is_solution(a)
             box = [rng.randint(0, 3) for _ in range(s.num_vars)]
-            a, b = ilp_solve(s, box), ilp_solve(t, box)
-            assert (a is None) == (b is None)
+            a = ilp_solve(s, box)
+            assert ilp_solve(t, box) == a
             if a is not None:
-                assert t.is_solution(a) and s.is_solution(b)
+                assert s.is_solution(a) and t.is_solution(a)
             for _ in range(5):
                 x = [Fraction(rng.randint(0, 6), rng.randint(1, 2))
                      for _ in range(s.num_vars)]
                 assert s.is_solution(x) == t.is_solution(x)
+
+    def test_scaled_rows_reach_the_same_vertex(self):
+        # without a gcd-dividing presolve, phase 1 reached (6, 0, 9) on the
+        # first system and (0, 3, 3/2) on the second
+        rels = [LE, GE, EQ]
+        s = system_from_rows([[1, 0, -1], [-2, 1, 2], [-3, -1, 2]], rels,
+                             [5, 6, 0])
+        t = system_from_rows([[4, 0, -4], [-8, 4, 8], [-3, -1, 2]], rels,
+                             [20, 24, 0])
+        a = lp_feasible(s)
+        assert a is not None and lp_feasible(t) == a
 
     def test_sparsify_rational(self):
         rng = random.Random(71)
@@ -353,3 +365,120 @@ class TestScaleInvariance:
             checked += 1
             assert sparsify_rational(s, x) == sparsify_rational(t, x)
         assert checked > 20
+
+
+def random_small_system(rng, max_m=5, max_l=4):
+    """2-max_m rows over 2-max_l columns, coefficients in [-3, 3]."""
+    m, l = rng.randint(2, max_m), rng.randint(2, max_l)
+    coeffs = [[rng.randint(-3, 3) for _ in range(l)] for _ in range(m)]
+    rels = [rng.choice([LE, GE, EQ]) for _ in range(m)]
+    return system_from_rows(coeffs, rels, [rng.randint(-6, 12) for _ in range(m)])
+
+
+class TestPresolve:
+    def test_conflicting_bounds(self):
+        s = system_from_rows([[1], [1]], [LE, GE], [2, 3])
+        assert _presolve(s) is None
+        assert lp_feasible(s) is None and ilp_solve(s, [5]) is None
+
+    def test_zero_rows(self):
+        for rel, c in ((GE, 1), (LE, -1)):
+            s = system_from_rows([[0, 0]], [rel], [c])
+            assert _presolve(s) is None and lp_feasible(s) is None
+        s = system_from_rows([[0, 0]], [EQ], [0])
+        assert _presolve(s) == [] and lp_feasible(s) == (0, 0)
+
+    def test_opposite_rows_merge(self):
+        s = system_from_rows([[1, -1], [-1, 1]], [LE, GE], [1, -1])
+        assert _presolve(s) == [(((0, 1), (1, -1)), LE, 1)]
+
+    def test_bounds_meet_in_one_equation(self):
+        s = system_from_rows([[2, 4], [1, 2]], [LE, GE], [6, 3])
+        assert _presolve(s) == [(((0, 1), (1, 2)), EQ, 3)]
+
+    def test_canonical_row_is_not_copied(self):
+        s = system_from_rows([[1, 2, 0, 3], [2, 2, 0, 4], [2, 2, 0, 4]],
+                             [LE, GE, LE], [5, 2, 3])
+        out = _presolve(s)
+        assert out[0][0] is s.rows[0]
+        assert out[1:] == [(((0, 1), (1, 1), (3, 2)), GE, 1),
+                           (((0, 2), (1, 2), (3, 4)), LE, 3)]
+
+    def test_same_integer_solutions(self):
+        rng = random.Random(83)
+        for _ in range(300):
+            s = random_small_system(rng, max_l=3)
+            box = [3] * s.num_vars
+            rows = _presolve(s)
+            if rows is None:
+                assert enumerate_solutions(s, box) == []
+                continue
+            t = LinearSystem(tuple(r for r, _, _ in rows),
+                             tuple(rel for _, rel, _ in rows),
+                             tuple(c for _, _, c in rows), s.num_vars)
+            assert t.m <= s.m
+            assert enumerate_solutions(t, box) == enumerate_solutions(s, box)
+
+
+class TestWarmStart:
+    def test_child_matches_cold_solve(self):
+        # a child tableau (parent copy plus one branch row) decides the same
+        # LP as a cold solve of the system plus that row
+        rng = random.Random(79)
+        children = 0
+        for _ in range(300):
+            s = random_small_system(rng)
+            rows = _presolve(s)
+            if rows is None:
+                continue
+            root = _Tableau(s.num_vars)
+            root.add_rows(rows)
+            if not root.solve():
+                continue
+            x = root.solution()
+            assert s.is_solution(x)
+            for j, v in enumerate(x):
+                if v.denominator == 1:
+                    continue
+                floor = v.numerator // v.denominator
+                for rel, c in ((LE, floor), (GE, floor + 1)):
+                    t = LinearSystem(s.rows + (((j, 1),),),
+                                     s.relations + (rel,), s.rhs + (c,),
+                                     s.num_vars)
+                    child = root.copy()
+                    child.add_rows([(((j, 1),), rel, c)])
+                    feasible = child.solve()
+                    assert feasible == (lp_feasible(t) is not None)
+                    if feasible:
+                        assert t.is_solution(child.solution())
+                    children += 1
+            assert root.solution() == x
+        assert children > 50
+
+    def test_children_carry_their_branch_row(self):
+        # the root vertex (0, 1/2, 0) is fractional; a child that did not see
+        # its branch row would re-solve to the same vertex and keep splitting
+        s = system_from_rows([[3, -2, -1], [-2, 2, -3]], [LE, LE], [-1, 5])
+        assert ilp_solve(s, [1000] * 3, max_nodes=5) == (0, 0, 1)
+
+    def test_ilp_agrees_with_enumeration_while_branching(self, monkeypatch):
+        warm = 0
+        add_rows = _Tableau.add_rows
+
+        def counting(tab, rows):
+            nonlocal warm
+            warm += bool(tab.basis)
+            add_rows(tab, rows)
+
+        monkeypatch.setattr(_Tableau, "add_rows", counting)
+        rng = random.Random(89)
+        for _ in range(600):
+            s = random_small_system(rng)
+            box = [rng.randint(6, 9) for _ in range(s.num_vars)]
+            expected = enumerate_solutions(s, box)
+            got = ilp_solve(s, box)
+            if expected:
+                assert got in expected
+            else:
+                assert got is None
+        assert warm > 100
