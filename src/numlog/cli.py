@@ -130,10 +130,7 @@ def cmd_solve(args) -> int:
         status = INVALID if arg.conclusion is not None else SAT
         return _emit(args, "solve", status, [wpath], detail, started)
 
-    try:
-        res = c1.decide_sat(atoms, max_nodes=budget)
-    except BudgetExhaustedError:
-        return _emit(args, "solve", UNKNOWN, [], detail, started)
+    res = c1.decide_sat(atoms, max_nodes=budget)
     if res.status == c1.UNKNOWN:
         return _emit(args, "solve", UNKNOWN, [], detail, started)
     if res.status == c1.SAT:

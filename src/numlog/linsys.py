@@ -13,8 +13,9 @@ division it performs is checked to be exact.  Before it runs, the rows are
 presolved: divided by their gcd, given a positive first coefficient and
 merged when their coefficients agree.  The presolve lives only inside
 `lp_feasible` and `ilp_solve`; stored rows are never gcd-divided.
-`ilp_solve` presolves once at the root, and every branch-and-bound child
-re-solves from its parent's tableau with one more row (a warm start).
+`ilp_solve` is one LP-based branch and bound: it presolves once at the
+root, every child re-solves from its parent's tableau with one more row (a
+warm start), and an infeasible LP is the only way a node is pruned.
 
 A "Boolean" system has all coefficients in {0, 1} and natural right-hand
 sides; the two sparsifiers implement support-reduction exchanges that keep a
@@ -601,69 +602,6 @@ def many_nonzeros_instance(m: int) -> LinearSystem:
 # Bounded integer feasibility
 # ---------------------------------------------------------------------------
 
-def _propagate(rows, lo: list[int], hi: list[int], max_passes: int = 60) -> bool:
-    """Interval tightening per row to fixpoint; False on conflict.
-
-    Each of `rows` is (sparse row, relation, rhs, largest |coefficient|).
-    Bounds derived here are valid for every integer solution inside the box.
-    A row's per-variable pass is skipped when the row slack provably cannot
-    tighten anything (slack >= amax * widest interval).
-    """
-    for _ in range(max_passes):
-        changed = False
-        for nz, rel, c, amax in rows:
-            min_lhs = 0
-            max_lhs = 0
-            width = 0
-            for j, a in nz:
-                w = hi[j] - lo[j]
-                if w < 0:
-                    return False
-                if w > width:
-                    width = w
-                if a > 0:
-                    min_lhs += a * lo[j]
-                    max_lhs += a * hi[j]
-                else:
-                    min_lhs += a * hi[j]
-                    max_lhs += a * lo[j]
-            if rel in (LE, EQ):
-                slack = c - min_lhs
-                if slack < 0:
-                    return False
-                if amax * width > slack:
-                    for j, a in nz:
-                        if a > 0:
-                            if a * (hi[j] - lo[j]) > slack:
-                                hi[j] = lo[j] + slack // a
-                                changed = True
-                        else:
-                            p = -a
-                            if p * (hi[j] - lo[j]) > slack:
-                                lo[j] = hi[j] - slack // p
-                                changed = True
-            if rel in (GE, EQ):
-                surplus = max_lhs - c
-                if surplus < 0:
-                    return False
-                if amax * width > surplus:
-                    for j, a in nz:
-                        if a > 0:
-                            if a * (hi[j] - lo[j]) > surplus:
-                                lo[j] = hi[j] - surplus // a
-                                changed = True
-                        else:
-                            p = -a
-                            if p * (hi[j] - lo[j]) > surplus:
-                                hi[j] = lo[j] + surplus // p
-                                changed = True
-            if any(lo[j] > hi[j] for j, _ in nz):
-                return False
-        if not changed:
-            return True
-    return True
-
-
 def _greedy_seed(system: LinearSystem, ubs: list[int],
                  max_steps: int = 4_000) -> tuple[int, ...] | None:
     """Cheap covering heuristic: repeatedly bump the variable that serves the
@@ -712,20 +650,21 @@ def _greedy_seed(system: LinearSystem, ubs: list[int],
 
 
 def ilp_solve(system: LinearSystem, upper_bounds: Sequence[int], *,
-              max_nodes: int = 200_000, use_lp: bool = True
-              ) -> tuple[int, ...] | None:
+              max_nodes: int = 200_000) -> tuple[int, ...] | None:
     """A natural solution with x_j <= upper_bounds[j], or None.
 
-    After a greedy try, the system is presolved once and searched depth
-    first: interval propagation per row, LP-relaxation pruning, and
-    bisection on the LP-fractional variable with the smallest remaining
-    interval.  The root LP is one cold solve; each child copies its
-    parent's solved tableau, appends its branch row and continues phase 1
-    from the parent's basis (the last child takes the parent's tableau
-    itself).  Box rows x_j <= upper_bounds[j] join the LP only once a
-    solution violates them, and are appended to the tableau the same way.
-    Deterministic.  Raises BudgetExhaustedError when the node budget runs
-    out; that is reported distinctly from infeasibility.
+    After a greedy try, the system is presolved once and searched by
+    depth-first LP-based branch and bound.  A node whose LP relaxation is
+    infeasible is a leaf (the only pruning rule), an integral LP point is
+    the answer, and otherwise the LP-fractional variable with the smallest
+    remaining interval is split at the floor of its value.  The root LP is
+    one cold solve; each child copies its parent's solved tableau, appends
+    its branch row and continues phase 1 from the parent's basis (the last
+    child takes the parent's tableau itself).  Box rows x_j <=
+    upper_bounds[j] join the LP only once a solution violates them, and are
+    appended to the tableau the same way.  Deterministic.  Raises
+    BudgetExhaustedError when the node budget runs out; that is reported
+    distinctly from infeasibility.
     """
     n = system.num_vars
     ubs = [int(b) for b in upper_bounds]
@@ -737,69 +676,47 @@ def ilp_solve(system: LinearSystem, upper_bounds: Sequence[int], *,
     presolved = _presolve(system)
     if presolved is None:
         return None
-    rows = [(row, rel, c, max(abs(a) for _, a in row))
-            for row, rel, c in presolved]
     boxed: list[int] = []  # box rows in the order they joined the LP
-
-    def lp_check(tab: _Tableau, have: int, new_rows: list[Row]):
-        """Append new_rows and the box rows past the first `have`, solve;
-        the LP solution (or None) and the number of box rows now in."""
-        while True:
-            tab.add_rows(new_rows + [(((j, 1),), LE, ubs[j])
-                                     for j in boxed[have:]])
-            have = len(boxed)
-            if not tab.solve():
-                return None, have
-            sol = tab.solution()
-            violated = [j for j in range(n) if sol[j] > ubs[j]]
-            if not violated:
-                return sol, have
-            boxed.extend(violated)
-            new_rows = []
-
     # Depth first over a stack of open nodes (lo, hi, tableau, box rows in
-    # it, rows still to append); the low child is searched first.
-    stack = [([0] * n, list(ubs), _Tableau(n) if use_lp else None, 0,
-              presolved)]
+    # it, rows still to append); the low child is searched first.  `lo` and
+    # `hi` are the node's branch and box bounds, read only to pick the
+    # branch variable: every one of them is a row of the node's LP.
+    stack = [([0] * n, list(ubs), _Tableau(n), 0, presolved)]
     nodes = 0
     while stack:
         lo, hi, tab, have, new_rows = stack.pop()
         nodes += 1
         if nodes > max_nodes:
             raise BudgetExhaustedError("ilp_solve node budget exhausted")
-        if not _propagate(rows, lo, hi):
+        while True:
+            tab.add_rows(new_rows + [(((j, 1),), LE, ubs[j])
+                                     for j in boxed[have:]])
+            have = len(boxed)
+            sol = tab.solution() if tab.solve() else None
+            violated = [] if sol is None else [
+                j for j in range(n) if sol[j] > ubs[j]]
+            if not violated:
+                break
+            boxed.extend(violated)
+            new_rows = []
+        if sol is None:
             continue
-        if all(l == h for l, h in zip(lo, hi)):
-            if system.is_solution(lo):
-                return tuple(lo)
-            continue
-        branch_j = -1
-        if tab is not None:
-            sol, have = lp_check(tab, have, new_rows)
-            if sol is None:
-                continue
-            if all(v.denominator == 1 for v in sol):
-                cand = tuple(int(v) for v in sol)
-                assert system.is_solution(cand)
-                return cand
-            frac = [(hi[j] - lo[j], j) for j in range(n)
-                    if sol[j].denominator != 1 and hi[j] > lo[j]]
-            if frac:
-                _, branch_j = min(frac)
-                split = min(max(math.floor(sol[branch_j]), lo[branch_j]),
-                            hi[branch_j] - 1)
-        if branch_j < 0:
-            open_vars = [(hi[j] - lo[j], j) for j in range(n) if hi[j] > lo[j]]
-            _, branch_j = min(open_vars)
-            split = (lo[branch_j] + hi[branch_j]) // 2
-        var = ((branch_j, 1),)
+        frac = [(hi[j] - lo[j], j) for j in range(n)
+                if sol[j].denominator != 1]
+        if not frac:
+            cand = tuple(int(v) for v in sol)
+            assert system.is_solution(cand)
+            return cand
+        _, j = min(frac)
+        split = math.floor(sol[j])
+        assert lo[j] <= split < hi[j]
+        var = ((j, 1),)
         hi_child_lo = lo[:]
-        hi_child_lo[branch_j] = max(lo[branch_j], split + 1)
+        hi_child_lo[j] = split + 1
         stack.append((hi_child_lo, hi, tab, have, [(var, GE, split + 1)]))
         lo_child_hi = hi[:]
-        lo_child_hi[branch_j] = min(hi[branch_j], split)
-        stack.append((lo, lo_child_hi, tab.copy() if tab else None, have,
-                      [(var, LE, split)]))
+        lo_child_hi[j] = split
+        stack.append((lo, lo_child_hi, tab.copy(), have, [(var, LE, split)]))
     return None
 
 

@@ -298,15 +298,15 @@ class FiniteStructure:
         for p, ext in self.unary.items():
             _check_ident(p)
             ext = frozenset(ext)
-            if any(not (0 <= e < self.domain_size) for e in ext):
+            if ext and not (0 <= min(ext) and max(ext) < self.domain_size):
                 raise InputError(f"element out of range in unary {p}")
             un[p] = ext
         bi = {}
         for r, ext in self.binary.items():
             _check_ident(r)
             ext = frozenset((int(a), int(b)) for a, b in ext)
-            if any(not (0 <= a < self.domain_size and 0 <= b < self.domain_size)
-                   for a, b in ext):
+            if ext and not (0 <= min(map(min, ext))
+                            and max(map(max, ext)) < self.domain_size):
                 raise InputError(f"element out of range in binary {r}")
             bi[r] = ext
         object.__setattr__(self, "unary", un)

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from numlog.cli import main
+from numlog.linsys import _Tableau
 from numlog.logic import evaluate, parse_structure
 from numlog.parsing import parse_argument, parse_lexicon
 
@@ -90,6 +91,32 @@ class TestSolve:
         code, out = run(capsys, "solve", workspace / "big.txt",
                         "--budget", "5", "--out", workspace)
         assert code == 2 and out.startswith("Unknown")
+
+    def test_unary_budget_exhaustion_is_unknown(self, workspace, capsys,
+                                                monkeypatch):
+        run(capsys, "generate", "incompleteness", "--m", "6",
+            "--out", workspace)
+        premises = (workspace / "incompleteness_m6.formulas").read_text()
+        (workspace / "goal.txt").write_text(
+            premises + "Therefore:\n>=1 (r & t2)\n", encoding="utf-8")
+        branches = 0
+        copy = _Tableau.copy
+
+        def counting(tab):
+            nonlocal branches
+            branches += 1
+            return copy(tab)
+
+        monkeypatch.setattr(_Tableau, "copy", counting)
+        code, out = run(capsys, "solve", workspace / "goal.txt",
+                        "--out", workspace, "--json")
+        assert code == 0 and json.loads(out)["status"] == "Valid"
+        assert branches > 0
+        code, out = run(capsys, "solve", workspace / "goal.txt",
+                        "--out", workspace, "--json", "--budget", "1")
+        payload = json.loads(out)
+        assert code == 2 and payload["status"] == "Unknown"
+        assert payload["exit_code"] == 2 and not payload["certificates"]
 
     def test_json_envelope(self, workspace, capsys):
         code, out = run(capsys, "solve", workspace / "arg1.txt",

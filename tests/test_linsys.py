@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from numlog.errors import (CapExceededError, InputError, NotASolutionError)
+from numlog.errors import (BudgetExhaustedError, CapExceededError, InputError,
+                           NotASolutionError)
 from numlog.linsys import (EQ, GE, LE, LinearSystem, _presolve, _Tableau,
                            check_prop2_bound, enumerate_solutions, ilp_solve,
                            lp_feasible, many_nonzeros_instance,
@@ -217,14 +218,22 @@ class TestIlpSolve:
             else:
                 assert got is None
 
-    def test_no_lp_path_agrees(self):
+    def test_planted_boolean_agrees_with_enumeration(self):
         rng = random.Random(59)
         for _ in range(50):
             s, planted = random_boolean_system(rng, max_m=3, max_l=5)
             box = [3] * s.num_vars
-            with_lp = ilp_solve(s, box, use_lp=True)
-            without = ilp_solve(s, box, use_lp=False)
-            assert (with_lp is None) == (without is None)
+            expected = enumerate_solutions(s, box)
+            assert planted in expected
+            assert ilp_solve(s, box) in expected
+
+    def test_deep_chain_exhausts_the_node_budget(self):
+        # integer-infeasible (eliminating y leaves 8x - 10z = 11), but the
+        # LP relaxation stays feasible deep down the search: the budget ends it
+        s = system_from_rows([[-3, 1, 3], [-1, 3, -1]], [EQ, EQ], [-3, 2])
+        assert enumerate_solutions(s, [30] * 3) == []
+        with pytest.raises(BudgetExhaustedError):
+            ilp_solve(s, [1000] * 3, max_nodes=200)
 
 
 class TestEnumerateSolutions:

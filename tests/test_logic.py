@@ -334,3 +334,19 @@ class TestStructureFiles:
     def test_out_of_range_elements(self):
         with pytest.raises(InputError):
             parse_structure("domain 2\nunary p: 5\n")
+
+    def test_negative_element_is_rejected(self):
+        with pytest.raises(InputError):
+            parse_structure("domain 2\nunary p: -1\n")
+
+    def test_binary_pair_out_of_range(self):
+        for pair in ("(0, 2)", "(2, 0)"):
+            with pytest.raises(InputError):
+                parse_structure(f"domain 2\nbinary r: {pair}\n")
+        with pytest.raises(InputError):
+            structure(2, {}, {"r": {(0, -1)}})
+
+    def test_empty_extensions_are_accepted(self):
+        s = parse_structure("domain 0\nunary p:\nbinary r:\n")
+        assert s.unary == {"p": frozenset()} and s.binary == {"r": frozenset()}
+        assert structure(3, {"p": set()}, {"r": set()}).unary["p"] == frozenset()
