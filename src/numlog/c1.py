@@ -7,7 +7,8 @@ a linear system over 1-type cardinalities (one column per live 1-type, one
 row per conjunct, plus a row making the domain nonempty); search for a
 natural solution with every cell capped at the largest bound.  A Sat verdict
 always carries a finite witness structure that is model-checked against the
-original input before being returned.
+original input before being returned; an Unsat verdict carries the systems
+the search refuted.  `render_certificate` writes either kind of evidence.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import BudgetExhaustedError, CapExceededError, InputError
-from .linsys import GE, LinearSystem, ilp_solve
+from .linsys import GE, LinearSystem, ilp_solve, render_system
 from .linsys import sparsify_natural  # noqa: F401  (bench/spans.py rebinds it)
 from .logic import (AT_LEAST, AT_MOST, EXACTLY, And, C1Formula, Count,
                     CountingAtom, FALSE, FiniteStructure, Not, Or, Pred,
@@ -32,6 +33,8 @@ UNKNOWN = "unknown"
 # Size caps of one branch's 1-type system.
 PRED_CAP = 30
 MAX_LIVE = 200_000
+# Nesting depth cap of normalization (one level per eliminated quantifier).
+MAX_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -53,29 +56,16 @@ class SatResult:
     status: str
     witness: FiniteStructure | None = None
     certificate: Certificate | None = None
+    refuted: tuple[BuiltSystem, ...] = ()
 
 
 # ---------------------------------------------------------------------------
 # Normalization
 # ---------------------------------------------------------------------------
 
-def _expand_exactly(f: C1Formula) -> C1Formula:
-    """Rewrite every =C quantifier as the <=C and >=C pair."""
-    if isinstance(f, Pred):
-        return f
-    if isinstance(f, Not):
-        return Not(_expand_exactly(f.body))
-    if isinstance(f, And):
-        return And(tuple(_expand_exactly(p) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(_expand_exactly(p) for p in f.parts))
-    body = _expand_exactly(f.body)
-    if f.direction == EXACTLY:
-        return And((Count(AT_MOST, f.bound, body), Count(AT_LEAST, f.bound, body)))
-    return Count(f.direction, f.bound, body)
-
-
 def _simplify(f: C1Formula) -> C1Formula:
+    """Constant-fold TRUE/FALSE, flatten nested And/Or, and rewrite every
+    =C quantifier as the <=C and >=C pair."""
     if isinstance(f, Pred):
         return f
     if isinstance(f, Not):
@@ -111,6 +101,9 @@ def _simplify(f: C1Formula) -> C1Formula:
             else:
                 parts.append(p)
         return Or(tuple(parts)) if len(parts) != 1 else parts[0]
+    if f.direction == EXACTLY:
+        return _simplify(And((Count(AT_MOST, f.bound, f.body),
+                              Count(AT_LEAST, f.bound, f.body))))
     body = _simplify(f.body)
     if body == FALSE:
         # no element satisfies the body, whatever the domain
@@ -157,13 +150,14 @@ def _dual_count(c: Count) -> Count:
     return Count(AT_LEAST, c.bound + 1, c.body)
 
 
-def normalize(formulas, *, max_depth: int = 64) -> list[NormalC1]:
+def normalize(formulas) -> list[NormalC1]:
     """Deterministic expansion into equisatisfiable normal-form branches.
 
     The innermost quantified subformula is replaced by true (that conjunct
     asserted) or false (its dual asserted), true-branch first, until every
     conjunct is a counting quantifier over a quantifier-free body.  The union
-    of branches is equisatisfiable with the input over every domain.
+    of branches is equisatisfiable with the input over every domain.  No
+    branch holds an =C conjunct, since `_simplify` splits each one.
     """
     conjuncts: list[C1Formula] = []
     for f in formulas:
@@ -174,7 +168,7 @@ def normalize(formulas, *, max_depth: int = 64) -> list[NormalC1]:
             f = atom_formula(f)
         if not is_closed(f):
             raise InputError(f"formula has a free variable: {f}")
-        conjuncts.append(_simplify(_expand_exactly(f)))
+        conjuncts.append(f)
 
     branches: list[NormalC1] = []
 
@@ -200,7 +194,7 @@ def normalize(formulas, *, max_depth: int = 64) -> list[NormalC1]:
             branches.append(NormalC1(tuple(
                 (c.direction, c.bound, c.body) for c in flat)))
             return
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             raise CapExceededError("normalization nesting depth cap exceeded")
         top = [_substitute(c, target, TRUE) for c in flat] + [target]
         walk(top, depth + 1)
@@ -223,37 +217,27 @@ class BuiltSystem:
     infeasible: bool = False
 
 
-def build_system(normal: NormalC1, preds: list[str] | None = None, *,
-                 merge: bool = False) -> BuiltSystem:
-    """The 1-type cardinality system of a normal-form branch.
+def build_system(normal: NormalC1, preds: list[str]) -> BuiltSystem:
+    """The 1-type cardinality system of a normal-form branch over `preds`.
 
     One column per live 1-type: a 1-type is dead when some <=0 conjunct's
     body holds under it (such conjuncts are consumed by the pruning and
     dropped as rows).  Live types come from `live_masks`, in its depth-first
-    order.  With merge=True, columns with identical coefficient vectors
-    collapse into the first of them in that order (feasibility-preserving;
-    the solver uses this).  A final all-ones >=1 row keeps the domain
-    nonempty.
+    order, and columns with identical coefficient vectors collapse into the
+    first of them in that order (feasibility-preserving).  A final all-ones
+    >=1 row keeps the domain nonempty.
     """
-    rows_in: list[tuple[str, int, C1Formula]] = []
-    for d, b, body in normal.conjuncts:
-        if d == EXACTLY:
-            rows_in.append((AT_MOST, b, body))
-            rows_in.append((AT_LEAST, b, body))
-        else:
-            rows_in.append((d, b, body))
+    rows_in = normal.conjuncts
     found: set[str] = set()
     for _, _, body in rows_in:
         found |= formula_predicates(body)
-    if preds is None:
-        preds = sorted(found)
-    elif not found <= set(preds):
+    if not found <= set(preds):
         raise InputError("predicate list does not cover the branch")
-    preds = list(preds)
+    preds = tuple(preds)
     if len(preds) > PRED_CAP:
         raise CapExceededError(f"{len(preds)} predicates exceed cap {PRED_CAP}")
     if any(d == AT_MOST and b < 0 for d, b, _ in rows_in):
-        return BuiltSystem(None, (), tuple(preds), infeasible=True)
+        return BuiltSystem(None, (), preds, infeasible=True)
 
     kills = [body for d, b, body in rows_in if d == AT_MOST and b == 0]
     kept = [(d, b, body) for d, b, body in rows_in
@@ -263,33 +247,29 @@ def build_system(normal: NormalC1, preds: list[str] | None = None, *,
     if len(live) > MAX_LIVE:
         raise CapExceededError("live 1-type cap exceeded")
     if not live:
-        return BuiltSystem(None, (), tuple(preds), infeasible=True)
+        return BuiltSystem(None, (), preds, infeasible=True)
 
     index = {p: i for i, p in enumerate(preds)}
     coeff_rows = [[1 if test(mask) else 0 for mask in live]
                   for test in (compile_body(body, index) for _, _, body in kept)]
-    if merge:
-        # merge identical columns, keeping the first 1-type of each group
-        groups: set[tuple] = set()
-        merged_live: list[int] = []
-        keep_idx: list[int] = []
-        for col, mask in enumerate(live):
-            sig = tuple(row[col] for row in coeff_rows)
-            if sig in groups:
-                continue
-            groups.add(sig)
-            keep_idx.append(col)
-            merged_live.append(mask)
-    else:
-        merged_live = live
-        keep_idx = list(range(len(live)))
+    # merge identical columns, keeping the first 1-type of each group
+    groups: set[tuple] = set()
+    merged_live: list[int] = []
+    keep_idx: list[int] = []
+    for col, mask in enumerate(live):
+        sig = tuple(row[col] for row in coeff_rows)
+        if sig in groups:
+            continue
+        groups.add(sig)
+        keep_idx.append(col)
+        merged_live.append(mask)
     rows = [tuple((k, 1) for k, c in enumerate(keep_idx) if row[c])
             for row in coeff_rows]
     # nonempty-domain row
     rows.append(tuple((k, 1) for k in range(len(keep_idx))))
     system = LinearSystem(tuple(rows), tuple(d for d, _, _ in kept) + (GE,),
                           tuple(b for _, b, _ in kept) + (1,), len(keep_idx))
-    return BuiltSystem(system, tuple(merged_live), tuple(preds))
+    return BuiltSystem(system, tuple(merged_live), preds)
 
 
 def decide_sat(formulas, *, max_nodes: int = 2_000_000) -> SatResult:
@@ -299,24 +279,25 @@ def decide_sat(formulas, *, max_nodes: int = 2_000_000) -> SatResult:
     Branches are solved in order; the first Sat wins.  A solution over the
     live 1-types is searched with every cell capped at max(1, largest
     bound), which is complete by the finite-model-property cap argument.
+    Every branch's system is over all input predicates.  Unsat carries, in
+    `refuted`, the system of every branch in normalization order: the one
+    its search refuted, or one marked infeasible before any search.
     Returns Unknown only when some branch exhausted its search budget.
     """
     formulas = list(formulas)
+    branches = normalize(formulas)
     all_preds: set[str] = set()
     for f in formulas:
-        if isinstance(f, RelationalAtom):
-            raise InputError("relational sentences are outside this solver; "
-                             "use the two-variable tooling in numlog.n2")
-        if isinstance(f, UnaryAtom):
-            all_preds |= f.predicates()
-        else:
-            all_preds |= formula_predicates(f)
+        all_preds |= (f.predicates() if isinstance(f, UnaryAtom)
+                      else formula_predicates(f))
     preds = sorted(all_preds)
 
     saw_budget = False
-    for branch in normalize(formulas):
-        built = build_system(branch, preds, merge=True)
+    refuted: list[BuiltSystem] = []
+    for branch in branches:
+        built = build_system(branch, preds)
         if built.infeasible:
+            refuted.append(built)
             continue
         cap = max(1, max([b for _, b, _ in branch.conjuncts] + [0]))
         try:
@@ -326,6 +307,7 @@ def decide_sat(formulas, *, max_nodes: int = 2_000_000) -> SatResult:
             saw_budget = True
             continue
         if sol is None:
+            refuted.append(built)
             continue
         witness = cell_structure(built.preds, zip(built.live_types, sol))
         for f in formulas:
@@ -333,7 +315,35 @@ def decide_sat(formulas, *, max_nodes: int = 2_000_000) -> SatResult:
                 raise AssertionError(f"witness failed model check on {f}")
         return SatResult(SAT, witness,
                          Certificate(built.preds, built.live_types, sol))
-    return SatResult(UNKNOWN if saw_budget else UNSAT)
+    if saw_budget:
+        return SatResult(UNKNOWN)
+    return SatResult(UNSAT, refuted=tuple(refuted))
+
+
+def render_certificate(res: SatResult) -> str:
+    """The evidence file of a Sat or Unsat result.
+
+    Sat: the predicates, the live 1-type masks and the solution, one line
+    each.  Unsat: per branch, in normalization order, the system its search
+    refuted, in `render_system` form (the per-cell caps are not shown), or
+    a note that the branch was infeasible before any search.
+    """
+    if res.status == SAT:
+        cert = res.certificate
+        return ("predicates: " + ", ".join(cert.preds) + "\n"
+                "live one-types: " + ", ".join(map(str, cert.live_types)) + "\n"
+                "solution: " + ", ".join(map(str, cert.solution)) + "\n")
+    if res.status != UNSAT:
+        raise ValueError(f"a {res.status} result has no certificate")
+    chunks = []
+    for i, built in enumerate(res.refuted):
+        if built.infeasible:
+            chunks.append(f"branch {i}: trivially infeasible\n")
+            continue
+        chunks.append(f"branch {i}: infeasible system over live one-types "
+                      f"{','.join(map(str, built.live_types))}\n"
+                      + render_system(built.system))
+    return "".join(chunks) or "no branches\n"
 
 
 def entails(premises, conclusion: CountingAtom, **kwargs) -> bool:

@@ -23,7 +23,6 @@ from . import c1, n2, proofs, psat, reductions
 from .errors import BudgetExhaustedError, InputError, NumlogError
 from .logic import (RelationalAtom, UnaryAtom, negate_atom, parse_structure,
                     render_structure)
-from .linsys import render_system
 from .parsing import (parse_argument, parse_lexicon,
                       render_argument_symbolic, render_symbolic, ArgumentFile)
 
@@ -116,47 +115,29 @@ def cmd_solve(args) -> int:
         cap = n2.size_bound(atoms)
         detail["model_size_bound"] = cap
         try:
-            model = n2.bounded_search(atoms, cap, budget=budget)
+            witness = n2.bounded_search(atoms, cap, budget=budget)
         except BudgetExhaustedError:
             return _emit(args, "solve", UNKNOWN, [], detail, started)
-        if model is None:
-            cert = out / f"{path.stem}.certificate.txt"
-            cert.write_text(
-                "no model exists up to the finite-model bound "
-                f"{cap}; the search was exhaustive\n", encoding="utf-8")
-            status = VALID if arg.conclusion is not None else UNSAT
-            return _emit(args, "solve", status, [str(cert)], detail, started)
-        wpath = _write_witness(out, path.stem, model)
-        status = INVALID if arg.conclusion is not None else SAT
-        return _emit(args, "solve", status, [wpath], detail, started)
-
-    res = c1.decide_sat(atoms, max_nodes=budget)
-    if res.status == c1.UNKNOWN:
-        return _emit(args, "solve", UNKNOWN, [], detail, started)
-    if res.status == c1.SAT:
-        wpath = _write_witness(out, path.stem, res.witness)
-        cert = res.certificate
+        evidence = None if witness is not None else (
+            "no model exists up to the finite-model bound "
+            f"{cap}; the search was exhaustive\n")
+    else:
+        res = c1.decide_sat(atoms, max_nodes=budget)
+        if res.status == c1.UNKNOWN:
+            return _emit(args, "solve", UNKNOWN, [], detail, started)
+        witness, evidence = res.witness, c1.render_certificate(res)
+    files = []
+    if witness is not None:
+        files.append(_write_witness(out, path.stem, witness))
+    if evidence is not None:
         cpath = out / f"{path.stem}.certificate.txt"
-        lines = ["predicates: " + ", ".join(cert.preds),
-                 "live one-types: " + ", ".join(map(str, cert.live_types)),
-                 "solution: " + ", ".join(map(str, cert.solution))]
-        cpath.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cpath.write_text(evidence, encoding="utf-8")
+        files.append(str(cpath))
+    if witness is None:
+        status = VALID if arg.conclusion is not None else UNSAT
+    else:
         status = INVALID if arg.conclusion is not None else SAT
-        return _emit(args, "solve", status, [wpath, str(cpath)], detail, started)
-    # unsat: dump every branch system
-    cpath = out / f"{path.stem}.certificate.txt"
-    chunks = []
-    for i, branch in enumerate(c1.normalize(atoms)):
-        built = c1.build_system(branch)
-        if built.infeasible:
-            chunks.append(f"branch {i}: trivially infeasible\n")
-            continue
-        chunks.append(f"branch {i}: infeasible system over live one-types "
-                      f"{','.join(map(str, built.live_types))}\n"
-                      + render_system(built.system))
-    cpath.write_text("".join(chunks) or "no branches\n", encoding="utf-8")
-    status = VALID if arg.conclusion is not None else UNSAT
-    return _emit(args, "solve", status, [str(cpath)], detail, started)
+    return _emit(args, "solve", status, files, detail, started)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ merged when their coefficients agree.  The presolve lives only inside
 `lp_feasible` and `ilp_solve`; stored rows are never gcd-divided.
 `ilp_solve` is one LP-based branch and bound: it presolves once at the
 root, every child re-solves from its parent's tableau with one more row (a
-warm start), and an infeasible LP is the only way a node is pruned.
+warm start), and an infeasible LP is the only way a node below the root is
+pruned; the root also refutes an `=` row whose coefficient gcd does not
+divide its rhs.
 
 A "Boolean" system has all coefficients in {0, 1} and natural right-hand
 sides; the two sparsifiers implement support-reduction exchanges that keep a
@@ -43,9 +45,12 @@ _RELATIONS = (LE, GE, EQ)
 
 # Pivot cap of every phase-1 LP (Bland's rule terminates; this bounds time).
 MAX_PIVOTS = 500_000
-# sparsify_natural spends equal-column pairs before general subset
-# collisions once the support is larger than this.
-PAIR_FIRST_ABOVE = 40
+# Subsets `_colliding_subsets` tries before it gives up.
+MAX_SUBSETS = 2_000_000
+# Increments `_greedy_seed` makes before it gives up.
+GREEDY_STEPS = 4_000
+# Box volume above which `enumerate_solutions` refuses to enumerate.
+VOLUME_CAP = 10_000_000
 
 SparseVector = tuple[tuple[int, int], ...]
 
@@ -497,8 +502,7 @@ def natural_sparsity_bound(m: int, num_vars: int) -> int:
     return (target - 1).bit_length()
 
 
-def _colliding_subsets(system: LinearSystem, support: list[int],
-                       max_subsets: int = 2_000_000
+def _colliding_subsets(system: LinearSystem, support: list[int]
                        ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Two distinct subsets of the support whose column sums agree,
     enumerated by increasing size then lexicographically."""
@@ -517,7 +521,7 @@ def _colliding_subsets(system: LinearSystem, support: list[int],
                 return prev, subset
             seen[vec] = subset
             count += 1
-            if count > max_subsets:
+            if count > MAX_SUBSETS:
                 raise BudgetExhaustedError("subset-collision search budget exhausted")
     raise AssertionError("no colliding subsets below the proven bound")
 
@@ -529,9 +533,9 @@ def sparsify_natural(system: LinearSystem, solution: Sequence[int]
 
     The exchange step finds distinct support subsets with equal column sums,
     then shifts value from one to the other until a coordinate reaches zero;
-    the solution re-solves the system exactly after every exchange.  For
-    supports above PAIR_FIRST_ABOVE the search first spends equal-column
-    pairs before general subsets.
+    the solution re-solves the system exactly after every exchange.  Subsets
+    are tried by increasing size, so two equal columns are spent before any
+    larger collision.
     """
     if not system.is_boolean:
         raise InputError("sparsify_natural needs a Boolean system")
@@ -545,18 +549,7 @@ def sparsify_natural(system: LinearSystem, solution: Sequence[int]
         support = _support(sol)
         if len(support) <= bound:
             break
-        pair = None
-        if len(support) > PAIR_FIRST_ABOVE:
-            cols = {}
-            for j in support:
-                key = system.columns[j]
-                if key in cols:
-                    pair = ((cols[key],), (j,))
-                    break
-                cols[key] = j
-        if pair is None:
-            pair = _colliding_subsets(system, support)
-        i_set, i_prime = pair
+        i_set, i_prime = _colliding_subsets(system, support)
         j_dec = tuple(sorted(set(i_set) - set(i_prime)))
         j_inc = tuple(sorted(set(i_prime) - set(i_set)))
         if not j_dec:
@@ -602,8 +595,8 @@ def many_nonzeros_instance(m: int) -> LinearSystem:
 # Bounded integer feasibility
 # ---------------------------------------------------------------------------
 
-def _greedy_seed(system: LinearSystem, ubs: list[int],
-                 max_steps: int = 4_000) -> tuple[int, ...] | None:
+def _greedy_seed(system: LinearSystem, ubs: list[int]
+                 ) -> tuple[int, ...] | None:
     """Cheap covering heuristic: repeatedly bump the variable that serves the
     most unmet >=-rows without breaking any <=/=-row.  Sound (the result is
     verified exactly); returns None when the heuristic dead-ends."""
@@ -614,7 +607,7 @@ def _greedy_seed(system: LinearSystem, ubs: list[int],
     ge_rows = [i for i in range(m)
                if system.relations[i] in (GE, EQ) and rhs[i] > 0]
     row_pos_cols = {i: [j for j, a in system.rows[i] if a > 0] for i in ge_rows}
-    for _ in range(max_steps):
+    for _ in range(GREEDY_STEPS):
         unmet = [i for i in ge_rows if sums[i] < rhs[i]]
         if not unmet:
             return tuple(vals) if system.is_solution(vals) else None
@@ -655,16 +648,19 @@ def ilp_solve(system: LinearSystem, upper_bounds: Sequence[int], *,
 
     After a greedy try, the system is presolved once and searched by
     depth-first LP-based branch and bound.  A node whose LP relaxation is
-    infeasible is a leaf (the only pruning rule), an integral LP point is
-    the answer, and otherwise the LP-fractional variable with the smallest
-    remaining interval is split at the floor of its value.  The root LP is
-    one cold solve; each child copies its parent's solved tableau, appends
-    its branch row and continues phase 1 from the parent's basis (the last
-    child takes the parent's tableau itself).  Box rows x_j <=
-    upper_bounds[j] join the LP only once a solution violates them, and are
-    appended to the tableau the same way.  Deterministic.  Raises
-    BudgetExhaustedError when the node budget runs out; that is reported
-    distinctly from infeasibility.
+    infeasible is a leaf, an integral LP point is the answer, and otherwise
+    the LP-fractional variable with the smallest remaining interval is split
+    at the floor of its value.  The root LP is one cold solve; each child
+    copies its parent's solved tableau, appends its branch row and continues
+    phase 1 from the parent's basis (the last child takes the parent's
+    tableau itself).  Box rows x_j <= upper_bounds[j] join the LP only once
+    a solution violates them, and are appended to the tableau the same way.
+    The search has a second, integer-only leaf, at the root: a presolved
+    `=` row whose coefficient gcd does not divide its rhs has no integer
+    solution.  That test is wrong over the rationals, so it stays out of
+    `_presolve` and `lp_feasible`.  No other rule prunes.  Deterministic.
+    Raises BudgetExhaustedError when the node budget runs out; that is
+    reported distinctly from infeasibility.
     """
     n = system.num_vars
     ubs = [int(b) for b in upper_bounds]
@@ -676,6 +672,9 @@ def ilp_solve(system: LinearSystem, upper_bounds: Sequence[int], *,
     presolved = _presolve(system)
     if presolved is None:
         return None
+    for row, rel, c in presolved:
+        if rel == EQ and c % math.gcd(*(a for _, a in row)):
+            return None
     boxed: list[int] = []  # box rows in the order they joined the LP
     # Depth first over a stack of open nodes (lo, hi, tableau, box rows in
     # it, rows still to append); the low child is searched first.  `lo` and
@@ -720,8 +719,8 @@ def ilp_solve(system: LinearSystem, upper_bounds: Sequence[int], *,
     return None
 
 
-def enumerate_solutions(system: LinearSystem, box: Sequence[int],
-                        volume_cap: int = 10_000_000) -> list[tuple[int, ...]]:
+def enumerate_solutions(system: LinearSystem, box: Sequence[int]
+                        ) -> list[tuple[int, ...]]:
     """All natural solutions with x_j <= box[j], lexicographic order.
 
     Brute-force oracle: depth-first over the box with sound partial-sum
@@ -735,7 +734,7 @@ def enumerate_solutions(system: LinearSystem, box: Sequence[int],
     volume = 1
     for b in box:
         volume *= b + 1
-        if volume > volume_cap:
+        if volume > VOLUME_CAP:
             raise CapExceededError("box volume exceeds the enumeration cap")
     m, columns = system.m, system.columns
     # suffix_min[i][j], suffix_max[i][j]: extreme contribution of vars j..n-1

@@ -417,15 +417,16 @@ def evaluate(s: FiniteStructure, f) -> bool:
 ONE_TYPE_CAP = 24
 
 
-def one_types(preds: list[str], cap: int = ONE_TYPE_CAP) -> list[int]:
+def one_types(preds: list[str]) -> list[int]:
     """All 2^l one-type bitmasks over an ordered predicate list, numeric order.
 
     Bit i of a mask is the polarity of preds[i].
     """
     if len(set(preds)) != len(preds):
         raise InputError("duplicate predicates in one_types")
-    if len(preds) > cap:
-        raise CapExceededError(f"{len(preds)} predicates exceed the cap of {cap}")
+    if len(preds) > ONE_TYPE_CAP:
+        raise CapExceededError(
+            f"{len(preds)} predicates exceed the cap of {ONE_TYPE_CAP}")
     return list(range(1 << len(preds)))
 
 
@@ -531,11 +532,10 @@ def element_one_type(s: FiniteStructure, preds: list[str], element: int) -> int:
     return mask
 
 
-def cardinality_vector(s: FiniteStructure, preds: list[str],
-                       cap: int = ONE_TYPE_CAP) -> list[int]:
+def cardinality_vector(s: FiniteStructure, preds: list[str]) -> list[int]:
     """Entry j = number of elements realizing the j-th one-type; sums to
     domain_size."""
-    masks = one_types(preds, cap)
+    masks = one_types(preds)
     vec = [0] * len(masks)
     for e in range(s.domain_size):
         vec[element_one_type(s, preds, e)] += 1

@@ -12,7 +12,8 @@ from numlog.c1 import (SAT, UNSAT, build_system, decide_sat, entails,
 from numlog.errors import InputError
 from numlog.logic import (AT_LEAST, AT_MOST, And, Count, Lit, Not, Pred,
                           RelationalAtom, at_least, at_most, evaluate,
-                          negate_atom, render_structure, structure)
+                          live_masks, negate_atom, render_structure,
+                          structure)
 from helpers import random_unary_atom
 
 
@@ -107,22 +108,26 @@ class TestNormalize:
 class TestBuildSystem:
     def test_pruning_deletes_killed_columns(self):
         branches = normalize([at_most(0, Lit("p"), Lit("q"))])
+        # the p-and-q cell dies; three cells remain
+        kills = [body for _, _, body in branches[0].conjuncts]
+        assert len(list(live_masks(["p", "q"], kills))) == 3
+        # no row tells the three apart, so they merge into one column under
+        # the nonempty row
         built = build_system(branches[0], ["p", "q"])
-        # the p-and-q cell dies; three cells and the nonempty row remain
-        assert len(built.live_types) == 3
+        assert len(built.live_types) == 1
         assert built.system.m == 1
         assert built.system.relations == (">=",)
 
     def test_totality_row_always_added(self):
         branches = normalize([at_least(1, Lit("p"), Lit("p"))])
-        built = build_system(branches[0])
+        built = build_system(branches[0], ["p"])
         assert built.system.relations[-1] == ">="
         assert built.system.rhs[-1] == 1
 
     def test_infeasible_when_everything_killed(self):
         branches = normalize([at_most(0, Lit("p"), Lit("p")),
                               at_most(0, Lit("p", False), Lit("p", False))])
-        built = build_system(branches[0])
+        built = build_system(branches[0], ["p"])
         assert built.infeasible
 
     def test_demand_on_killed_cells_is_infeasible(self):

@@ -2,12 +2,14 @@
 re-validate, exit codes, and the JSON envelope."""
 
 import json
+import re
 
 import pytest
 
+from numlog import c1
 from numlog.cli import main
-from numlog.linsys import _Tableau
-from numlog.logic import evaluate, parse_structure
+from numlog.linsys import _Tableau, ilp_solve, parse_system
+from numlog.logic import evaluate, negate_atom, parse_structure
 from numlog.parsing import parse_argument, parse_lexicon
 
 LEXICON = """
@@ -43,6 +45,43 @@ class TestSolve:
                         "--out", workspace)
         assert code == 0 and out.startswith("Valid")
         assert (workspace / "arg1.certificate.txt").exists()
+
+    def test_valid_certificate_is_the_refuted_system(self, workspace, capsys,
+                                                     monkeypatch):
+        calls = {"normalize": 0, "build_system": 0}
+
+        def counted(name):
+            original = getattr(c1, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(c1, name, wrapper)
+
+        counted("normalize")
+        counted("build_system")
+        code, out = run(capsys, "solve", workspace / "arg1.txt",
+                        "--lexicon", workspace / "lex.txt",
+                        "--out", workspace)
+        assert code == 0 and out.startswith("Valid")
+        monkeypatch.undo()
+        arg = parse_argument(ARGUMENT_1, parse_lexicon(LEXICON))
+        atoms = list(arg.premises) + [negate_atom(arg.conclusion)]
+        branches = c1.normalize(atoms)
+        res = c1.decide_sat(atoms)
+        # one normalization, one build per branch
+        assert calls == {"normalize": 1, "build_system": len(branches)}
+        text = (workspace / "arg1.certificate.txt").read_text(encoding="utf-8")
+        chunks = re.split(r"^branch \d+: ", text, flags=re.M)[1:]
+        assert len(chunks) == len(res.refuted) == len(branches)
+        for branch, built, chunk in zip(branches, res.refuted, chunks):
+            header, _, body = chunk.partition("\n")
+            assert header == ("infeasible system over live one-types "
+                              + ",".join(map(str, built.live_types)))
+            system = parse_system(body)
+            assert system == built.system
+            cap = max(1, max(b for _, b, _ in branch.conjuncts))
+            assert ilp_solve(system, [cap] * system.num_vars) is None
 
     def test_premises_alone_sat_with_checking_witness(self, workspace, capsys):
         text = "\n".join(ARGUMENT_1.strip().splitlines()[:3])

@@ -135,6 +135,20 @@ class TestSparsifyNatural:
         with pytest.raises(InputError):
             sparsify_natural(s, [1, 0])
 
+    def test_wide_supports(self):
+        # supports of 41-90 columns over at most 5 rows, so equal columns
+        # always exist and the first exchanges spend them
+        rng = random.Random(43)
+        for _ in range(60):
+            m, l = rng.randint(1, 5), rng.randint(41, 90)
+            coeffs = [[rng.randint(0, 1) for _ in range(l)] for _ in range(m)]
+            planted = [rng.randint(1, 3) for _ in range(l)]
+            rhs = [sum(a * v for a, v in zip(row, planted)) for row in coeffs]
+            s = system_from_rows(coeffs, [EQ] * m, rhs)
+            out = sparsify_natural(s, planted)
+            assert s.is_solution(out)
+            assert nnz(out) <= natural_sparsity_bound(m, l)
+
 
 class TestProp2Bound:
     def test_m1_single_nonzero(self):
@@ -226,6 +240,16 @@ class TestIlpSolve:
             expected = enumerate_solutions(s, box)
             assert planted in expected
             assert ilp_solve(s, box) in expected
+
+    def test_gcd_refutes_equality_rows_at_the_root(self):
+        # each = row's coefficient gcd (2) does not divide its rhs (3); the
+        # LP relaxation is feasible, so only the integer test refutes them
+        # within one node
+        for coeffs, box in (([-12, 18, -2], [9, 9, 9]),
+                            ([4, 8, -4, -18, -4], [9, 5, 5, 1, 12])):
+            s = system_from_rows([coeffs], [EQ], [3])
+            assert lp_feasible(s) is not None
+            assert ilp_solve(s, box, max_nodes=1) is None
 
     def test_deep_chain_exhausts_the_node_budget(self):
         # integer-infeasible (eliminating y leaves 8x - 10z = 11), but the
