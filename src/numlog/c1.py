@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from typing import Iterable, Sequence
 
 from .errors import BudgetExhaustedError, CapExceededError, InputError
 from .linsys import GE, LinearSystem, ilp_solve, render_system
@@ -30,9 +31,10 @@ SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
 
-# Size caps of one branch's 1-type system.
+# Size caps of one branch's 1-type system; MAX_LIVE caps every
+# `cell_system`, PSAT's too.
 PRED_CAP = 30
-MAX_LIVE = 200_000
+MAX_LIVE = 300_000
 # Nesting depth cap of normalization (one level per eliminated quantifier).
 MAX_DEPTH = 64
 
@@ -222,10 +224,9 @@ def build_system(normal: NormalC1, preds: list[str]) -> BuiltSystem:
 
     One column per live 1-type: a 1-type is dead when some <=0 conjunct's
     body holds under it (such conjuncts are consumed by the pruning and
-    dropped as rows).  Live types come from `live_masks`, in its depth-first
-    order, and columns with identical coefficient vectors collapse into the
-    first of them in that order (feasibility-preserving).  A final all-ones
-    >=1 row keeps the domain nonempty.
+    dropped as rows, as are >=0 conjuncts).  The other conjuncts, then an
+    all-ones >=1 row that keeps the domain nonempty, go to `cell_system`,
+    which merges identical columns.
     """
     rows_in = normal.conjuncts
     found: set[str] = set()
@@ -242,17 +243,33 @@ def build_system(normal: NormalC1, preds: list[str]) -> BuiltSystem:
     kills = [body for d, b, body in rows_in if d == AT_MOST and b == 0]
     kept = [(d, b, body) for d, b, body in rows_in
             if not (d == AT_MOST and b == 0) and not (d == AT_LEAST and b <= 0)]
+    live, system = cell_system(preds, kills, kept + [(GE, 1, TRUE)])
+    if not live:
+        return BuiltSystem(None, (), preds, infeasible=True)
+    return BuiltSystem(system, live, preds)
 
+
+def cell_system(preds: Sequence[str], kills: Iterable[C1Formula],
+                rows: Sequence[tuple[str, int, C1Formula]]
+                ) -> tuple[tuple[int, ...], LinearSystem]:
+    """The merged cell system of `rows` over the masks of `preds` that no
+    kill body holds on.
+
+    Each row `(relation, int rhs, quantifier-free body)` reads: the total
+    count of the cells whose mask satisfies the body stands in that
+    relation to rhs.  Live masks come from `live_masks`, in its depth-first
+    order, and columns with identical coefficient vectors collapse into the
+    first of them in that order (feasibility-preserving); the masks of the
+    kept columns are returned with the system.  No live mask gives no
+    columns.  Raises CapExceededError beyond MAX_LIVE live masks.
+    """
     live = list(islice(live_masks(preds, kills), MAX_LIVE + 1))
     if len(live) > MAX_LIVE:
         raise CapExceededError("live 1-type cap exceeded")
-    if not live:
-        return BuiltSystem(None, (), preds, infeasible=True)
-
     index = {p: i for i, p in enumerate(preds)}
     coeff_rows = [[1 if test(mask) else 0 for mask in live]
-                  for test in (compile_body(body, index) for _, _, body in kept)]
-    # merge identical columns, keeping the first 1-type of each group
+                  for test in (compile_body(body, index) for _, _, body in rows)]
+    # merge identical columns, keeping the first mask of each group
     groups: set[tuple] = set()
     merged_live: list[int] = []
     keep_idx: list[int] = []
@@ -263,13 +280,12 @@ def build_system(normal: NormalC1, preds: list[str]) -> BuiltSystem:
         groups.add(sig)
         keep_idx.append(col)
         merged_live.append(mask)
-    rows = [tuple((k, 1) for k, c in enumerate(keep_idx) if row[c])
-            for row in coeff_rows]
-    # nonempty-domain row
-    rows.append(tuple((k, 1) for k in range(len(keep_idx))))
-    system = LinearSystem(tuple(rows), tuple(d for d, _, _ in kept) + (GE,),
-                          tuple(b for _, b, _ in kept) + (1,), len(keep_idx))
-    return BuiltSystem(system, tuple(merged_live), preds)
+    system = LinearSystem(
+        tuple(tuple((k, 1) for k, c in enumerate(keep_idx) if row[c])
+              for row in coeff_rows),
+        tuple(d for d, _, _ in rows), tuple(b for _, b, _ in rows),
+        len(keep_idx))
+    return tuple(merged_live), system
 
 
 def decide_sat(formulas, *, max_nodes: int = 2_000_000) -> SatResult:

@@ -19,9 +19,11 @@ warm start), and an infeasible LP is the only way a node below the root is
 pruned; the root also refutes an `=` row whose coefficient gcd does not
 divide its rhs.
 
-A "Boolean" system has all coefficients in {0, 1} and natural right-hand
-sides; the two sparsifiers implement support-reduction exchanges that keep a
-solution exact at every step and never create new nonzero coordinates.
+Two sparsifiers shrink a solution's support and never create new nonzero
+coordinates: over the rationals, a phase-1 vertex of the system restricted
+to the support; over the naturals, on a "Boolean" system (all coefficients
+in {0, 1} and natural right-hand sides), support-reduction exchanges that
+keep the solution exact at every step.
 """
 
 from __future__ import annotations
@@ -412,86 +414,35 @@ def _support(x: Sequence) -> list[int]:
     return [j for j, v in enumerate(x) if v != 0]
 
 
-def _kernel_vector(columns: Sequence[SparseVector], m: int) -> list[Fraction] | None:
-    """A nonzero rational kernel vector of the m x k matrix given by sparse
-    columns, canonical: the RREF null vector for the first free column."""
-    k = len(columns)
-    rows = [[Fraction(0)] * k for _ in range(m)]
-    for j, col in enumerate(columns):
-        for i, a in col:
-            rows[i][j] = Fraction(a)
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    pivot_cols = {c for _, c in pivots}
-    free = next((c for c in range(k) if c not in pivot_cols), None)
-    if free is None:
-        return None
-    vec = [Fraction(0)] * k
-    vec[free] = Fraction(1)
-    for pr, pc in pivots:
-        vec[pc] = -rows[pr][free]
-    return vec
-
-
 def sparsify_rational(system: LinearSystem, solution: Sequence
                       ) -> tuple[Fraction, ...]:
     """Reduce a nonnegative rational solution of an all-equality system to at
     most m nonzero entries.
 
-    Each step finds a rational kernel vector supported on the current support
-    and moves by the extremal step that zeroes at least one more coordinate
-    while staying nonnegative; zero coordinates stay zero forever.
+    A solution with at most m nonzeros is returned as it is.  Otherwise the
+    answer is the phase-1 vertex (`lp_feasible`) of the system restricted to
+    the solution's support: the restriction is feasible, since the solution
+    solves it, and a basic solution has at most one nonzero per row.  Zero
+    coordinates stay zero.
     """
     if any(rel != EQ for rel in system.relations):
         raise InputError("sparsify_rational needs an all-equality system")
     sol = [Fraction(v) for v in solution]
     if any(v < 0 for v in sol) or not system.is_solution(sol):
         raise NotASolutionError("input does not solve the system over Q+")
-    m = system.m
-    while True:
-        support = _support(sol)
-        if len(support) <= m:
-            break
-        kern = _kernel_vector([system.columns[j] for j in support], m)
-        assert kern is not None, "more than m columns must be dependent"
-        # Feasible step range; candidates that zero a coordinate.
-        eps_neg = None  # largest (closest to 0) negative candidate
-        eps_pos = None  # smallest positive candidate
-        for idx, j in enumerate(support):
-            kj = kern[idx]
-            if kj > 0:
-                cand = -sol[j] / kj
-                if eps_neg is None or cand > eps_neg:
-                    eps_neg = cand
-            elif kj < 0:
-                cand = -sol[j] / kj
-                if eps_pos is None or cand < eps_pos:
-                    eps_pos = cand
-        if eps_pos is not None and (eps_neg is None or eps_pos <= -eps_neg):
-            eps = eps_pos
-        else:
-            eps = eps_neg
-        for idx, j in enumerate(support):
-            sol[j] += eps * kern[idx]
-        assert all(v >= 0 for v in sol)
-        assert system.is_solution(sol)
-        assert len(_support(sol)) < len(support)
-    return tuple(sol)
+    support = _support(sol)
+    if len(support) <= system.m:
+        return tuple(sol)
+    col = {j: k for k, j in enumerate(support)}
+    restricted = LinearSystem(
+        tuple(tuple((col[j], a) for j, a in row if j in col)
+              for row in system.rows),
+        system.relations, system.rhs, len(support))
+    vertex = lp_feasible(restricted)
+    out = [Fraction(0)] * system.num_vars
+    for j, v in zip(support, vertex):
+        out[j] = v
+    return tuple(out)
 
 
 def natural_sparsity_bound(m: int, num_vars: int) -> int:

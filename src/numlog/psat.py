@@ -14,24 +14,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from math import lcm
 
+from .c1 import cell_system
 from .errors import CapExceededError, InputError
-from .linsys import (EQ, lp_feasible, many_nonzeros_instance, parse_scalar,
-                     scaled_system, sparsify_rational)
-from .logic import (AT_LEAST, And, CountingAtom, Lit, Not, Or, Pred,
-                    UnaryAtom, compile_body, lit_formula, live_masks,
-                    mask_of, true_preds)
+from .linsys import EQ, lp_feasible, many_nonzeros_instance, parse_scalar
+from .linsys import sparsify_rational  # noqa: F401  (bench/spans.py rebinds it)
+from .logic import (AT_LEAST, And, CountingAtom, Lit, Not, Or, Pred, TRUE,
+                    UnaryAtom, compile_body, lit_formula, mask_of, true_preds)
 
 World = frozenset[str]  # the letters true at that world
 
 # Letter caps of psat_decide: at most LETTER_CAP letters, and more than
 # ENUMERATE_CAP only when some 0/1 row prunes the truth assignments; at
-# most MAX_LIVE assignments survive the pruning.
+# most c1.MAX_LIVE assignments survive the pruning.
 LETTER_CAP = 20
 ENUMERATE_CAP = 12
-MAX_LIVE = 300_000
 
 
 @dataclass(frozen=True)
@@ -114,12 +112,15 @@ def psat_decide(instance) -> ProbabilityAssignment | None:
     `instance` is a list of (clause, q) pairs, clause a tuple of literals
     and q an exact rational in [0,1]; each pair demands P(clause) = q.  As
     an extension, (clause, rel, q) triples with rel in {"=", "<=", ">="}
-    demand the corresponding inequality.  Feasibility is a linear program
-    over the probabilities of full truth assignments; 0/1-valued equality
-    rows prune assignments before enumeration, which admits a few more
-    letters than brute enumeration would.  A satisfying assignment is
-    sparsified before being returned (at most m+1 supported worlds when all
-    rows are equalities).
+    demand the corresponding inequality.  Feasibility is the LP relaxation
+    of the C1 cell system (`c1.cell_system`) over the letters: each q
+    becomes a count out of D, the lcm of the denominators, and a total row
+    demands D.  A row forcing P(clause) = 0 kills the truth assignments
+    satisfying the clause, one forcing P(clause) = 1 those falsifying it;
+    such rows add no row of their own, and the pruning admits a few more
+    letters than brute enumeration would.  The assignment is the simplex
+    vertex divided by D: a basic solution, so it has at most one world per
+    row, total row included, for any mix of relations.
     """
     norm: list[tuple[tuple, str, Fraction]] = []
     for item in instance:
@@ -138,36 +139,27 @@ def psat_decide(instance) -> ProbabilityAssignment | None:
     if len(letters) > LETTER_CAP:
         raise CapExceededError(f"{len(letters)} letters exceed cap {LETTER_CAP}")
 
-    # live truth assignments: P(clause) = 0 kills its satisfying masks,
-    # P(clause) = 1 kills its falsifying masks
-    kills = []
+    kills, kept = [], []
     for cl, rel, q in norm:
-        if q == 0 and rel in (EQ, "<="):
-            kills.append(_clause_formula(cl))
-        elif q == 1 and rel in (EQ, ">="):
-            kills.append(Not(_clause_formula(cl)))
+        body = _clause_formula(cl)
+        if q == 0 and rel != ">=":
+            kills.append(body)
+        elif q == 1 and rel != "<=":
+            kills.append(Not(body))
+        else:
+            kept.append((rel, q, body))
     if len(letters) > ENUMERATE_CAP and not kills:
         raise CapExceededError(
             f"{len(letters)} letters need 0/1 rows to prune; cap is {ENUMERATE_CAP}")
-    # numeric mask order fixes the LP's column order, hence its answer
-    live = sorted(islice(live_masks(letters, kills), MAX_LIVE + 1))
-    if len(live) > MAX_LIVE:
-        raise CapExceededError("live truth-assignment cap exceeded")
-
-    index = {p: i for i, p in enumerate(letters)}
-    rows = []
-    for cl, _, _ in norm:
-        test = compile_body(_clause_formula(cl), index)
-        rows.append([(k, 1) for k, mask in enumerate(live) if test(mask)])
-    rows.append([(k, 1) for k in range(len(live))])
-    system = scaled_system(rows, [rel for _, rel, _ in norm] + [EQ],
-                           [q for _, _, q in norm] + [1], len(live))
+    scale = lcm(*(q.denominator for _, q, _ in kept))
+    live, system = cell_system(
+        letters, kills,
+        [(rel, int(q * scale), body) for rel, q, body in kept]
+        + [(EQ, scale, TRUE)])
     sol = lp_feasible(system)
     if sol is None:
         return None
-    if all(rel == EQ for rel in system.relations):
-        sol = sparsify_rational(system, sol)
-    worlds = tuple((frozenset(true_preds(mask, letters)), weight)
+    worlds = tuple((frozenset(true_preds(mask, letters)), weight / scale)
                    for mask, weight in zip(live, sol) if weight)
     out = ProbabilityAssignment(tuple(letters), worlds)
     for cl, rel, q in norm:
@@ -232,10 +224,10 @@ def counterexample_assignment(m: int) -> tuple[ProbabilityAssignment, int]:
     incompleteness premise set while giving some goal "at least 1 (t_j and
     r)" probability exactly 0; returns it with that j (1-based).
 
-    Construction: take a nonnegative rational solution of the unique-solution
-    system with at most m nonzero entries (so some entry is zero, and every
-    entry is at most 3); scale worlds by the least common denominator u;
-    lay out 6u(m+1) worlds with half of them satisfying t, cells of 3u
+    Construction: take the LP vertex of the unique-solution system, a basic
+    solution with at most m nonzero entries (so some entry is zero, and
+    every entry is at most 3); scale worlds by the least common denominator
+    u; lay out 6u(m+1) worlds with half of them satisfying t, cells of 3u
     worlds per t_j, u*u_j of each cell satisfying r (padded outside t to
     total 3u(m+1)), and the s_i unions dictated by the system's columns.
     The flat distribution then reproduces every premise threshold exactly.
@@ -245,7 +237,7 @@ def counterexample_assignment(m: int) -> tuple[ProbabilityAssignment, int]:
     if m < 6:
         raise InputError("counterexample_assignment needs m >= 6")
     system = many_nonzeros_instance(m)
-    u_vec = sparsify_rational(system, lp_feasible(system))
+    u_vec = lp_feasible(system)
     assert any(v == 0 for v in u_vec)
     assert all(v <= 3 for v in u_vec)
     u = lcm(*(v.denominator for v in u_vec))

@@ -130,6 +130,13 @@ def brute_3col(g: Graph) -> dict[int, int] | None:
 
 # Graph file format: DIMACS-like "p edge n m" plus "e i j" lines.
 
+def _graph_int(tok: str, ln: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise InputError(f"line {ln}: bad number {tok!r}") from None
+
+
 def parse_graph(text: str) -> Graph:
     n = None
     edges = []
@@ -141,9 +148,11 @@ def parse_graph(text: str) -> Graph:
         if toks[0] == "p":
             if len(toks) != 4 or toks[1] != "edge":
                 raise InputError(f"line {ln}: bad problem line")
-            n = int(toks[2])
+            n = _graph_int(toks[2], ln)
         elif toks[0] == "e":
-            edges.append((int(toks[1]), int(toks[2])))
+            if len(toks) != 3:
+                raise InputError(f"line {ln}: an edge line is 'e a b'")
+            edges.append((_graph_int(toks[1], ln), _graph_int(toks[2], ln)))
         else:
             raise InputError(f"line {ln}: unrecognized {line!r}")
     if n is None:
@@ -239,26 +248,32 @@ def brute_tiling(ts: TilingSystem, size: int, init=None, *,
                 return False
         return True
 
-    def walk(idx: int):
-        nonlocal spent
+    # Depth first with an explicit stack: stack[i] is the position, in cell
+    # i's options, of the next colour to try there; each cell below the top
+    # holds the colour just before its position.
+    stack = [0]
+    while stack:
+        idx = len(stack) - 1
         if idx == len(cells):
             rows = [[assign[(x, y)] for y in range(size)] for x in range(size)]
             return tiling_from_rows(size, rows)
         x, y = cells[idx]
         options = [init[x]] if (y == 0 and x < len(init)) else ts.colours
-        for c in options:
+        while stack[-1] < len(options):
+            c = options[stack[-1]]
+            stack[-1] += 1
             spent += 1
             if spent > budget:
                 raise BudgetExhaustedError("brute_tiling budget exhausted")
             if ok(x, y, c):
                 assign[(x, y)] = c
-                got = walk(idx + 1)
-                if got is not None:
-                    return got
-                del assign[(x, y)]
-        return None
-
-    return walk(0)
+                stack.append(0)
+                break
+        else:
+            stack.pop()
+            if stack:
+                del assign[cells[len(stack) - 1]]
+    return None
 
 
 # Tiling system file: "colours: a, b" / "H: (a,b), ..." / "V: ...".

@@ -252,6 +252,16 @@ class TestGenerate:
                           "--out", workspace / "gen")
         assert out2.startswith("Unsat")
 
+    def test_3col_malformed_graph_file(self, workspace, capsys):
+        for bad in ("p edge 3 1\ne 1\n", "c comment\np edge x 3\n"):
+            (workspace / "bad.graph").write_text(bad, encoding="utf-8")
+            code = main(["generate", "3col", "--graph",
+                         str(workspace / "bad.graph"),
+                         "--out", str(workspace / "gen")])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err.startswith("error: line 2: ")
+
     def test_3col_random_seeded(self, workspace, capsys):
         code, _ = run(capsys, "generate", "3col", "--nodes", "5",
                       "--seed", "3", "--out", workspace / "gen")

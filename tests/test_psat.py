@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from numlog.errors import CapExceededError, InputError, UnknownPredicateError
+from numlog.linsys import lp_feasible, scaled_system
 from numlog.logic import And, Lit, Not, Or, Pred, at_least, at_most
 from numlog.proofs import incompleteness_instance, rule_conclusions
 from numlog.psat import (ProbabilityAssignment, approx_models,
@@ -140,6 +141,47 @@ class TestPsatDecide:
         # an infeasible band
         assert psat_decide([((Lit("p"),), ">=", Fraction(3, 4)),
                             ((Lit("p"),), "<=", Fraction(1, 4))]) is None
+
+
+def brute_psat_feasible(instance) -> bool:
+    """Test-side PSAT oracle: one LP column per truth assignment of the
+    letters, one row per clause plus the total row; no pruning, no
+    merging."""
+    letters = sorted({lit.pred for cl, _, _ in instance for lit in cl})
+    worlds = range(1 << len(letters))
+
+    def holds(lit, w):
+        return bool(w >> letters.index(lit.pred) & 1) == lit.positive
+
+    rows = [[(w, 1) for w in worlds if any(holds(lit, w) for lit in cl)]
+            for cl, _, _ in instance]
+    system = scaled_system(rows + [[(w, 1) for w in worlds]],
+                           [rel for _, rel, _ in instance] + ["="],
+                           [q for _, _, q in instance] + [1], len(worlds))
+    return lp_feasible(system) is not None
+
+
+class TestPsatDifferential:
+    def test_verdicts_and_support_against_full_enumeration(self):
+        rng = random.Random(157)
+        probabilities = [Fraction(0), Fraction(1), HALF, Fraction(1, 3),
+                         Fraction(2, 3), Fraction(1, 4), Fraction(3, 5),
+                         Fraction(5, 7)]
+        verdicts = []
+        for _ in range(320):
+            letters = ["p", "q", "r", "s"][:rng.randint(1, 4)]
+            inst = []
+            for _ in range(rng.randint(1, 5)):
+                cl = tuple(Lit(rng.choice(letters), rng.random() < 0.5)
+                           for _ in range(rng.randint(1, 3)))
+                inst.append((cl, rng.choice(["=", "<=", ">="]),
+                             rng.choice(probabilities)))
+            got = psat_decide(inst)
+            assert (got is not None) == brute_psat_feasible(inst), inst
+            if got is not None:
+                assert len(got.worlds) <= len(inst) + 1, inst
+            verdicts.append(got is not None)
+        assert 80 < sum(verdicts) < 300
 
 
 class TestCounterexample:

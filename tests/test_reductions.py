@@ -89,6 +89,14 @@ class TestGraphFiles:
         with pytest.raises(InputError):
             graph(2, [(1, 1)])
 
+    @pytest.mark.parametrize("text", ["p edge 3 1\ne 1\n",
+                                      "p edge 3 1\ne 1 2 3\n",
+                                      "p edge 3 1\ne 1 x\n",
+                                      "c comment\np edge x 3\n"])
+    def test_malformed_line_names_its_number(self, text):
+        with pytest.raises(InputError, match="^line 2: "):
+            parse_graph(text)
+
 
 class TestEncodeTiling:
     def test_notebook_size_matches_formula(self):
@@ -212,6 +220,14 @@ class TestBruteTiling:
         t = brute_tiling(ts, 2)
         assert t is not None and is_valid_tiling(ts, t)
         assert t.colour_at(0, 0) != t.colour_at(1, 0)
+
+    def test_large_grid_needs_no_deep_recursion(self):
+        # 1024 cells: one Python frame per cell would exceed the default
+        # recursion limit
+        ts = TilingSystem(("c1", "c2"), FREE2.horizontal, FREE2.vertical)
+        t = brute_tiling(ts, 32, ["c2"])
+        assert t is not None and is_valid_tiling(ts, t, ["c2"])
+        assert t.colour_at(0, 0) == "c2" and t.colour_at(31, 31) == "c1"
 
     def test_encode_agrees_with_brute_at_tiny_scale(self):
         # satisfiability of the encoding matches tiling existence via the
