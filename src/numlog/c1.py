@@ -6,24 +6,26 @@ counting quantifiers over quantifier-free bodies; translate each branch into
 a linear system over 1-type cardinalities (one column per live 1-type, one
 row per conjunct, plus a row making the domain nonempty); search for a
 natural solution with every cell capped at the largest bound.  A Sat verdict
-always carries a finite witness structure that is model-checked against the
-original input before being returned; an Unsat verdict carries the systems
-the search refuted.  `render_certificate` writes either kind of evidence.
+always carries its witness as 1-type cells, model-checked against the
+original input before being returned and expanded to explicit elements only
+on request; an Unsat verdict carries the systems the search refuted.
+`render_certificate` writes either kind of evidence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from functools import cached_property
+from itertools import compress, islice
 from typing import Iterable, Sequence
 
 from .errors import BudgetExhaustedError, CapExceededError, InputError
 from .linsys import GE, LinearSystem, ilp_solve, render_system
 from .linsys import sparsify_natural  # noqa: F401  (bench/spans.py rebinds it)
-from .logic import (AT_LEAST, AT_MOST, EXACTLY, And, C1Formula, Count,
-                    CountingAtom, FALSE, FiniteStructure, Not, Or, Pred,
-                    RelationalAtom, TRUE, UnaryAtom, atom_formula,
-                    cell_structure, compile_body, evaluate,
+from .logic import (AT_LEAST, AT_MOST, EXACTLY, And, C1Formula,
+                    CellStructure, Count, CountingAtom, FALSE,
+                    FiniteStructure, Not, Or, Pred, RelationalAtom, TRUE,
+                    UnaryAtom, atom_formula, compile_body, evaluate,
                     formula_predicates, is_closed, is_quantifier_free,
                     live_masks)
 
@@ -55,10 +57,18 @@ class Certificate:
 
 @dataclass(frozen=True)
 class SatResult:
+    """A verdict and its evidence.  On Sat, `cells` is the model-checked
+    witness as (1-type, count) cells and `witness` the same model with
+    explicit elements, expanded on first access; on Unsat, `refuted`."""
+
     status: str
-    witness: FiniteStructure | None = None
+    cells: CellStructure | None = None
     certificate: Certificate | None = None
     refuted: tuple[BuiltSystem, ...] = ()
+
+    @cached_property
+    def witness(self) -> FiniteStructure | None:
+        return None if self.cells is None else self.cells.expand()
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +308,8 @@ def decide_sat(formulas, *, max_nodes: int = 2_000_000) -> SatResult:
     Every branch's system is over all input predicates.  Unsat carries, in
     `refuted`, the system of every branch in normalization order: the one
     its search refuted, or one marked infeasible before any search.
+    Sat carries the solution's cells, which `evaluate` model-checks
+    without expanding them; `SatResult.witness` expands them on request.
     Returns Unknown only when some branch exhausted its search budget.
     """
     formulas = list(formulas)
@@ -325,11 +337,13 @@ def decide_sat(formulas, *, max_nodes: int = 2_000_000) -> SatResult:
         if sol is None:
             refuted.append(built)
             continue
-        witness = cell_structure(built.preds, zip(built.live_types, sol))
+        # only the nonzero cells: most of up to MAX_LIVE live types get 0
+        cells = CellStructure(built.preds,
+                              tuple(compress(zip(built.live_types, sol), sol)))
         for f in formulas:
-            if not evaluate(witness, f):
+            if not evaluate(cells, f):
                 raise AssertionError(f"witness failed model check on {f}")
-        return SatResult(SAT, witness,
+        return SatResult(SAT, cells,
                          Certificate(built.preds, built.live_types, sol))
     if saw_budget:
         return SatResult(UNKNOWN)

@@ -8,14 +8,21 @@ one-variable formula language (conjunction, disjunction, negation, counting
 quantifiers over unary atoms) embeds the unary atoms and is what the
 satisfiability pipeline normalizes.
 
-Everything here is immutable after construction and evaluated exactly over
-explicit finite structures; there are no approximation paths.
+Everything here is immutable after construction and evaluated exactly;
+there are no approximation paths.  A structure is either explicit
+(`FiniteStructure`: elements, extensions and edge sets) or given by its
+1-type cells (`CellStructure`: (mask, count) pairs).  `evaluate` decides
+unary atoms and closed one-variable formulas on cells in time linear in the
+number of cells, so its cost grows with the bit-length of the counts, not
+their value; `CellStructure.expand` gives the explicit structure.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import CapExceededError, InputError, UnknownPredicateError
@@ -341,6 +348,50 @@ def structure(domain_size: int,
                            {r: frozenset(v) for r, v in (binary or {}).items()})
 
 
+@dataclass(frozen=True)
+class CellStructure:
+    """A finite interpretation of unary predicates, given by its 1-type cells.
+
+    Each cell is a (mask, count) pair over `preds` (bit i of the mask is the
+    truth of preds[i]): `count` elements that satisfy exactly the predicates
+    of the mask.  Masks are distinct; zero-count cells are dropped and the
+    order of the rest is kept, since `expand` numbers the elements cell by
+    cell in that order.  No binary predicate is interpreted.
+    """
+
+    preds: tuple[str, ...]
+    cells: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        preds = tuple(map(_check_ident, self.preds))
+        if len(set(preds)) != len(preds):
+            raise InputError("duplicate predicates in a cell structure")
+        cells = tuple(self.cells)
+        if cells:
+            masks, counts = zip(*cells)
+            if min(masks) < 0 or max(masks) >= 1 << len(preds):
+                raise InputError("cell mask out of range")
+            if min(counts) < 0:
+                raise InputError("negative cell count")
+            if len(set(masks)) != len(masks):
+                raise InputError("the same cell mask given twice")
+        object.__setattr__(self, "preds", preds)
+        object.__setattr__(self, "cells", tuple(c for c in cells if c[1]))
+
+    @property
+    def domain_size(self) -> int:
+        return sum(count for _, count in self.cells)
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """The bit of each predicate."""
+        return {p: i for i, p in enumerate(self.preds)}
+
+    def expand(self) -> FiniteStructure:
+        """The explicit structure with these cells."""
+        return cell_structure(self.preds, self.cells)
+
+
 def _compare(count: int, direction: str, bound: int) -> bool:
     if direction == AT_LEAST:
         return count >= bound
@@ -366,6 +417,23 @@ def _holds_at(s: FiniteStructure, f: C1Formula, element: int | None) -> bool:
     raise InputError(f"cannot evaluate {f!r}")
 
 
+def _relational_hits(s: FiniteStructure, a: RelationalAtom) -> frozenset[int]:
+    """The subjects of `a` whose tally of VERB-successors in the object
+    meets the inner bound.  The tallies come from one pass over the edges;
+    the subjects they miss have the tally 0, so they stand or fall together
+    and are handled by one set operation."""
+    subj = s.unary_ext(a.subject)
+    obj = s.unary_ext(a.obj)
+    tally = Counter(x for x, y in s.binary_ext(a.verb) if y in obj)
+
+    def meets(n: int) -> bool:
+        return _compare(n, a.inner_direction, a.inner_bound)
+
+    if meets(0):
+        return subj - {e for e, n in tally.items() if not meets(n)}
+    return frozenset(e for e, n in tally.items() if e in subj and meets(n))
+
+
 def satisfiers(s: FiniteStructure, a: CountingAtom) -> frozenset[int]:
     """The elements a counting atom counts: those satisfying both literals
     of a unary atom, or the subjects of a relational atom whose tally of
@@ -374,38 +442,65 @@ def satisfiers(s: FiniteStructure, a: CountingAtom) -> frozenset[int]:
     if isinstance(a, UnaryAtom):
         return s.lit_ext(a.lits[0]) & s.lit_ext(a.lits[1])
     if isinstance(a, RelationalAtom):
-        subj = s.unary_ext(a.subject)
-        obj = s.unary_ext(a.obj)
-        edges = s.binary_ext(a.verb)
-        return frozenset(
-            e for e in subj if _compare(sum(1 for b in obj if (e, b) in edges),
-                                        a.inner_direction, a.inner_bound))
+        return _relational_hits(s, a)
     raise InputError(f"not a counting atom: {a!r}")
 
 
-def evaluate(s: FiniteStructure, f) -> bool:
+def _cell_holds(s: CellStructure, f: C1Formula, mask: int | None) -> bool:
+    """`_holds_at` on an element of the cell `mask` of s.  A Count sums the
+    cells whose mask satisfies its body, so every nonzero cell's mask is
+    tested exactly where `_holds_at` would test each of its elements."""
+    if isinstance(f, Pred):
+        if mask is None:
+            raise InputError("free variable in a closed evaluation context")
+        return bool(mask >> _bit(f.name, s.index) & 1)
+    if isinstance(f, Not):
+        return not _cell_holds(s, f.body, mask)
+    if isinstance(f, And):
+        return all(_cell_holds(s, p, mask) for p in f.parts)
+    if isinstance(f, Or):
+        return any(_cell_holds(s, p, mask) for p in f.parts)
+    if isinstance(f, Count):
+        n = sum(count for m, count in s.cells if _cell_holds(s, f.body, m))
+        return _compare(n, f.direction, f.bound)
+    raise InputError(f"cannot evaluate {f!r}")
+
+
+def _evaluate_cells(s: CellStructure, f) -> bool:
+    if isinstance(f, UnaryAtom):
+        pos = neg = 0
+        for l in f.lits:
+            if l.positive:
+                pos |= 1 << _bit(l.pred, s.index)
+            else:
+                neg |= 1 << _bit(l.pred, s.index)
+        n = sum(count for mask, count in s.cells
+                if mask & pos == pos and not mask & neg)
+        return _compare(n, f.direction, f.bound)
+    if isinstance(f, RelationalAtom):
+        raise UnknownPredicateError(f"binary predicate {f.verb!r} not interpreted")
+    return _cell_holds(s, f, None)
+
+
+def evaluate(s: FiniteStructure | CellStructure, f) -> bool:
     """Exact truth value of a counting atom or closed formula in s.
 
     Relational atoms count subjects whose per-object tallies meet the inner
-    bound (subjects scope over objects).  Raises UnknownPredicateError when a
-    predicate of f is not interpreted in s.
+    bound (subjects scope over objects).  On a CellStructure the work is
+    linear in its cells, and a relational atom raises UnknownPredicateError
+    for its verb.  Raises UnknownPredicateError when a predicate of f is not
+    interpreted in s.
     """
+    if isinstance(f, (Pred, Not, And, Or, Count)) and not is_closed(f):
+        raise InputError("formula has a free variable; evaluate needs a closed formula")
+    if isinstance(s, CellStructure):
+        return _evaluate_cells(s, f)
     if isinstance(f, UnaryAtom):
         ext = s.lit_ext(f.lits[0]) & s.lit_ext(f.lits[1])
         return _compare(len(ext), f.direction, f.bound)
     if isinstance(f, RelationalAtom):
-        subj = s.unary_ext(f.subject)
-        obj = s.unary_ext(f.obj)
-        edges = s.binary_ext(f.verb)
-        hits = 0
-        for a in subj:
-            inner = sum(1 for b in obj if (a, b) in edges)
-            if _compare(inner, f.inner_direction, f.inner_bound):
-                hits += 1
-        return _compare(hits, f.direction, f.bound)
+        return _compare(len(_relational_hits(s, f)), f.direction, f.bound)
     if isinstance(f, (Pred, Not, And, Or, Count)):
-        if not is_closed(f):
-            raise InputError("formula has a free variable; evaluate needs a closed formula")
         return _holds_at(s, f, None)
     raise InputError(f"cannot evaluate {f!r}")
 
@@ -560,22 +655,57 @@ def cell_structure(preds: Sequence[str], cells: Iterable[tuple[int, int]]
 # ---------------------------------------------------------------------------
 # Structure file format
 # ---------------------------------------------------------------------------
-# domain N
-# unary p: 0, 1, 2
-# binary r: (0,1), (2,0)
+# Explicit form:            Cell form:
+# domain N                  domain N
+# unary p: 0, 1, 2          predicates: p, q
+# binary r: (0,1), (2,0)    cell {p, q}: N
 
-def parse_structure(text: str) -> FiniteStructure:
-    domain = None
+_CELL_LINE = re.compile(r"cell\s*\{([^}]*)\}\s*:\s*(\S*)")
+
+
+def _names(text: str) -> list[str]:
+    names = [_check_ident(t.strip()) for t in text.split(",") if t.strip()]
+    if len(set(names)) != len(names):
+        raise InputError(f"repeated predicate in {text.strip()!r}")
+    return names
+
+
+def parse_structure(text: str) -> FiniteStructure | CellStructure:
+    """Read a structure file in either form.
+
+    The explicit form gives a FiniteStructure, the cell form a
+    CellStructure: a `predicates:` line fixes the bit order, and each
+    `cell` line lists the predicates true in its cell and the cell's
+    decimal count.  The forms cannot be mixed, a mask may appear on one
+    `cell` line only, and `domain` must equal the sum of the counts.
+    Errors are InputErrors that name the offending line.
+    """
+    domain = domain_ln = None
+    form = None
     unary: dict[str, set[int]] = {}
     binary: dict[str, set[tuple[int, int]]] = {}
+    index: dict[str, int] | None = None
+    cells: list[tuple[int, int]] = []
+    cell_ln: dict[int, int] = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
             if line.startswith("domain"):
-                domain = int(line.split()[1])
-            elif line.startswith("unary"):
+                domain, domain_ln = int(line.split()[1]), ln
+                continue
+            if line.startswith(("unary", "binary")):
+                kind = "explicit"
+            elif line.startswith(("predicates", "cell")):
+                kind = "cells"
+            else:
+                raise InputError(f"unrecognized line: {line!r}")
+            if form not in (None, kind):
+                raise InputError("cell lines cannot be mixed with unary or "
+                                 "binary lines")
+            form = kind
+            if line.startswith("unary"):
                 head, _, rest = line[len("unary"):].partition(":")
                 pred = head.strip()
                 elems = {int(t) for t in rest.replace(",", " ").split()}
@@ -589,17 +719,52 @@ def parse_structure(text: str) -> FiniteStructure:
                     raise InputError(f"bad pair syntax: {rest.strip()!r}")
                 binary.setdefault(pred, set()).update(
                     (int(a), int(b)) for a, b in pairs)
+            elif line.startswith("predicates:"):
+                if index is not None:
+                    raise InputError("second predicates line")
+                index = {p: i for i, p in
+                         enumerate(_names(line[len("predicates:"):]))}
+            elif (m := _CELL_LINE.fullmatch(line)) is not None:
+                if index is None:
+                    raise InputError("cell line before the predicates line")
+                if not re.fullmatch(r"[0-9]+", m[2]):
+                    raise InputError("cell count is not a nonnegative "
+                                     f"integer: {m[2]!r}")
+                names = _names(m[1])
+                for p in names:
+                    if p not in index:
+                        raise InputError(f"predicate {p!r} is not on the "
+                                         "predicates line")
+                mask = mask_of(names, index)
+                if mask in cell_ln:
+                    raise InputError(f"cell {{{m[1].strip()}}} repeats line "
+                                     f"{cell_ln[mask]}")
+                cell_ln[mask] = ln
+                cells.append((mask, int(m[2])))
             else:
                 raise InputError(f"unrecognized line: {line!r}")
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, InputError) as exc:
             raise InputError(f"line {ln}: {exc}") from exc
     if domain is None:
         raise InputError("missing 'domain N' line")
+    if form == "cells":
+        total = sum(count for _, count in cells)
+        if domain != total:
+            raise InputError(f"line {domain_ln}: domain {domain} differs from "
+                             f"the sum of the cell counts, {total}")
+        return CellStructure(tuple(index), tuple(cells))
     return structure(domain, unary, binary)
 
 
-def render_structure(s: FiniteStructure) -> str:
+def render_structure(s: FiniteStructure | CellStructure) -> str:
+    """The structure file of s, in the cell form for a CellStructure."""
     lines = [f"domain {s.domain_size}"]
+    if isinstance(s, CellStructure):
+        lines.append("predicates: " + ", ".join(s.preds))
+        for mask, count in s.cells:
+            lines.append(f"cell {{{', '.join(true_preds(mask, s.preds))}}}: "
+                         f"{count}")
+        return "\n".join(lines) + "\n"
     for p in sorted(s.unary):
         lines.append(f"unary {p}: " + ", ".join(map(str, sorted(s.unary[p]))))
     for r in sorted(s.binary):

@@ -3,6 +3,7 @@ re-validate, exit codes, and the JSON envelope."""
 
 import json
 import re
+import time
 
 import pytest
 
@@ -352,3 +353,43 @@ class TestCheckAndShrink:
                           workspace / "big.shrunk.structure",
                           workspace / "g.formulas")
         assert "all true" in out2
+
+
+class TestCellWitnesses:
+    def test_huge_bound_gives_a_small_witness(self, workspace, capsys):
+        (workspace / "big.txt").write_text(">=1000000000000 (p & q)\n",
+                                           encoding="utf-8")
+        started = time.perf_counter()
+        code, out = run(capsys, "solve", workspace / "big.txt",
+                        "--out", workspace)
+        assert time.perf_counter() - started < 1.0
+        assert code == 0 and out.startswith("Sat")
+        witness = workspace / "big.witness.structure"
+        assert witness.stat().st_size < 1024
+        code, out = run(capsys, "check", witness, workspace / "big.txt")
+        assert code == 0 and out.strip().splitlines()[-1] == "all true"
+
+    def test_relational_check_on_cells_names_the_verb(self, workspace, capsys):
+        (workspace / "w.structure").write_text(
+            "domain 2\npredicates: p\ncell {p}: 2\n", encoding="utf-8")
+        (workspace / "rel.txt").write_text(">=1 p [admire >=1 p]\n",
+                                           encoding="utf-8")
+        code = main(["check", str(workspace / "w.structure"),
+                     str(workspace / "rel.txt")])
+        assert code == 1
+        assert "'admire'" in capsys.readouterr().err
+
+    def test_shrink_accepts_a_solve_witness(self, workspace, capsys):
+        (workspace / "u.txt").write_text(">=40 (p & q)\n>=30 (p & !q)\n",
+                                         encoding="utf-8")
+        code, out = run(capsys, "solve", workspace / "u.txt", "--out", workspace)
+        assert code == 0 and out.startswith("Sat")
+        assert "cell {p, q}: 40" in (
+            workspace / "u.witness.structure").read_text(encoding="utf-8")
+        code, out = run(capsys, "shrink", workspace / "u.witness.structure",
+                        workspace / "u.txt", "--out", workspace)
+        assert code == 0 and out.startswith("Shrunk")
+        assert "input_size: 70" in out
+        code, out = run(capsys, "check", workspace / "u.witness.shrunk.structure",
+                        workspace / "u.txt")
+        assert out.strip().splitlines()[-1] == "all true"
