@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import BudgetExhaustedError, CapExceededError, InputError
@@ -25,9 +25,8 @@ from .linsys import sparsify_natural  # noqa: F401  (bench/spans.py rebinds it)
 from .logic import (AT_LEAST, AT_MOST, EXACTLY, And, C1Formula,
                     CellStructure, Count, CountingAtom, FALSE,
                     FiniteStructure, Not, Or, Pred, RelationalAtom, TRUE,
-                    UnaryAtom, atom_formula, compile_body, evaluate,
-                    formula_predicates, is_closed, is_quantifier_free,
-                    live_masks)
+                    UnaryAtom, atom_formula, evaluate, formula_predicates,
+                    is_closed, is_quantifier_free, live_signatures)
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -267,35 +266,29 @@ def cell_system(preds: Sequence[str], kills: Iterable[C1Formula],
 
     Each row `(relation, int rhs, quantifier-free body)` reads: the total
     count of the cells whose mask satisfies the body stands in that
-    relation to rhs.  Live masks come from `live_masks`, in its depth-first
-    order, and columns with identical coefficient vectors collapse into the
-    first of them in that order (feasibility-preserving); the masks of the
-    kept columns are returned with the system.  No live mask gives no
+    relation to rhs.  One `live_signatures` walk gives each live mask
+    with its row signature (bit i: the mask satisfies row i's body), in its
+    depth-first order; columns with equal signatures collapse into the
+    first of them in that order (feasibility-preserving), and the masks of
+    the kept columns are returned with the system.  No live mask gives no
     columns.  Raises CapExceededError beyond MAX_LIVE live masks.
     """
-    live = list(islice(live_masks(preds, kills), MAX_LIVE + 1))
-    if len(live) > MAX_LIVE:
-        raise CapExceededError("live 1-type cap exceeded")
-    index = {p: i for i, p in enumerate(preds)}
-    coeff_rows = [[1 if test(mask) else 0 for mask in live]
-                  for test in (compile_body(body, index) for _, _, body in rows)]
-    # merge identical columns, keeping the first mask of each group
-    groups: set[tuple] = set()
-    merged_live: list[int] = []
-    keep_idx: list[int] = []
-    for col, mask in enumerate(live):
-        sig = tuple(row[col] for row in coeff_rows)
-        if sig in groups:
-            continue
-        groups.add(sig)
-        keep_idx.append(col)
-        merged_live.append(mask)
-    system = LinearSystem(
-        tuple(tuple((k, 1) for k, c in enumerate(keep_idx) if row[c])
-              for row in coeff_rows),
-        tuple(d for d, _, _ in rows), tuple(b for _, b, _ in rows),
-        len(keep_idx))
-    return tuple(merged_live), system
+    first: dict[int, int] = {}  # signature -> first mask, in walk order
+    walk = live_signatures(preds, kills, [body for _, _, body in rows])
+    for n, (mask, sig) in enumerate(walk):
+        if n == MAX_LIVE:
+            raise CapExceededError("live 1-type cap exceeded")
+        first.setdefault(sig, mask)
+    entries: list[list[tuple[int, int]]] = [[] for _ in rows]
+    for k, sig in enumerate(first):
+        entry = (k, 1)
+        while sig:  # one step per set bit, lowest first
+            low = sig & -sig
+            entries[low.bit_length() - 1].append(entry)
+            sig ^= low
+    return tuple(first.values()), LinearSystem(
+        tuple(map(tuple, entries)), tuple(d for d, _, _ in rows),
+        tuple(b for _, b, _ in rows), len(first))
 
 
 def decide_sat(formulas, *, max_nodes: int = 2_000_000) -> SatResult:

@@ -14,7 +14,9 @@ there are no approximation paths.  A structure is either explicit
 1-type cells (`CellStructure`: (mask, count) pairs).  `evaluate` decides
 unary atoms and closed one-variable formulas on cells in time linear in the
 number of cells, so its cost grows with the bit-length of the counts, not
-their value; `CellStructure.expand` gives the explicit structure.
+their value; `CellStructure.expand` gives the explicit structure.  The
+live 1-types under a set of kill bodies come from one depth-first walk,
+`live_signatures`, which also records the row bodies each one satisfies.
 """
 
 from __future__ import annotations
@@ -592,31 +594,64 @@ def compile_body(f: C1Formula, index: Mapping[str, int]) -> Callable[[int], bool
     raise InputError("formula is not quantifier-free")
 
 
-def live_masks(preds: Sequence[str], kills: Iterable[C1Formula]) -> Iterator[int]:
-    """Every mask over `preds` on which no quantifier-free kill body holds.
+def live_signatures(preds: Sequence[str], kills: Iterable[C1Formula],
+                    bodies: Sequence[C1Formula]) -> Iterator[tuple[int, int]]:
+    """(mask, sig) for every mask over `preds` on which no quantifier-free
+    kill body holds, where bit i of sig is the truth of bodies[i].
 
     The walk is depth-first over predicate bits, bit 0 first and the 0
-    branch before the 1 branch, so over [a, b] the order is 0, 2, 1, 3.
-    Each kill is tested as soon as its highest predicate is assigned, which
-    prunes whole subtrees; the full 2^l grid is never materialized.
+    child before the 1 child, so over [a, b] the order is 0, 2, 1, 3.
+    Every kill and body is decided once per parent, on the children of the
+    bit of its highest predicate, so a dead child is never pushed: a
+    literal conjunction inline, on the one child whose bit agrees with that
+    predicate's literal; any other body by `compile_body`, on both; a body
+    without predicates once, at the root.
     """
     index = {p: i for i, p in enumerate(preds)}
-    # at_level[k]: the kills decided once bits 0..k-1 are assigned
-    at_level: list[list[Callable[[int], bool]]] = [[] for _ in range(len(preds) + 1)]
-    for body in kills:
-        test = compile_body(body, index)
-        level = max((index[p] + 1 for p in formula_predicates(body)), default=0)
-        at_level[level].append(test)
-    stack = [(0, 0)]
+    kills = list(kills)
+    # at[b][c]: (kills, bodies) decided on child c of bit b, as (pos, neg,
+    # test, sig bit): a literal conjunction's bits, or 0, 0 and a test
+    at = [[([], []), ([], [])] for _ in preds]
+    dead, sig = False, 0
+    for i, body in enumerate(kills + list(bodies)):
+        conj = _literal_bits(body, And, index)
+        test = compile_body(body, index) if conj is None else None
+        top = max((_bit(p, index) for p in formula_predicates(body)), default=-1)
+        bit = 0 if i < len(kills) else 1 << (i - len(kills))
+        if top < 0:
+            if compile_body(body, index)(0):
+                dead |= not bit
+                sig |= bit
+            continue
+        for c in (0, 1) if conj is None else (conj[0] >> top & 1,):
+            at[top][c][bool(bit)].append((*(conj or (0, 0)), test, bit))
+    n = len(preds)
+    stack = [] if dead else [(0, 0, sig)]
     while stack:
-        level, mask = stack.pop()
-        if any(test(mask) for test in at_level[level]):
+        level, mask, sig = stack.pop()
+        if level == n:
+            yield mask, sig
             continue
-        if level == len(preds):
-            yield mask
-            continue
-        stack.append((level + 1, mask | 1 << level))
-        stack.append((level + 1, mask))
+        for c in (1, 0):
+            child = mask | c << level
+            kill_tests, body_tests = at[level][c]
+            for pos, neg, test, _ in kill_tests:
+                if (child & pos == pos and not child & neg
+                        and (test is None or test(child))):
+                    break
+            else:
+                s = sig
+                for pos, neg, test, bit in body_tests:
+                    if (child & pos == pos and not child & neg
+                            and (test is None or test(child))):
+                        s |= bit
+                stack.append((level + 1, child, s))
+
+
+def live_masks(preds: Sequence[str], kills: Iterable[C1Formula]) -> Iterator[int]:
+    """Every mask over `preds` on which no quantifier-free kill body holds,
+    in the order of `live_signatures`."""
+    return (mask for mask, _ in live_signatures(preds, kills, ()))
 
 
 def element_one_type(s: FiniteStructure, preds: list[str], element: int) -> int:

@@ -11,6 +11,7 @@ input sentences and is at most L*(C*|Phi|+1) elements for L = 2^l.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, product
 
@@ -113,17 +114,15 @@ def shrink_model(s: FiniteStructure, phi) -> ShrinkReport:
 
     unary = {p: {new_index[e] for e in sorted(s.unary_ext(p)) if e in new_index}
              for p in s.unary}
+    cell_of = {e: mask for mask, members in cells.items() for e in members}
     binary: dict[str, set[tuple[int, int]]] = {}
     for r in verbs:
-        edges = s.binary_ext(r)
-        new_edges: set[tuple[int, int]] = set()
-        for e in kept:
-            for mask, members in cells.items():
-                orig = sum(1 for b in members if (e, b) in edges)
-                want = min(orig, cap)
-                for b in kept_cells[mask][:want]:
-                    new_edges.add((new_index[e], new_index[b]))
-        binary[r] = new_edges
+        # each kept element's successor tally per cell, from one edge pass
+        tally = Counter((a, cell_of[b]) for a, b in s.binary_ext(r)
+                        if a in new_index)
+        binary[r] = {(new_index[e], new_index[b])
+                     for (e, mask), orig in tally.items()
+                     for b in kept_cells[mask][:min(orig, cap)]}
     for r in s.binary:
         binary.setdefault(r, {(new_index[a], new_index[b])
                               for a, b in s.binary_ext(r)

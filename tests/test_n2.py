@@ -121,6 +121,52 @@ class TestShrinkModel:
             assert report.structure.domain_size <= size_bound(phi)
             done += 1
 
+    def test_kept_successors_match_the_quadratic_count(self):
+        # every kept element keeps, per 1-type cell, the first
+        # min(successors in the cell, cap) kept members of the cell; the
+        # expected edges are counted pair by pair, independently of the
+        # edge-set tally that shrink_model uses
+        rng = random.Random(191)
+        done = rewired = 0
+        while done < 200:
+            n = rng.randint(1, 30)
+            s = structure(
+                n, {p: {e for e in range(n) if rng.random() < 0.5}
+                    for p in ("p", "q", "t")},
+                {v: {(a, b) for a in range(n) for b in range(n)
+                     if rng.random() < rng.choice([0.1, 0.3, 0.6])}
+                 for v in ("r", "w")})
+            phi = [RelationalAtom(rng.choice([AT_LEAST, AT_MOST]),
+                                  rng.randint(0, 2), rng.choice("pqt"),
+                                  rng.choice("rw"),
+                                  rng.choice([AT_LEAST, AT_MOST]),
+                                  rng.randint(0, 2), rng.choice("pqt"))
+                   for _ in range(rng.randint(1, 2))]
+            phi = [a for a in phi if evaluate(s, a)]
+            if not phi:
+                continue
+            report = shrink_model(s, phi)
+            preds = sorted({p for a in phi for p in (a.subject, a.obj)})
+            cells: dict[frozenset, list[int]] = {}
+            for e in range(n):
+                cells.setdefault(frozenset(p for p in preds
+                                           if e in s.unary[p]), []).append(e)
+            new = {e: i for i, e in enumerate(report.kept_elements)}
+            for v in sorted({a.verb for a in phi}):
+                want = set()
+                for e in report.kept_elements:
+                    for members in cells.values():
+                        orig = sum(1 for b in members if (e, b) in s.binary[v])
+                        kept = [b for b in members if b in new]
+                        for b in kept[:min(orig, report.cell_cap)]:
+                            want.add((new[e], new[b]))
+                assert report.structure.binary[v] == want
+                restricted = {(a, b) for a, b in s.binary[v]
+                              if a in new and b in new}
+                rewired += want != restricted
+            done += 1
+        assert rewired > 20
+
     def test_rejects_non_model(self):
         phi = [at_least(1, Lit("p"), Lit("p"))]
         s = structure(1, {"p": set()}, {})
