@@ -11,9 +11,8 @@ from .errors import (BudgetExhaustedError, CapExceededError, InputError,
                      NotASolutionError, NumlogError, UnknownPredicateError)
 from .logic import (AT_LEAST, AT_MOST, CellStructure, CountingAtom,
                     FiniteStructure, Lit, RelationalAtom, UnaryAtom,
-                    at_least, at_most, cardinality_vector, evaluate,
-                    negate_atom, one_types, parse_structure,
-                    render_structure, structure)
+                    at_least, at_most, evaluate, negate_atom,
+                    parse_structure, render_structure, structure)
 from .parsing import (ArgumentFile, Lexicon, parse_argument, parse_english,
                       parse_lexicon, parse_symbolic, render_english,
                       render_symbolic)

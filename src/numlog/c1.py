@@ -6,10 +6,10 @@ counting quantifiers over quantifier-free bodies; translate each branch into
 a linear system over 1-type cardinalities (one column per live 1-type, one
 row per conjunct, plus a row making the domain nonempty); search for a
 natural solution with every cell capped at the largest bound.  A Sat verdict
-always carries its witness as 1-type cells, model-checked against the
-original input before being returned and expanded to explicit elements only
-on request; an Unsat verdict carries the systems the search refuted.
-`render_certificate` writes either kind of evidence.
+carries one piece of evidence, its witness as 1-type cells, model-checked
+against the original input before being returned and expanded to explicit
+elements only on request; an Unsat verdict carries the systems the search
+refuted, which `render_certificate` writes.
 """
 
 from __future__ import annotations
@@ -48,21 +48,14 @@ class NormalC1:
 
 
 @dataclass(frozen=True)
-class Certificate:
-    preds: tuple[str, ...]
-    live_types: tuple[int, ...]
-    solution: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class SatResult:
     """A verdict and its evidence.  On Sat, `cells` is the model-checked
-    witness as (1-type, count) cells and `witness` the same model with
-    explicit elements, expanded on first access; on Unsat, `refuted`."""
+    witness as its nonzero (1-type, count) cells, in column order, and
+    `witness` the same model with explicit elements, expanded on first
+    access; on Unsat, `refuted`.  Unknown carries nothing."""
 
     status: str
     cells: CellStructure | None = None
-    certificate: Certificate | None = None
     refuted: tuple[BuiltSystem, ...] = ()
 
     @cached_property
@@ -301,8 +294,9 @@ def decide_sat(formulas, *, max_nodes: int = 2_000_000) -> SatResult:
     Every branch's system is over all input predicates.  Unsat carries, in
     `refuted`, the system of every branch in normalization order: the one
     its search refuted, or one marked infeasible before any search.
-    Sat carries the solution's cells, which `evaluate` model-checks
-    without expanding them; `SatResult.witness` expands them on request.
+    Sat carries only the solution's nonzero cells, which `evaluate`
+    model-checks without expanding them; `SatResult.witness` expands them
+    on request.
     Returns Unknown only when some branch exhausted its search budget.
     """
     formulas = list(formulas)
@@ -336,26 +330,19 @@ def decide_sat(formulas, *, max_nodes: int = 2_000_000) -> SatResult:
         for f in formulas:
             if not evaluate(cells, f):
                 raise AssertionError(f"witness failed model check on {f}")
-        return SatResult(SAT, cells,
-                         Certificate(built.preds, built.live_types, sol))
+        return SatResult(SAT, cells)
     if saw_budget:
         return SatResult(UNKNOWN)
     return SatResult(UNSAT, refuted=tuple(refuted))
 
 
 def render_certificate(res: SatResult) -> str:
-    """The evidence file of a Sat or Unsat result.
-
-    Sat: the predicates, the live 1-type masks and the solution, one line
-    each.  Unsat: per branch, in normalization order, the system its search
-    refuted, in `render_system` form (the per-cell caps are not shown), or
-    a note that the branch was infeasible before any search.
+    """The certificate file of an Unsat result: per branch, in
+    normalization order, the system its search refuted, in `render_system`
+    form (the per-cell caps are not shown), or a note that the branch was
+    infeasible before any search.  A Sat result's evidence is its witness,
+    so any other status raises ValueError.
     """
-    if res.status == SAT:
-        cert = res.certificate
-        return ("predicates: " + ", ".join(cert.preds) + "\n"
-                "live one-types: " + ", ".join(map(str, cert.live_types)) + "\n"
-                "solution: " + ", ".join(map(str, cert.solution)) + "\n")
     if res.status != UNSAT:
         raise ValueError(f"a {res.status} result has no certificate")
     chunks = []

@@ -92,12 +92,6 @@ def _emit(args, command: str, status: str, certificates: list[str],
 # solve
 # ---------------------------------------------------------------------------
 
-def _write_witness(out: Path, stem: str, structure) -> str:
-    path = out / f"{stem}.witness.structure"
-    path.write_text(render_structure(structure), encoding="utf-8")
-    return str(path)
-
-
 def cmd_solve(args) -> int:
     started = time.time()
     path = Path(args.argument)
@@ -118,26 +112,24 @@ def cmd_solve(args) -> int:
             witness = n2.bounded_search(atoms, cap, budget=budget)
         except BudgetExhaustedError:
             return _emit(args, "solve", UNKNOWN, [], detail, started)
-        evidence = None if witness is not None else (
-            "no model exists up to the finite-model bound "
-            f"{cap}; the search was exhaustive\n")
+        evidence = ("no model exists up to the finite-model bound "
+                    f"{cap}; the search was exhaustive\n")
     else:
         res = c1.decide_sat(atoms, max_nodes=budget)
         if res.status == c1.UNKNOWN:
             return _emit(args, "solve", UNKNOWN, [], detail, started)
-        witness, evidence = res.cells, c1.render_certificate(res)
-    files = []
+        witness = res.cells
+        evidence = None if witness is not None else c1.render_certificate(res)
+    # each definite verdict cites one file: the witness or the certificate
     if witness is not None:
-        files.append(_write_witness(out, path.stem, witness))
-    if evidence is not None:
-        cpath = out / f"{path.stem}.certificate.txt"
-        cpath.write_text(evidence, encoding="utf-8")
-        files.append(str(cpath))
-    if witness is None:
-        status = VALID if arg.conclusion is not None else UNSAT
-    else:
         status = INVALID if arg.conclusion is not None else SAT
-    return _emit(args, "solve", status, files, detail, started)
+        suffix, text = "witness.structure", render_structure(witness)
+    else:
+        status = VALID if arg.conclusion is not None else UNSAT
+        suffix, text = "certificate.txt", evidence
+    cpath = out / f"{path.stem}.{suffix}"
+    cpath.write_text(text, encoding="utf-8")
+    return _emit(args, "solve", status, [str(cpath)], detail, started)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import CapExceededError, InputError, UnknownPredicateError
+from .errors import InputError, UnknownPredicateError
 
 AT_LEAST = ">="
 AT_MOST = "<="
@@ -439,8 +439,8 @@ def _relational_hits(s: FiniteStructure, a: RelationalAtom) -> frozenset[int]:
 def satisfiers(s: FiniteStructure, a: CountingAtom) -> frozenset[int]:
     """The elements a counting atom counts: those satisfying both literals
     of a unary atom, or the subjects of a relational atom whose tally of
-    VERB-successors in the object meets the inner bound.  `evaluate` counts
-    the same elements without building the set, which is faster per call."""
+    VERB-successors in the object meets the inner bound.  `evaluate`
+    compares the size of this set with the atom's bound."""
     if isinstance(a, UnaryAtom):
         return s.lit_ext(a.lits[0]) & s.lit_ext(a.lits[1])
     if isinstance(a, RelationalAtom):
@@ -497,11 +497,8 @@ def evaluate(s: FiniteStructure | CellStructure, f) -> bool:
         raise InputError("formula has a free variable; evaluate needs a closed formula")
     if isinstance(s, CellStructure):
         return _evaluate_cells(s, f)
-    if isinstance(f, UnaryAtom):
-        ext = s.lit_ext(f.lits[0]) & s.lit_ext(f.lits[1])
-        return _compare(len(ext), f.direction, f.bound)
-    if isinstance(f, RelationalAtom):
-        return _compare(len(_relational_hits(s, f)), f.direction, f.bound)
+    if isinstance(f, (UnaryAtom, RelationalAtom)):
+        return _compare(len(satisfiers(s, f)), f.direction, f.bound)
     if isinstance(f, (Pred, Not, And, Or, Count)):
         return _holds_at(s, f, None)
     raise InputError(f"cannot evaluate {f!r}")
@@ -510,22 +507,6 @@ def evaluate(s: FiniteStructure | CellStructure, f) -> bool:
 # ---------------------------------------------------------------------------
 # 1-types
 # ---------------------------------------------------------------------------
-
-ONE_TYPE_CAP = 24
-
-
-def one_types(preds: list[str]) -> list[int]:
-    """All 2^l one-type bitmasks over an ordered predicate list, numeric order.
-
-    Bit i of a mask is the polarity of preds[i].
-    """
-    if len(set(preds)) != len(preds):
-        raise InputError("duplicate predicates in one_types")
-    if len(preds) > ONE_TYPE_CAP:
-        raise CapExceededError(
-            f"{len(preds)} predicates exceed the cap of {ONE_TYPE_CAP}")
-    return list(range(1 << len(preds)))
-
 
 def _bit(pred: str, index: Mapping[str, int]) -> int:
     try:
@@ -660,16 +641,6 @@ def element_one_type(s: FiniteStructure, preds: list[str], element: int) -> int:
         if element in s.unary_ext(p):
             mask |= 1 << i
     return mask
-
-
-def cardinality_vector(s: FiniteStructure, preds: list[str]) -> list[int]:
-    """Entry j = number of elements realizing the j-th one-type; sums to
-    domain_size."""
-    masks = one_types(preds)
-    vec = [0] * len(masks)
-    for e in range(s.domain_size):
-        vec[element_one_type(s, preds, e)] += 1
-    return vec
 
 
 def cell_structure(preds: Sequence[str], cells: Iterable[tuple[int, int]]

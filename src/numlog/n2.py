@@ -142,13 +142,23 @@ def shrink_model(s: FiniteStructure, phi) -> ShrinkReport:
 # ---------------------------------------------------------------------------
 
 def _compositions(total: int, parts: int):
-    """All tuples of `parts` naturals summing to `total`, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All tuples of `parts` naturals summing to `total`, lexicographic.
+
+    Iterative, so any number of parts works: each step takes the last
+    nonzero entry v, zeroes it, adds 1 to the entry before it and puts
+    v - 1 in the last entry.
+    """
+    comp = [0] * (parts - 1) + [total]
+    last = parts - 1 if total else 0  # index of the last nonzero entry
+    while True:
+        yield tuple(comp)
+        if last == 0:
+            return
+        v = comp[last]
+        comp[last] = 0
+        comp[last - 1] += 1
+        comp[-1] = v - 1
+        last = parts - 1 if v > 1 else last - 1
 
 
 def bounded_search(phi, domain_cap: int, *, budget: int = 200_000

@@ -18,30 +18,26 @@ from helpers import random_unary_atom
 
 
 def brute_sat_flat(atoms, preds, cap):
-    """Oracle: exhaustive search over capped one-type cardinality vectors.
+    """Oracle: exhaustive search over capped one-type cardinality vectors,
+    returning the first vector that satisfies every atom, or None.
 
+    An atom's count under a vector is the sum of its entries at the masks
+    that satisfy both literals, found with this oracle's own bit test.
     Complete because any model's cell counts capped coordinatewise still
     model the same flat sentences.
     """
-    cells = 1 << len(preds)
-
-    def materialize(vec):
-        unary = {p: set() for p in preds}
-        e = 0
-        for mask, count in enumerate(vec):
-            for _ in range(count):
-                for i, p in enumerate(preds):
-                    if (mask >> i) & 1:
-                        unary[p].add(e)
-                e += 1
-        return structure(e, unary, {})
-
-    for vec in product(range(cap + 1), repeat=cells):
-        if sum(vec) == 0:
+    bit = {p: i for i, p in enumerate(preds)}
+    masks = range(1 << len(preds))
+    hits = [[m for m in masks
+             if all((m >> bit[l.pred] & 1) == l.positive for l in a.lits)]
+            for a in atoms]
+    for vec in product(range(cap + 1), repeat=len(masks)):
+        if not any(vec):
             continue
-        s = materialize(vec)
-        if all(evaluate(s, a) for a in atoms):
-            return s
+        counts = [sum(vec[m] for m in ms) for ms in hits]
+        if all(n >= a.bound if a.direction == AT_LEAST else n <= a.bound
+               for a, n in zip(atoms, counts)):
+            return vec
     return None
 
 
@@ -170,7 +166,7 @@ class TestDecideSat:
         res = decide_sat(encode_3col(k3))
         assert res.status == SAT
         assert res.witness is not None
-        assert res.certificate.solution is not None
+        assert all(evaluate(res.cells, a) for a in encode_3col(k3))
 
     def test_k4_is_unsat(self):
         from numlog.reductions import brute_3col, encode_3col, graph
@@ -238,13 +234,13 @@ class TestDecideSat:
         assert decide_sat([f]).status == SAT
 
     def test_witness_is_pinned(self):
-        # each live 1-type takes the next consecutive elements, in the
-        # column order of the certificate: c twice, then a&b, then a&b&c
+        # the nonzero cells in column order (live types 0, 4, 6, 1, 3, 7),
+        # each taking the next consecutive elements: c twice, then a&b,
+        # then a&b&c
         a, b, c = Lit("a"), Lit("b"), Lit("c")
         res = decide_sat([at_least(3, a, b), at_most(1, a, c.opposite()),
                           at_least(2, b.opposite(), c), at_most(4, b, c)])
-        assert res.certificate.live_types == (0, 4, 6, 1, 3, 7)
-        assert res.certificate.solution == (0, 2, 0, 0, 1, 2)
+        assert res.cells.cells == ((4, 2), (3, 1), (7, 2))
         assert render_structure(res.witness) == (
             "domain 5\nunary a: 2, 3, 4\nunary b: 2, 3, 4\n"
             "unary c: 0, 1, 3, 4\n")

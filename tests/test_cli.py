@@ -125,6 +125,28 @@ class TestSolve:
                         "--out", workspace)
         assert code == 0 and out.startswith("Sat")
 
+    def test_relational_route_with_ten_predicates(self, workspace, capsys):
+        # 1024 cells: the composition generator must not recurse per cell
+        lines = [">=1 p0 [r >=1 p1]"] + [f">=1 (p{i} & p{i})" for i in range(10)]
+        (workspace / "ten.txt").write_text("\n".join(lines) + "\n",
+                                           encoding="utf-8")
+        code, out = run(capsys, "solve", workspace / "ten.txt",
+                        "--out", workspace)
+        assert code == 0 and out.startswith("Sat")
+
+    def test_sat_and_invalid_cite_only_the_witness(self, workspace, capsys):
+        (workspace / "s.txt").write_text(">=2 (p & q)\n", encoding="utf-8")
+        (workspace / "i.txt").write_text(
+            ">=1 (p & q)\nTherefore:\n>=2 (p & p)\n", encoding="utf-8")
+        for stem, status in (("s", "Sat"), ("i", "Invalid")):
+            code, out = run(capsys, "solve", workspace / f"{stem}.txt",
+                            "--out", workspace, "--json")
+            payload = json.loads(out)
+            assert code == 0 and payload["status"] == status
+            assert payload["certificates"] == [
+                str(workspace / f"{stem}.witness.structure")]
+            assert not (workspace / f"{stem}.certificate.txt").exists()
+
     def test_relational_budget_exhaustion_is_unknown(self, workspace, capsys):
         (workspace / "big.txt").write_text(
             ">=2 p [r >=2 q]\n>=2 q [r >=2 p]\n", encoding="utf-8")

@@ -5,14 +5,13 @@ import random
 
 import pytest
 
-from numlog.errors import CapExceededError, InputError, UnknownPredicateError
+from numlog.errors import InputError, UnknownPredicateError
 from numlog.logic import (AT_LEAST, AT_MOST, FALSE, TRUE, And, Count, Lit,
                           Not, Or, Pred, RelationalAtom, at_least, at_most,
-                          cardinality_vector, cell_structure, compile_body,
-                          element_one_type, evaluate, live_masks, mask_of,
-                          negate_atom, one_types, parse_structure,
-                          render_structure, satisfiers, structure,
-                          true_preds)
+                          cell_structure, compile_body, element_one_type,
+                          evaluate, live_masks, mask_of, negate_atom,
+                          parse_structure, render_structure, satisfiers,
+                          structure, true_preds)
 from helpers import random_structure, random_unary_atom
 
 
@@ -139,21 +138,6 @@ class TestEvaluate:
         assert evaluate(s, f)  # inner count is closed and false, so !inner holds
 
 
-class TestOneTypes:
-    def test_single_predicate(self):
-        assert one_types(["p"]) == [0, 1]
-
-    def test_two_predicates(self):
-        assert len(one_types(["p", "q"])) == 4
-
-    def test_fifteen_predicates(self):
-        assert len(one_types([f"x{i}" for i in range(15)])) == 2 ** 15
-
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            one_types([f"x{i}" for i in range(25)])
-
-
 def random_body(rng, preds, depth=3):
     """A random quantifier-free body over preds, TRUE and FALSE."""
     roll = rng.random()
@@ -217,37 +201,6 @@ class TestMaskKernel:
             assert list(live_masks(preds, kills)) == expected
 
 
-class TestCardinalityVector:
-    def test_empty_structure(self):
-        s = structure(0, {"p": set()})
-        assert cardinality_vector(s, ["p"]) == [0, 0]
-
-    def test_sums_to_domain_size(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            preds = ["p", "q"]
-            s = random_structure(rng, preds)
-            assert sum(cardinality_vector(s, preds)) == s.domain_size
-
-    def test_triangle_witness_p_region(self):
-        # single-node graph: the witness has three elements, all in p,
-        # each realizing a distinct one-type (three singleton cells)
-        unary = {"p": {0, 1, 2}}
-        for k in range(3):
-            unary[f"p1_{k}"] = {k}
-        s = structure(3, unary)
-        preds = sorted(unary)
-        vec = cardinality_vector(s, preds)
-        # independent tally per element
-        tally = {}
-        for e in range(3):
-            tally[element_one_type(s, preds, e)] = \
-                tally.get(element_one_type(s, preds, e), 0) + 1
-        assert [vec[m] for m in sorted(tally)] == [1, 1, 1]
-        assert sum(vec) == 3
-        assert sorted(v for v in vec if v) == [1, 1, 1]
-
-
 class TestCellModels:
     def test_cell_structure_round_trip(self):
         rng = random.Random(211)
@@ -258,10 +211,6 @@ class TestCellModels:
             cells = [(m, rng.randint(0, 5))
                      for m in masks[:rng.randint(0, len(masks))]]
             s = cell_structure(preds, cells)
-            placed = [0] * len(masks)
-            for m, count in cells:
-                placed[m] = count
-            assert cardinality_vector(s, preds) == placed
             # each cell takes the next consecutive elements, in cell order
             types = [element_one_type(s, preds, e) for e in range(s.domain_size)]
             assert types == [m for m, count in cells for _ in range(count)]

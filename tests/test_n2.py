@@ -7,7 +7,7 @@ import pytest
 from numlog.errors import BudgetExhaustedError, InputError
 from numlog.logic import (AT_LEAST, AT_MOST, Lit, RelationalAtom, at_least,
                           at_most, evaluate, render_structure, structure)
-from numlog.n2 import bounded_search, shrink_model, size_bound
+from numlog.n2 import _compositions, bounded_search, shrink_model, size_bound
 from numlog.parsing import parse_english, Lexicon
 
 
@@ -218,3 +218,17 @@ class TestBoundedSearch:
         phi = [RelationalAtom(AT_LEAST, 2, "p", "r", AT_LEAST, 2, "q")]
         with pytest.raises(BudgetExhaustedError):
             bounded_search(phi, size_bound(phi), budget=3)
+
+    def test_compositions_keep_the_recursive_order(self):
+        def recursive(total, parts):
+            if parts == 1:
+                yield (total,)
+                return
+            for first in range(total + 1):
+                for rest in recursive(total - first, parts - 1):
+                    yield (first,) + rest
+
+        for total in range(7):
+            for parts in range(1, 6):
+                assert (list(_compositions(total, parts))
+                        == list(recursive(total, parts)))
