@@ -390,8 +390,16 @@ class CellStructure:
         return {p: i for i, p in enumerate(self.preds)}
 
     def expand(self) -> FiniteStructure:
-        """The explicit structure with these cells."""
-        return cell_structure(self.preds, self.cells)
+        """The explicit structure with these cells: each cell takes the next
+        `count` consecutive elements, which satisfy exactly the predicates
+        of its mask."""
+        unary: dict[str, set[int]] = {p: set() for p in self.preds}
+        lo = 0
+        for mask, count in self.cells:
+            for p in true_preds(mask, self.preds):
+                unary[p].update(range(lo, lo + count))
+            lo += count
+        return structure(lo, unary)
 
 
 def _compare(count: int, direction: str, bound: int) -> bool:
@@ -629,35 +637,6 @@ def live_signatures(preds: Sequence[str], kills: Iterable[C1Formula],
                 stack.append((level + 1, child, s))
 
 
-def live_masks(preds: Sequence[str], kills: Iterable[C1Formula]) -> Iterator[int]:
-    """Every mask over `preds` on which no quantifier-free kill body holds,
-    in the order of `live_signatures`."""
-    return (mask for mask, _ in live_signatures(preds, kills, ()))
-
-
-def element_one_type(s: FiniteStructure, preds: list[str], element: int) -> int:
-    mask = 0
-    for i, p in enumerate(preds):
-        if element in s.unary_ext(p):
-            mask |= 1 << i
-    return mask
-
-
-def cell_structure(preds: Sequence[str], cells: Iterable[tuple[int, int]]
-                   ) -> FiniteStructure:
-    """The structure whose 1-type cells are the given (mask, count) pairs,
-    in order: each cell takes the next `count` consecutive elements, which
-    satisfy exactly the predicates of its mask."""
-    unary: dict[str, set[int]] = {p: set() for p in preds}
-    lo = 0
-    for mask, count in cells:
-        if count:
-            for p in true_preds(mask, preds):
-                unary[p].update(range(lo, lo + count))
-            lo += count
-    return structure(lo, unary)
-
-
 # ---------------------------------------------------------------------------
 # Structure file format
 # ---------------------------------------------------------------------------
@@ -682,8 +661,9 @@ def parse_structure(text: str) -> FiniteStructure | CellStructure:
     The explicit form gives a FiniteStructure, the cell form a
     CellStructure: a `predicates:` line fixes the bit order, and each
     `cell` line lists the predicates true in its cell and the cell's
-    decimal count.  The forms cannot be mixed, a mask may appear on one
-    `cell` line only, and `domain` must equal the sum of the counts.
+    decimal count.  Exactly one `domain N` line gives the decimal size N.
+    The forms cannot be mixed, a mask may appear on one `cell` line only,
+    and `domain` must equal the sum of the counts.
     Errors are InputErrors that name the offending line.
     """
     domain = domain_ln = None
@@ -699,7 +679,12 @@ def parse_structure(text: str) -> FiniteStructure | CellStructure:
             continue
         try:
             if line.startswith("domain"):
-                domain, domain_ln = int(line.split()[1]), ln
+                if domain_ln is not None:
+                    raise InputError(f"domain line repeats line {domain_ln}")
+                if (m := re.fullmatch(r"domain\s+([0-9]+)", line)) is None:
+                    raise InputError("expected 'domain N' with N a "
+                                     f"nonnegative integer: {line!r}")
+                domain, domain_ln = int(m[1]), ln
                 continue
             if line.startswith(("unary", "binary")):
                 kind = "explicit"

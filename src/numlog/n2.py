@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from itertools import accumulate, product
 
 from .errors import BudgetExhaustedError, CapExceededError, InputError
-from .logic import (AT_LEAST, CountingAtom, FiniteStructure, Or, Pred,
-                    RelationalAtom, UnaryAtom, cell_structure, compile_body,
-                    element_one_type, evaluate, satisfiers, structure)
+from .logic import (AT_LEAST, CellStructure, CountingAtom, FiniteStructure,
+                    Or, Pred, RelationalAtom, UnaryAtom, compile_body,
+                    evaluate, satisfiers, structure)
 
 
 def _check_atoms(phi) -> list[CountingAtom]:
@@ -88,9 +88,13 @@ def shrink_model(s: FiniteStructure, phi) -> ShrinkReport:
         if a.direction == AT_LEAST and a.bound > 0:
             a_phi.update(sorted(satisfiers(s, a))[:a.bound])
 
+    cell_of = [0] * s.domain_size  # 1-types, one pass per extension
+    for i, p in enumerate(preds):
+        for e in s.unary_ext(p):
+            cell_of[e] |= 1 << i
     cells: dict[int, list[int]] = {}
-    for e in range(s.domain_size):
-        cells.setdefault(element_one_type(s, preds, e), []).append(e)
+    for e, mask in enumerate(cell_of):
+        cells.setdefault(mask, []).append(e)
 
     kept: list[int] = []
     kept_per_cell: dict[int, int] = {}
@@ -114,7 +118,6 @@ def shrink_model(s: FiniteStructure, phi) -> ShrinkReport:
 
     unary = {p: {new_index[e] for e in sorted(s.unary_ext(p)) if e in new_index}
              for p in s.unary}
-    cell_of = {e: mask for mask, members in cells.items() for e in members}
     binary: dict[str, set[tuple[int, int]]] = {}
     for r in verbs:
         # each kept element's successor tally per cell, from one edge pass
@@ -172,12 +175,16 @@ def bounded_search(phi, domain_cap: int, *, budget: int = 200_000
     first, then a multiset of per-element successor-count profiles per cell.
     Profiles only track counts into cells some object predicate can see -
     the semantics inspects nothing else - and are materialized on ascending
-    indices.  Raises BudgetExhaustedError when the budget runs out, which is
-    distinct from "no model up to the cap".
+    indices.  Each cell vector is checked against the unary atoms on its
+    cells, and only one that passes is expanded into elements.  Raises
+    BudgetExhaustedError when the budget runs out, which is distinct from
+    "no model up to the cap".
     """
     atoms = _check_atoms(phi)
-    preds = _unary_preds(atoms)
+    preds = tuple(_unary_preds(atoms))
     verbs = _binary_preds(atoms)
+    unary = [a for a in atoms if isinstance(a, UnaryAtom)]
+    relational = [a for a in atoms if isinstance(a, RelationalAtom)]
     l = len(preds)
     if l > 16:
         raise CapExceededError("too many unary predicates for exhaustive search")
@@ -186,8 +193,7 @@ def bounded_search(phi, domain_cap: int, *, budget: int = 200_000
     # cells some object predicate of each verb can see
     relevant: dict[str, list[int]] = {}
     for r in verbs:
-        objs = {a.obj for a in atoms
-                if isinstance(a, RelationalAtom) and a.verb == r}
+        objs = {a.obj for a in relational if a.verb == r}
         sees = compile_body(Or(tuple(map(Pred, objs))), pred_index)
         relevant[r] = [k for k in range(cells) if sees(k)]
     spent = 0
@@ -196,25 +202,25 @@ def bounded_search(phi, domain_cap: int, *, budget: int = 200_000
             spent += 1
             if spent > budget:
                 raise BudgetExhaustedError("bounded_search budget exhausted")
-            starts = list(accumulate(alpha, initial=0))
-            base = cell_structure(preds, enumerate(alpha))
-            if not all(evaluate(base, a) for a in atoms
-                       if isinstance(a, UnaryAtom)):
+            cs = CellStructure(preds, tuple(enumerate(alpha)))
+            if not all(evaluate(cs, a) for a in unary):
                 continue
             if not verbs:
-                if all(evaluate(base, a) for a in atoms):
-                    return base
-                continue
-            found, spent = _search_binary(atoms, base, verbs, relevant,
-                                          alpha, starts, budget, spent)
+                return cs.expand()
+            starts = list(accumulate(alpha, initial=0))
+            found, spent = _search_binary(relational, cs.expand(), verbs,
+                                          relevant, alpha, starts, budget,
+                                          spent)
             if found is not None:
                 return found
     return None
 
 
-def _search_binary(atoms, base, verbs, relevant, alpha, starts, budget, spent):
+def _search_binary(relational, base, verbs, relevant, alpha, starts, budget,
+                   spent):
     """Assign each element a successor-count profile per verb, up to
-    permutations inside each unary cell."""
+    permutations inside each unary cell.  The unary atoms already hold on
+    `base`, so a candidate is checked on the relational atoms alone."""
     n = base.domain_size
     cells = len(alpha)
     # combined profile: one count per (verb, relevant cell)
@@ -243,7 +249,7 @@ def _search_binary(atoms, base, verbs, relevant, alpha, starts, budget, spent):
             if spent > budget:
                 raise BudgetExhaustedError("bounded_search budget exhausted")
             cand = materialize(per_cell)
-            if all(evaluate(cand, a) for a in atoms):
+            if all(evaluate(cand, a) for a in relational):
                 return cand
             return None
         cell = occupied[idx]

@@ -23,7 +23,8 @@ The symbolic grammar is lexicon-free, one atom per line:
     =3 (p & q)            # sugar: expands to the <= / >= pair
 
 Argument files for both syntaxes are UTF-8, `#` starts a comment, and an
-optional conclusion follows a line reading `Therefore:`.
+optional conclusion follows a line reading `Therefore:`.  An error in an
+argument file names its line.
 """
 
 from __future__ import annotations
@@ -243,32 +244,40 @@ def parse_english_sentence(sentence: str, lex: Lexicon) -> CountingAtom:
 
 
 def _argument_lines(text: str):
-    """Yield (is_conclusion, line) pairs, handling comments and Therefore:."""
+    """Yield (line number, is_conclusion, line) triples, handling comments
+    and Therefore:."""
     in_conclusion = False
-    for raw in text.splitlines():
+    for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.rstrip(":").strip().lower() == "therefore":
             if in_conclusion:
-                raise InputError("multiple Therefore: separators")
+                raise InputError(f"line {ln}: multiple Therefore: separators")
             in_conclusion = True
             continue
-        yield in_conclusion, line
+        yield ln, in_conclusion, line
+
+
+def _parse_argument_lines(text: str, parse_line) -> ArgumentFile:
+    """The premises and conclusion that `parse_line` reads off the lines of
+    an argument file; an InputError names its line."""
+    premises: list[CountingAtom] = []
+    conclusion: list[CountingAtom] = []
+    for ln, is_conc, line in _argument_lines(text):
+        try:
+            atoms = parse_line(line)
+            if is_conc and (conclusion or len(atoms) != 1):
+                raise InputError("the conclusion must be a single atom")
+        except InputError as exc:
+            raise InputError(f"line {ln}: {exc}") from exc
+        (conclusion if is_conc else premises).extend(atoms)
+    return ArgumentFile(tuple(premises), conclusion[0] if conclusion else None)
 
 
 def parse_english(text: str, lex: Lexicon) -> ArgumentFile:
-    premises: list[CountingAtom] = []
-    conclusion: CountingAtom | None = None
-    for is_conc, line in _argument_lines(text):
-        atom = parse_english_sentence(line, lex)
-        if is_conc:
-            if conclusion is not None:
-                raise InputError("more than one conclusion sentence")
-            conclusion = atom
-        else:
-            premises.append(atom)
-    return ArgumentFile(tuple(premises), conclusion)
+    return _parse_argument_lines(
+        text, lambda line: [parse_english_sentence(line, lex)])
 
 
 def _render_noun(lit: Lit, lex: Lexicon, count: int) -> str:
@@ -353,17 +362,7 @@ def parse_symbolic_line(line: str) -> list[CountingAtom]:
 
 
 def parse_symbolic(text: str) -> ArgumentFile:
-    premises: list[CountingAtom] = []
-    conclusion: CountingAtom | None = None
-    for is_conc, line in _argument_lines(text):
-        atoms = parse_symbolic_line(line)
-        if is_conc:
-            if conclusion is not None or len(atoms) != 1:
-                raise InputError("conclusion must be a single <=/>= atom")
-            conclusion = atoms[0]
-        else:
-            premises.extend(atoms)
-    return ArgumentFile(tuple(premises), conclusion)
+    return _parse_argument_lines(text, parse_symbolic_line)
 
 
 def render_symbolic(a: CountingAtom) -> str:
@@ -381,7 +380,7 @@ def render_argument_symbolic(arg: ArgumentFile) -> str:
 
 
 def looks_symbolic(text: str) -> bool:
-    for _, line in _argument_lines(text):
+    for _, _, line in _argument_lines(text):
         return line.lstrip()[:1] in ("<", ">", "=")
     return False
 

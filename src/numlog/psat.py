@@ -173,34 +173,35 @@ def psat_decide(instance) -> ProbabilityAssignment | None:
 # extension the probability may carry a relation, e.g. "p | q ; >= 1/2".
 
 def parse_psat_instance(text: str):
+    """Read a PSAT file; an InputError names its line."""
     out = []
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        clause_text, sep, q_text = line.rpartition(";")
-        if not sep:
-            raise InputError(f"line {ln}: missing '; probability'")
-        lits = []
-        for tok in clause_text.split("|"):
-            tok = tok.strip()
-            if not tok:
-                raise InputError(f"line {ln}: empty literal")
-            lits.append(Lit(tok[1:].strip(), False) if tok.startswith("!")
-                        else Lit(tok))
-        q_text = q_text.strip()
-        rel = EQ
-        for candidate in ("<=", ">="):
-            if q_text.startswith(candidate):
-                rel = candidate
-                q_text = q_text[2:].strip()
-                break
         try:
+            clause_text, sep, q_text = line.rpartition(";")
+            if not sep:
+                raise InputError("missing '; probability'")
+            lits = []
+            for tok in clause_text.split("|"):
+                tok = tok.strip()
+                if not tok:
+                    raise InputError("empty literal")
+                lits.append(Lit(tok[1:].strip(), False)
+                            if tok.startswith("!") else Lit(tok))
+            q_text = q_text.strip()
+            rel = EQ
+            for candidate in ("<=", ">="):
+                if q_text.startswith(candidate):
+                    rel = candidate
+                    q_text = q_text[2:].strip()
+                    break
             q = parse_scalar(q_text)
+            if not 0 <= q <= 1:
+                raise InputError(f"probability {q} outside [0,1]")
         except InputError as exc:
-            raise InputError(f"line {ln}: {exc}") from None
-        if not 0 <= q <= 1:
-            raise InputError(f"line {ln}: probability {q} outside [0,1]")
+            raise InputError(f"line {ln}: {exc}") from exc
         out.append((tuple(lits), q) if rel == EQ else (tuple(lits), rel, q))
     return out
 

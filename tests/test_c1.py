@@ -12,7 +12,7 @@ from numlog.c1 import (SAT, UNSAT, build_system, decide_sat, entails,
 from numlog.errors import InputError
 from numlog.logic import (AT_LEAST, AT_MOST, And, Count, Lit, Not, Pred,
                           RelationalAtom, at_least, at_most, evaluate,
-                          live_masks, negate_atom, render_structure,
+                          live_signatures, negate_atom, render_structure,
                           structure)
 from helpers import random_unary_atom
 
@@ -106,7 +106,7 @@ class TestBuildSystem:
         branches = normalize([at_most(0, Lit("p"), Lit("q"))])
         # the p-and-q cell dies; three cells remain
         kills = [body for _, _, body in branches[0].conjuncts]
-        assert len(list(live_masks(["p", "q"], kills))) == 3
+        assert len(list(live_signatures(["p", "q"], kills, ()))) == 3
         # no row tells the three apart, so they merge into one column under
         # the nonempty row
         built = build_system(branches[0], ["p", "q"])

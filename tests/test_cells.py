@@ -154,6 +154,9 @@ class TestCellFiles:
         ("domain 1\nbinary r:\npredicates: p\n", 3),
         ("domain 1\ncell {p}: 1\npredicates: p\n", 2),
         ("domain 1\npredicates: p\npredicates: p\ncell {p}: 1\n", 3),
+        ("domainx 1\npredicates: p\ncell {p}: 1\n", 1),
+        ("domain 1 junk\npredicates: p\ncell {p}: 1\n", 1),
+        ("domain 5\npredicates: p\ndomain 2\ncell {p}: 2\n", 3),
     ])
     def test_parser_names_the_line(self, text, line):
         with pytest.raises(InputError, match=rf"^line {line}: "):

@@ -6,12 +6,11 @@ import random
 import pytest
 
 from numlog.errors import InputError, UnknownPredicateError
-from numlog.logic import (AT_LEAST, AT_MOST, FALSE, TRUE, And, Count, Lit,
-                          Not, Or, Pred, RelationalAtom, at_least, at_most,
-                          cell_structure, compile_body, element_one_type,
-                          evaluate, live_masks, mask_of, negate_atom,
-                          parse_structure, render_structure, satisfiers,
-                          structure, true_preds)
+from numlog.logic import (AT_LEAST, AT_MOST, FALSE, TRUE, And, CellStructure,
+                          Count, Lit, Not, Or, Pred, RelationalAtom, at_least,
+                          at_most, compile_body, evaluate, live_signatures,
+                          mask_of, negate_atom, parse_structure,
+                          render_structure, satisfiers, structure, true_preds)
 from helpers import random_structure, random_unary_atom
 
 
@@ -198,7 +197,8 @@ class TestMaskKernel:
                         if not any(evaluate(realizing_structure(preds, m),
                                             Count(AT_LEAST, 1, k))
                                    for k in kills)]
-            assert list(live_masks(preds, kills)) == expected
+            assert [mask for mask, _ in live_signatures(preds, kills, ())
+                    ] == expected
 
 
 class TestCellModels:
@@ -210,9 +210,11 @@ class TestCellModels:
             rng.shuffle(masks)
             cells = [(m, rng.randint(0, 5))
                      for m in masks[:rng.randint(0, len(masks))]]
-            s = cell_structure(preds, cells)
+            s = CellStructure(tuple(preds), tuple(cells)).expand()
             # each cell takes the next consecutive elements, in cell order
-            types = [element_one_type(s, preds, e) for e in range(s.domain_size)]
+            types = [mask_of([p for p in preds if e in s.unary[p]],
+                             {p: i for i, p in enumerate(preds)})
+                     for e in range(s.domain_size)]
             assert types == [m for m, count in cells for _ in range(count)]
 
     def test_mask_conversions(self):

@@ -1,6 +1,8 @@
 """Finite-model shrink, size bound, and the bounded exhaustive finder."""
 
 import random
+from collections import Counter
+from itertools import accumulate, product
 
 import pytest
 
@@ -174,6 +176,59 @@ class TestShrinkModel:
             shrink_model(s, phi)
 
 
+def explicit_search(phi, domain_cap, *, budget):
+    """bounded_search's candidates in its order, each expanded into an
+    explicit structure before any atom is evaluated on it."""
+    preds = sorted({p for a in phi for p in a.predicates()})
+    verbs = sorted({a.verb for a in phi if isinstance(a, RelationalAtom)})
+    cells = 1 << len(preds)
+    relevant = {r: [k for k in range(cells)
+                    if any(k >> preds.index(a.obj) & 1 for a in phi
+                           if isinstance(a, RelationalAtom) and a.verb == r)]
+                for r in verbs}
+    spent = 0
+
+    def tick():
+        nonlocal spent
+        spent += 1
+        if spent > budget:
+            raise BudgetExhaustedError("reference budget exhausted")
+
+    for n in range(1, domain_cap + 1):
+        for alpha in _compositions(n, cells):
+            tick()
+            starts = list(accumulate(alpha, initial=0))
+            members = [range(starts[k], starts[k + 1]) for k in range(cells)]
+            unary = {p: {e for k in range(cells) if k >> i & 1
+                         for e in members[k]}
+                     for i, p in enumerate(preds)}
+            base = structure(n, unary)
+            if not all(evaluate(base, a) for a in phi
+                       if not isinstance(a, RelationalAtom)):
+                continue
+            if not verbs:
+                return base
+            axes = [(r, k) for r in verbs for k in relevant[r]]
+            profiles = list(product(*(range(alpha[k] + 1) for _, k in axes)))
+            occupied = [k for k in range(cells) if alpha[k]]
+            for splits in product(*(list(_compositions(alpha[k], len(profiles)))
+                                    for k in occupied)):
+                tick()
+                binary = {r: set() for r in verbs}
+                for k, split in zip(occupied, splits):
+                    e = starts[k]
+                    for profile, times in zip(profiles, split):
+                        for _ in range(times):
+                            for (r, j), cnt in zip(axes, profile):
+                                binary[r].update((e, b) for b in
+                                                 members[j][:cnt])
+                            e += 1
+                cand = structure(n, unary, binary)
+                if all(evaluate(cand, a) for a in phi):
+                    return cand
+    return None
+
+
 class TestBoundedSearch:
     def test_simple_witness(self):
         phi = [RelationalAtom(AT_LEAST, 1, "p", "r", AT_MOST, 0, "p")]
@@ -218,6 +273,40 @@ class TestBoundedSearch:
         phi = [RelationalAtom(AT_LEAST, 2, "p", "r", AT_LEAST, 2, "q")]
         with pytest.raises(BudgetExhaustedError):
             bounded_search(phi, size_bound(phi), budget=3)
+
+    def test_matches_explicit_expansion_at_every_budget(self):
+        # the reference builds every composition's explicit structure and
+        # evaluates every atom on every candidate; the two searches must
+        # agree on the model, on None and on where the budget runs out
+        rng = random.Random(227)
+        outcomes = Counter()
+        for _ in range(300):
+            preds = ["p", "q", "t"][:rng.randint(1, 3)]
+            phi = []
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.5:
+                    phi.append(RelationalAtom(
+                        rng.choice([AT_LEAST, AT_MOST]), rng.randint(0, 2),
+                        rng.choice(preds), rng.choice("rw"),
+                        rng.choice([AT_LEAST, AT_MOST]), rng.randint(0, 2),
+                        rng.choice(preds)))
+                else:
+                    phi.append(rng.choice([at_least, at_most])(
+                        rng.randint(0, 2), Lit(rng.choice(preds)),
+                        Lit(rng.choice(preds), rng.random() < 0.7)))
+            cap = rng.randint(1, 4)
+            budget = rng.choice([5, 40, 300])
+            results = []
+            for search in (bounded_search, explicit_search):
+                try:
+                    results.append(search(phi, cap, budget=budget))
+                except BudgetExhaustedError:
+                    results.append("budget")
+            assert results[0] == results[1], phi
+            outcomes[results[1] if results[1] in (None, "budget")
+                     else "model"] += 1
+        assert min(outcomes[k] for k in (None, "budget", "model")) >= 20, \
+            outcomes
 
     def test_compositions_keep_the_recursive_order(self):
         def recursive(total, parts):

@@ -169,6 +169,27 @@ class TestArgumentFiles:
         with pytest.raises(InputError):
             parse_argument("At least 1 artist is a beekeeper\n")
 
+    @pytest.mark.parametrize("text, line", [
+        (">=1 (p & q)\n# comment\n>= (p & q)\n", 3),
+        ("<=0 (p & !q)\n\n<=2 (q & 9r)\n", 3),
+        (">=1 (p & q)\nTherefore:\n=1 (p & q)\n", 3),
+        (">=1 (p & q)\nTherefore:\n>=1 (p & p)\nTherefore:\n", 4),
+    ])
+    def test_symbolic_errors_name_the_line(self, text, line):
+        with pytest.raises(InputError, match=rf"^line {line}: "):
+            parse_argument(text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("At least 1 artist is a beekeeper\n\nAt lest 2 artists are "
+         "beekeepers\n", 3),
+        ("# premises\nAt least 2 artists are plumbers\n", 2),
+        ("At least 1 artist is a beekeeper\nTherefore:\nSome artists are "
+         "dentists\nNo artist is a dentist\n", 4),
+    ])
+    def test_english_errors_name_the_line(self, text, line):
+        with pytest.raises(InputError, match=rf"^line {line}: "):
+            parse_argument(text, LEX)
+
     def test_symbolic_argument_render_round_trip(self):
         rng = random.Random(17)
         from numlog.parsing import ArgumentFile

@@ -130,6 +130,20 @@ class TestPsatDecide:
                 ((Lit("r"),), Fraction(1))]
         assert parse_psat_instance(render_psat_instance(inst)) == inst
 
+    @pytest.mark.parametrize("text, line", [
+        ("p ; 1\n! ; 1/2\n", 2),
+        ("p ; 1\n# comment\np | 9q ; 1/2\n", 3),
+    ])
+    def test_bad_literal_names_the_line(self, text, line):
+        with pytest.raises(InputError, match=rf"^line {line}: "):
+            parse_psat_instance(text)
+
+    @pytest.mark.parametrize("text", ["p ; 1/0\n", "p ; 3/2\n", "p 1/2\n",
+                                      "p | ; 1\n"])
+    def test_other_errors_keep_their_line(self, text):
+        with pytest.raises(InputError, match=r"^line 1: "):
+            parse_psat_instance(text)
+
     def test_inequality_extension(self):
         inst = [((Lit("p"),), ">=", Fraction(1, 2)),
                 ((Lit("p"),), "<=", Fraction(3, 4))]
