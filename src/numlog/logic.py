@@ -501,8 +501,15 @@ def evaluate(s: FiniteStructure | CellStructure, f) -> bool:
     for its verb.  Raises UnknownPredicateError when a predicate of f is not
     interpreted in s.
     """
-    if isinstance(f, (Pred, Not, And, Or, Count)) and not is_closed(f):
-        raise InputError("formula has a free variable; evaluate needs a closed formula")
+    if isinstance(f, (Pred, Not, And, Or, Count)):
+        if not is_closed(f):
+            raise InputError("formula has a free variable; evaluate needs a "
+                             "closed formula")
+        names = s.index if isinstance(s, CellStructure) else s.unary
+        missing = formula_predicates(f).difference(names)
+        if missing:
+            raise UnknownPredicateError(
+                f"unary predicate {min(missing)!r} not interpreted")
     if isinstance(s, CellStructure):
         return _evaluate_cells(s, f)
     if isinstance(f, (UnaryAtom, RelationalAtom)):
@@ -686,7 +693,8 @@ def parse_structure(text: str) -> FiniteStructure | CellStructure:
                                      f"nonnegative integer: {line!r}")
                 domain, domain_ln = int(m[1]), ln
                 continue
-            if line.startswith(("unary", "binary")):
+            keyword = re.match(r"(unary|binary)\s", line)
+            if keyword is not None:
                 kind = "explicit"
             elif line.startswith(("predicates", "cell")):
                 kind = "cells"
@@ -696,14 +704,13 @@ def parse_structure(text: str) -> FiniteStructure | CellStructure:
                 raise InputError("cell lines cannot be mixed with unary or "
                                  "binary lines")
             form = kind
-            if line.startswith("unary"):
-                head, _, rest = line[len("unary"):].partition(":")
+            if keyword is not None:
+                head, _, rest = line[keyword.end():].partition(":")
                 pred = head.strip()
-                elems = {int(t) for t in rest.replace(",", " ").split()}
-                unary.setdefault(pred, set()).update(elems)
-            elif line.startswith("binary"):
-                head, _, rest = line[len("binary"):].partition(":")
-                pred = head.strip()
+                if keyword[1] == "unary":
+                    elems = {int(t) for t in rest.replace(",", " ").split()}
+                    unary.setdefault(pred, set()).update(elems)
+                    continue
                 pairs = re.findall(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", rest)
                 stripped = re.sub(r"[\s,]*\(\s*\d+\s*,\s*\d+\s*\)[\s,]*", "", rest)
                 if stripped.strip():

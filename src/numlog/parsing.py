@@ -37,6 +37,12 @@ from .logic import (AT_LEAST, AT_MOST, CountingAtom, Lit, RelationalAtom,
                     UnaryAtom, at_least, at_most)
 
 
+# The words the English grammar reads.  No lexicon word may be one, or read
+# as one under the plural s rule, so a sentence has one reading.
+_GRAMMAR_WORDS = frozenset({"there", "are", "is", "at", "least", "most",
+                            "some", "all", "every", "no", "not", "a", "an"})
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """Nouns are unary predicates, verbs binary; `plural` maps irregular
@@ -50,29 +56,22 @@ class Lexicon:
         overlap = self.nouns & self.verbs
         if overlap:
             raise InputError(f"words both noun and verb: {sorted(overlap)}")
+        grammar = {w for w in self.nouns | self.verbs | self.plural.keys()
+                   if {w, w + "s"} & _GRAMMAR_WORDS}
+        if grammar:
+            raise InputError(f"grammar words in the lexicon: {sorted(grammar)}")
         for surface, lemma in self.plural.items():
             if lemma not in self.nouns and lemma not in self.verbs:
                 raise InputError(f"plural target {lemma!r} not in lexicon")
 
-    def resolve_noun(self, word: str) -> str | None:
-        if word in self.nouns:
-            return word
-        lemma = self.plural.get(word)
-        if lemma in self.nouns:
-            return lemma
-        if word.endswith("s") and word[:-1] in self.nouns:
-            return word[:-1]
-        return None
-
-    def resolve_verb(self, word: str) -> str | None:
-        if word in self.verbs:
-            return word
-        lemma = self.plural.get(word)
-        if lemma in self.verbs:
-            return lemma
-        if word.endswith("s") and word[:-1] in self.verbs:
-            return word[:-1]
-        return None
+    def lemma(self, word: str, kind: str) -> str:
+        """The noun or verb (`kind`) that `word` reads as: itself, the
+        lemma of an irregular plural, or itself less a final s."""
+        lemmas = self.nouns if kind == "noun" else self.verbs
+        for lemma in (word, self.plural.get(word), word.removesuffix("s")):
+            if lemma in lemmas:
+                return lemma
+        raise InputError(f"unknown {kind} {word!r}")
 
     def surface_plural(self, lemma: str) -> str:
         for surface, lm in self.plural.items():
@@ -126,121 +125,57 @@ def render_lexicon(lex: Lexicon) -> str:
 # English
 # ---------------------------------------------------------------------------
 
-_ARTICLES = {"a", "an"}
-
-
-def _parse_number(tok: str) -> int:
-    if not tok.isdigit():
-        raise InputError(f"malformed number {tok!r}")
-    return int(tok)
+_DIRECTION = {"least": AT_LEAST, "most": AT_MOST}
 
 
 def _noun_literal(word: str, lex: Lexicon) -> Lit:
-    negative = False
-    if word.startswith("non-"):
-        negative = True
-        word = word[len("non-"):]
-    pred = lex.resolve_noun(word)
-    if pred is None:
-        raise InputError(f"unknown noun {word!r}")
-    return Lit(pred, not negative)
+    noun = word.removeprefix("non-")
+    return Lit(lex.lemma(noun, "noun"), noun == word)
+
+
+def _unary(lex, kind, bound, subj, negated, obj) -> UnaryAtom:
+    obj = _noun_literal(obj, lex)
+    return UnaryAtom(_DIRECTION[kind], int(bound),
+                     (_noun_literal(subj, lex), obj.opposite() if negated else obj))
+
+
+def _sugar(lex, word, subj, negated, obj) -> UnaryAtom:
+    if word in ("all", "every"):
+        negated = not negated  # All p are q == No p are not q
+    # Some p are q == At least 1 p is a q; No p are q == At most 0 p are q
+    kind, bound = ("least", "1") if word == "some" else ("most", "0")
+    return _unary(lex, kind, bound, subj, negated, obj)
+
+
+def _relational(lex, kind, bound, subj, verb, inner_kind, inner_bound, obj):
+    return RelationalAtom(_DIRECTION[kind], int(bound), lex.lemma(subj, "noun"),
+                          lex.lemma(verb, "verb"), _DIRECTION[inner_kind],
+                          int(inner_bound), lex.lemma(obj, "noun"))
+
+
+# The four sentence patterns, matched against the lower-cased sentence with
+# single spaces between its tokens; each builder takes the lexicon and the
+# pattern's groups.
+_QUANTIFIER = r"at (least|most) (\d+)"            # kind, bound
+_NOUN = r"(?!non-)(\S+)"                          # NOUN, without non-
+_LITERAL = r"(\S+)"                               # [non-]NOUN
+_COPULA = r"(?:are|is)( not)?(?: an?)?"           # negated
+_ENGLISH = [(re.compile(pattern), build) for pattern, build in (
+    (rf"there (?:are|is) {_QUANTIFIER} {_LITERAL}",
+     lambda lex, kind, bound, noun: _unary(lex, kind, bound, noun, None, noun)),
+    (rf"(some|all|every|no) {_NOUN} {_COPULA} {_NOUN}", _sugar),
+    (rf"{_QUANTIFIER} {_LITERAL} {_COPULA} {_LITERAL}", _unary),
+    (rf"{_QUANTIFIER} {_NOUN} (\S+) {_QUANTIFIER} {_NOUN}", _relational),
+)]
 
 
 def parse_english_sentence(sentence: str, lex: Lexicon) -> CountingAtom:
-    toks = sentence.lower().split()
-    if not toks:
-        raise InputError("empty sentence")
-
-    def fail():
-        raise InputError(f"cannot parse sentence: {sentence!r}")
-
-    # There (are|is) at (least|most) C [non-]NOUN
-    if toks[0] == "there":
-        if len(toks) < 6 or toks[1] not in ("are", "is") or toks[2] != "at" \
-                or toks[3] not in ("least", "most"):
-            fail()
-        bound = _parse_number(toks[4])
-        if len(toks) != 6:
-            fail()
-        lit = _noun_literal(toks[5], lex)
-        direction = AT_LEAST if toks[3] == "least" else AT_MOST
-        return UnaryAtom(direction, bound, (lit, lit))
-
-    # (Some|All|Every|No) NOUN (are|is) [not] [a|an] NOUN
-    if toks[0] in ("some", "all", "every", "no"):
-        rest = toks[1:]
-        if len(rest) < 3:
-            fail()
-        subj = _noun_literal(rest[0], lex)
-        if not subj.positive:
-            fail()  # sugar forms take plain nouns
-        if rest[1] not in ("are", "is"):
-            fail()
-        rest = rest[2:]
-        negated = False
-        if rest and rest[0] == "not":
-            negated = True
-            rest = rest[1:]
-        if rest and rest[0] in _ARTICLES:
-            rest = rest[1:]
-        if len(rest) != 1:
-            fail()
-        obj = _noun_literal(rest[0], lex)
-        if not obj.positive:
-            fail()
-        if toks[0] == "some":
-            # Some p are q == At least 1 p is a q
-            return at_least(1, subj, obj.opposite() if negated else obj)
-        if toks[0] in ("all", "every"):
-            # All p are q == At most 0 p are not q (no existential import)
-            return at_most(0, subj, obj if negated else obj.opposite())
-        # No p are q == At most 0 p are q
-        return at_most(0, subj, obj.opposite() if negated else obj)
-
-    # At (least|most) C ...
-    if toks[0] != "at" or len(toks) < 3 or toks[1] not in ("least", "most"):
-        fail()
-    direction = AT_LEAST if toks[1] == "least" else AT_MOST
-    bound = _parse_number(toks[2])
-    rest = toks[3:]
-    if not rest:
-        fail()
-    subj = _noun_literal(rest[0], lex)
-    rest = rest[1:]
-    if not rest:
-        fail()
-
-    if rest[0] in ("are", "is"):
-        # unary form
-        rest = rest[1:]
-        negated = False
-        if rest and rest[0] == "not":
-            negated = True
-            rest = rest[1:]
-        if rest and rest[0] in _ARTICLES:
-            rest = rest[1:]
-        if len(rest) != 1:
-            fail()
-        obj = _noun_literal(rest[0], lex)
-        return UnaryAtom(direction, bound,
-                         (subj, obj.opposite() if negated else obj))
-
-    # relational: NOUN VERB at (least|most) D NOUN
-    if not subj.positive:
-        fail()  # relational subjects are plain nouns
-    verb = lex.resolve_verb(rest[0])
-    if verb is None:
-        raise InputError(f"unknown verb {rest[0]!r}")
-    rest = rest[1:]
-    if len(rest) != 4 or rest[0] != "at" or rest[1] not in ("least", "most"):
-        fail()
-    inner_direction = AT_LEAST if rest[1] == "least" else AT_MOST
-    inner_bound = _parse_number(rest[2])
-    obj = _noun_literal(rest[3], lex)
-    if not obj.positive:
-        fail()
-    return RelationalAtom(direction, bound, subj.pred, verb,
-                          inner_direction, inner_bound, obj.pred)
+    """The atom of the one grammar pattern that `sentence` matches."""
+    text = " ".join(sentence.lower().split())
+    for pattern, build in _ENGLISH:
+        if (m := pattern.fullmatch(text)) is not None:
+            return build(lex, *m.groups())
+    raise InputError(f"cannot parse sentence: {sentence!r}")
 
 
 def _argument_lines(text: str):

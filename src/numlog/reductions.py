@@ -142,9 +142,9 @@ def parse_graph(text: str) -> Graph:
     edges = []
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
-        if not line or line.startswith("c"):
-            continue
         toks = line.split()
+        if not toks or toks[0] == "c":
+            continue
         if toks[0] == "p":
             if len(toks) != 4 or toks[1] != "edge":
                 raise InputError(f"line {ln}: bad problem line")
@@ -278,8 +278,12 @@ def brute_tiling(ts: TilingSystem, size: int, init=None, *,
 
 # Tiling system file: "colours: a, b" / "H: (a,b), ..." / "V: ...".
 
+_COLOUR_PAIR = r"\(\s*(\w+)\s*,\s*(\w+)\s*\)"
+
+
 def parse_tiling_system(text: str) -> TilingSystem:
     colours: list[str] = []
+    colours_ln = None
     rels = {"H": set(), "V": set()}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -288,10 +292,16 @@ def parse_tiling_system(text: str) -> TilingSystem:
         key, _, rest = line.partition(":")
         key = key.strip()
         if key.lower() == "colours" or key.lower() == "colors":
+            if colours_ln is not None:
+                raise InputError(f"line {ln}: colours line repeats line "
+                                 f"{colours_ln}")
             colours = [t.strip() for t in rest.split(",") if t.strip()]
+            colours_ln = ln
         elif key in ("H", "V"):
-            pairs = re.findall(r"\(\s*(\w+)\s*,\s*(\w+)\s*\)", rest)
-            rels[key].update(pairs)
+            if re.sub(_COLOUR_PAIR, "", rest).replace(",", " ").strip():
+                raise InputError(f"line {ln}: an {key} line holds only "
+                                 f"(a,b) pairs: {rest.strip()!r}")
+            rels[key].update(re.findall(_COLOUR_PAIR, rest))
         else:
             raise InputError(f"line {ln}: unrecognized section {key!r}")
     return TilingSystem(tuple(colours), frozenset(rels["H"]), frozenset(rels["V"]))
@@ -537,14 +547,13 @@ def encode_tiling(ts: TilingSystem, init, k: int) -> list[CountingAtom]:
     return list(atoms)
 
 
-def witness_model(ts: TilingSystem, t: Tiling, init, k: int,
-                  *, check: bool = True) -> FiniteStructure:
+def witness_model(ts: TilingSystem, t: Tiling, init, k: int) -> FiniteStructure:
     """The intended model of encode_tiling(ts, init, k) built from a tiling.
 
     Grid elements are index x*N + y; the notebook holds one element per
     label; colour predicates are padded into the spare region so each one
-    has exactly N^2 elements.  With check=True the result is verified
-    against every emitted sentence.
+    has exactly N^2 elements.  The result is verified against every
+    emitted sentence.
     """
     f = _Frame(ts, init, k)
     N, N2 = f.N, f.N * f.N
@@ -628,9 +637,8 @@ def witness_model(ts: TilingSystem, t: Tiling, init, k: int,
         binary[f"rg{gi}"] = edges
 
     out = structure(domain, unary, binary)
-    if check:
-        for a in encode_tiling(ts, init, k):
-            assert evaluate(out, a), f"witness fails {a}"
+    for a in encode_tiling(ts, init, k):
+        assert evaluate(out, a), f"witness fails {a}"
     return out
 
 

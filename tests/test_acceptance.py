@@ -171,7 +171,7 @@ def test_criterion_07_tiling_round_trip(capsys):
     assert len(cases) == 10
     for ts, tiling, init in cases:
         atoms = encode_tiling(ts, init, 1)
-        witness = witness_model(ts, tiling, init, 1, check=False)
+        witness = witness_model(ts, tiling, init, 1)
         for a in atoms:
             assert evaluate(witness, a), a
         assert decode_tiling(witness, ts, 1, init) == tiling

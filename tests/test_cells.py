@@ -10,7 +10,8 @@ from numlog.errors import InputError, UnknownPredicateError
 from numlog.logic import (AT_LEAST, AT_MOST, EXACTLY, FALSE, TRUE, And,
                           CellStructure, Count, Lit, Not, Or, Pred,
                           RelationalAtom, UnaryAtom, at_least, evaluate,
-                          parse_structure, render_structure)
+                          parse_structure, render_structure,
+                          structure)
 
 # "z" is never interpreted; the others are, when the structure picks them
 NAMES = ["p", "q", "r", "s", "z"]
@@ -99,6 +100,19 @@ class TestCellEvaluation:
             evaluate(cs, RelationalAtom(AT_LEAST, 1, "p", "admire",
                                         AT_LEAST, 1, "p"))
 
+    @pytest.mark.parametrize("s", [structure(0, {}), structure(1, {"p": {0}}),
+                                   CellStructure((), ()),
+                                   CellStructure(("p",), ((1, 1),))])
+    @pytest.mark.parametrize("f", [
+        Count(AT_LEAST, 1, Pred("z")),
+        Count(AT_LEAST, 1, Or((Pred("p"), Pred("z")))),
+        Or((Count(AT_LEAST, 0, Pred("p")), Count(AT_MOST, 0, Pred("z")))),
+    ])
+    def test_uninterpreted_predicate_raises(self, s, f):
+        # raised whether or not the value depends on z
+        with pytest.raises(UnknownPredicateError, match="'[pz]'"):
+            evaluate(s, f)
+
     def test_free_variable_is_rejected(self):
         with pytest.raises(InputError):
             evaluate(CellStructure(("p",), ((1, 2),)), Pred("p"))
@@ -157,6 +171,8 @@ class TestCellFiles:
         ("domainx 1\npredicates: p\ncell {p}: 1\n", 1),
         ("domain 1 junk\npredicates: p\ncell {p}: 1\n", 1),
         ("domain 5\npredicates: p\ndomain 2\ncell {p}: 2\n", 3),
+        ("domain 2\nunaryq: 0\n", 2),
+        ("domain 2\nbinaryr: (0,1)\n", 2),
     ])
     def test_parser_names_the_line(self, text, line):
         with pytest.raises(InputError, match=rf"^line {line}: "):

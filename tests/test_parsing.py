@@ -78,6 +78,22 @@ class TestEnglishGrammar:
         with pytest.raises(InputError):
             sent("At least three artists are beekeepers")
 
+    @pytest.mark.parametrize("text", [
+        "",
+        "Some non-artists are beekeepers",
+        "All artists are non-beekeepers",
+        "At least 2 non-artists admire at least 1 beekeeper",
+        "At least 2 artists admire at least 1 non-beekeeper",
+        "At least 2 artists are a not beekeeper",
+        "At least 2 artists are not a",
+        "At least 2 artists are at least 3 beekeepers",
+        "There are at least 2",
+        "At least \u00b2 artists are beekeepers",  # a digit int() cannot read
+    ])
+    def test_rejects(self, text):
+        with pytest.raises(InputError):
+            sent(text)
+
     def test_commutative_canonicalization(self):
         assert sent("At least 2 artists are beekeepers") == \
             sent("At least 2 beekeepers are artists")
@@ -202,6 +218,21 @@ class TestLexicon:
     def test_noun_verb_overlap_rejected(self):
         with pytest.raises(InputError):
             Lexicon(frozenset({"fly"}), frozenset({"fly"}))
+
+    @pytest.mark.parametrize("nouns, verbs, plural", [
+        ({"artist", "a"}, {"admire"}, {}),
+        ({"artist", "not"}, {"admire"}, {}),
+        ({"artist"}, {"are"}, {}),
+        ({"artist"}, {"admire", "i"}, {}),     # "is" reads as the verb i
+        ({"artist", "person"}, {"admire"}, {"no": "person"}),
+    ])
+    def test_grammar_words_rejected(self, nouns, verbs, plural):
+        with pytest.raises(InputError, match="grammar words"):
+            Lexicon(frozenset(nouns), frozenset(verbs), plural)
+
+    def test_grammar_word_in_a_lexicon_file_rejected(self):
+        with pytest.raises(InputError, match="grammar words"):
+            parse_lexicon("nouns: artist, most\nverbs: admire\n")
 
     def test_file_round_trip(self):
         text = render_lexicon(LEX)

@@ -92,7 +92,9 @@ class TestGraphFiles:
     @pytest.mark.parametrize("text", ["p edge 3 1\ne 1\n",
                                       "p edge 3 1\ne 1 2 3\n",
                                       "p edge 3 1\ne 1 x\n",
-                                      "c comment\np edge x 3\n"])
+                                      "c comment\np edge x 3\n",
+                                      "p edge 3 1\ncheese 1 2\n",
+                                      "c\tcomment\nc2 1 2\n"])
     def test_malformed_line_names_its_number(self, text):
         with pytest.raises(InputError, match="^line 2: "):
             parse_graph(text)
@@ -138,7 +140,7 @@ class TestWitnessModel:
 
     def test_h_edges_form_shift_permutation(self):
         t = brute_tiling(FREE2, 2, ["c1"])
-        wit = witness_model(FREE2, t, ["c1"], 1, check=False)
+        wit = witness_model(FREE2, t, ["c1"], 1)
         h = wit.binary_ext("h")
         grid = sorted(wit.unary_ext("q"))
         outs = {a for a, _ in h}
@@ -148,14 +150,14 @@ class TestWitnessModel:
 
     def test_colours_partition_o(self):
         t = brute_tiling(FREE2, 2, ["c1"])
-        wit = witness_model(FREE2, t, ["c1"], 1, check=False)
+        wit = witness_model(FREE2, t, ["c1"], 1)
         o = wit.unary_ext("o")
         c1, c2 = wit.unary_ext("c1"), wit.unary_ext("c2")
         assert c1 | c2 == o and not (c1 & c2)
 
     def test_model_checks_every_atom(self):
         t = brute_tiling(FREE2, 2, ["c1"])
-        wit = witness_model(FREE2, t, ["c1"], 1, check=False)
+        wit = witness_model(FREE2, t, ["c1"], 1)
         for a in encode_tiling(FREE2, ["c1"], 1):
             assert evaluate(wit, a), a
 
@@ -175,7 +177,7 @@ class TestDecodeTiling:
             rows = [[rng.choice(colours) for _ in range(2)] for _ in range(2)]
             t = tiling_from_rows(2, rows)
             init = [t.colour_at(0, 0)]
-            wit = witness_model(FREE2, t, init, 1, check=False)
+            wit = witness_model(FREE2, t, init, 1)
             assert decode_tiling(wit, FREE2, 1, init) == t
 
     def test_single_colour_constant(self):
@@ -188,7 +190,7 @@ class TestDecodeTiling:
 
     def test_shared_coordinates_rejected(self):
         t = brute_tiling(FREE2, 2, ["c1"])
-        wit = witness_model(FREE2, t, ["c1"], 1, check=False)
+        wit = witness_model(FREE2, t, ["c1"], 1)
         # collapse the x-digit interpretation: every grid element claims x=0
         unary = {p: set(v) for p, v in wit.unary.items()}
         unary["X0"] = set()
@@ -251,3 +253,12 @@ class TestTilingFiles:
     def test_round_trip(self):
         text = render_tiling_system(FREE2)
         assert parse_tiling_system(text) == FREE2
+
+    @pytest.mark.parametrize("text", [
+        "colours: a, b\nH: (a,b), junk, (b,a\nV: (a,a)\n",
+        "colours: a, b\nV: (a,a) (b,b))\nH: (a,b)\n",
+        "colours: a\ncolors: a, b\nH: (a,b)\nV: (b,b)\n",
+    ])
+    def test_malformed_line_names_its_number(self, text):
+        with pytest.raises(InputError, match="^line 2: "):
+            parse_tiling_system(text)
