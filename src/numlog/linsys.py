@@ -7,11 +7,13 @@ integer data and `render_system` prints exactly those stored rows.
 
 Every operation here is exact: integers are Python ints, rational results
 are `fractions.Fraction`, and no float is ever produced.  The feasibility
-core is a phase-1 simplex with Bland's rule run on an integer tableau
-carrying one shared positive denominator (fraction-free pivoting); every
-division it performs is checked to be exact.  Before it runs, the rows are
-presolved: divided by their gcd, given a positive first coefficient and
-merged when their coefficients agree.  The presolve lives only inside
+core is a phase-1 simplex on an integer tableau carrying one shared
+positive denominator (fraction-free pivoting); every division it performs
+is checked to be exact.  Its pricing resumes after the last entering
+column and falls back to Bland's rule during a run of degenerate pivots,
+so it terminates.  Before it runs, the rows are presolved: divided by
+their gcd, given a positive first coefficient and merged when their
+coefficients agree.  The presolve lives only inside
 `lp_feasible` and `ilp_solve`; stored rows are never gcd-divided.
 `ilp_solve` is one LP-based branch and bound: it presolves once at the
 root, every child re-solves from its parent's tableau with one more row (a
@@ -32,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from numbers import Rational
 from typing import Iterable, Sequence
 
@@ -45,7 +47,7 @@ EQ = "="
 
 _RELATIONS = (LE, GE, EQ)
 
-# Pivot cap of every phase-1 LP (Bland's rule terminates; this bounds time).
+# Pivot cap of every phase-1 LP (its pricing terminates; this bounds time).
 MAX_PIVOTS = 500_000
 # Subsets `_colliding_subsets` tries before it gives up.
 MAX_SUBSETS = 2_000_000
@@ -215,9 +217,15 @@ class _Tableau:
     fraction-free: `binv` is an integer matrix whose shared positive
     denominator `d` is det B, so every division in a pivot is exact by the
     subdeterminant argument (and checked), and `xb` holds d times the basic
-    values.  Bland's rule everywhere: the entering column is the first one
-    with a positive reduced cost, ties in the ratio test go to the smallest
-    basic column.
+    values.  The entering column is the first one with a positive reduced
+    cost in `price` order, starting at `pos`, just after the last entering
+    column, and wrapping around; after m degenerate pivots in a row (m rows,
+    zero step) the scan starts at position 0 (Bland's rule) until a pivot
+    moves the point.  Ties in the ratio test go to the smallest basic
+    column.  This terminates: a nondegenerate pivot strictly lowers the
+    phase-1 objective, so no earlier basis comes back, and every run of
+    degenerate pivots ends under Bland's rule alone, which cannot cycle.
+    `copy` carries `pos`, so a warm-started copy resumes where it was.
 
     Warm start: `add_rows` appends rows to a solved tableau and keeps its
     basis.  Each new row is negated (its relation flipped) when its
@@ -234,6 +242,7 @@ class _Tableau:
         self.n = n
         self.cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self.price: list[int] = list(range(n))
+        self.pos = 0  # where the next pricing pass starts in `price`
         self.basis: list[int] = []
         self.art: list[bool] = []  # row's basic variable is artificial
         self.binv: list[list[int]] = []
@@ -242,7 +251,7 @@ class _Tableau:
 
     def copy(self) -> _Tableau:
         t = _Tableau.__new__(_Tableau)
-        t.n, t.d, t.price = self.n, self.d, self.price[:]
+        t.n, t.d, t.price, t.pos = self.n, self.d, self.price[:], self.pos
         t.basis, t.art, t.xb = self.basis[:], self.art[:], self.xb[:]
         t.cols = [col[:] for col in self.cols]
         t.binv = [row[:] for row in self.binv]
@@ -305,7 +314,7 @@ class _Tableau:
         m = len(self.basis)
         cols, basis, art, binv, xb = (self.cols, self.basis, self.art,
                                       self.binv, self.xb)
-        pivots = 0
+        pivots = degenerate = 0
         while True:
             art_rows = [i for i in range(m) if art[i]]
             if not any(xb[i] for i in art_rows):
@@ -316,17 +325,21 @@ class _Tableau:
                 row = binv[i]
                 for k in range(m):
                     y[k] += row[k]
+            # Bland's scan from 0 once m degenerate pivots run in a row
+            price = self.price
+            s = 0 if degenerate >= m else self.pos
             enter = -1
-            for j in self.price:
+            for p in chain(range(s, len(price)), range(s)):
                 # reduced cost numerator of a zero-cost column is -(y . A_j)
                 acc = 0
-                for r, a in cols[j]:
+                for r, a in cols[price[p]]:
                     acc += y[r] * a
                 if acc > 0:
-                    enter = j
+                    enter = price[p]
                     break
             if enter < 0:
                 return False
+            self.pos = p + 1
             u = [0] * m
             for r, a in cols[enter]:
                 for i in range(m):
@@ -378,6 +391,7 @@ class _Tableau:
             basis[leave] = enter
             art[leave] = False
             self.d = piv
+            degenerate = 0 if lxb else degenerate + 1
             pivots += 1
             if pivots > MAX_PIVOTS:
                 raise BudgetExhaustedError("simplex pivot budget exhausted")
@@ -395,8 +409,9 @@ def lp_feasible(system: LinearSystem) -> tuple[Fraction, ...] | None:
     """Some nonnegative rational solution of the system, or None.
 
     Presolve, then one cold phase-1 solve.  Exact and deterministic; raises
-    BudgetExhaustedError only if MAX_PIVOTS is hit (Bland's rule guarantees
-    finite termination).
+    BudgetExhaustedError only if MAX_PIVOTS is hit (the pricing terminates:
+    it resumes after the last entering column, and a run of degenerate
+    pivots falls back to Bland's rule).
     """
     rows = _presolve(system)
     if rows is None:

@@ -43,6 +43,23 @@ _GRAMMAR_WORDS = frozenset({"there", "are", "is", "at", "least", "most",
                             "some", "all", "every", "no", "not", "a", "an"})
 
 
+def _lexicon_fault(nouns, verbs, plural) -> tuple[str, str] | None:
+    """The first fault of a lexicon as (word at fault, message), or None:
+    words both noun and verb, grammar words, or a plural whose target is
+    neither noun nor verb (the word at fault is then its surface form)."""
+    overlap = nouns & verbs
+    if overlap:
+        return min(overlap), f"words both noun and verb: {sorted(overlap)}"
+    grammar = {w for w in nouns | verbs | plural.keys()
+               if {w, w + "s"} & _GRAMMAR_WORDS}
+    if grammar:
+        return min(grammar), f"grammar words in the lexicon: {sorted(grammar)}"
+    for surface, lemma in plural.items():
+        if lemma not in nouns and lemma not in verbs:
+            return surface, f"plural target {lemma!r} not in lexicon"
+    return None
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """Nouns are unary predicates, verbs binary; `plural` maps irregular
@@ -53,16 +70,9 @@ class Lexicon:
     plural: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        overlap = self.nouns & self.verbs
-        if overlap:
-            raise InputError(f"words both noun and verb: {sorted(overlap)}")
-        grammar = {w for w in self.nouns | self.verbs | self.plural.keys()
-                   if {w, w + "s"} & _GRAMMAR_WORDS}
-        if grammar:
-            raise InputError(f"grammar words in the lexicon: {sorted(grammar)}")
-        for surface, lemma in self.plural.items():
-            if lemma not in self.nouns and lemma not in self.verbs:
-                raise InputError(f"plural target {lemma!r} not in lexicon")
+        fault = _lexicon_fault(self.nouns, self.verbs, self.plural)
+        if fault:
+            raise InputError(fault[1])
 
     def lemma(self, word: str, kind: str) -> str:
         """The noun or verb (`kind`) that `word` reads as: itself, the
@@ -90,6 +100,7 @@ def parse_lexicon(text: str) -> Lexicon:
     nouns: set[str] = set()
     verbs: set[str] = set()
     plural: dict[str, str] = {}
+    line_of: dict[str, int] = {}  # last line naming each word
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -102,13 +113,17 @@ def parse_lexicon(text: str) -> Lexicon:
         elif key == "verbs":
             verbs.update(items)
         elif key == "plural":
-            for item in items:
-                surface, _, lemma = item.partition("=")
-                if not lemma:
-                    raise InputError(f"line {ln}: plural entries look like surface=lemma")
-                plural[surface.strip()] = lemma.strip()
+            entries = [item.partition("=") for item in items]
+            if not all(lemma for _, _, lemma in entries):
+                raise InputError(f"line {ln}: plural entries look like surface=lemma")
+            items = [surface.strip() for surface, _, _ in entries]
+            plural.update(zip(items, (lemma.strip() for _, _, lemma in entries)))
         else:
             raise InputError(f"line {ln}: unknown lexicon section {key!r}")
+        line_of.update(dict.fromkeys(items, ln))
+    fault = _lexicon_fault(nouns, verbs, plural)
+    if fault:
+        raise InputError(f"line {line_of[fault[0]]}: {fault[1]}")
     return Lexicon(frozenset(nouns), frozenset(verbs), plural)
 
 

@@ -285,6 +285,7 @@ def parse_tiling_system(text: str) -> TilingSystem:
     colours: list[str] = []
     colours_ln = None
     rels = {"H": set(), "V": set()}
+    pair_line: dict[tuple[str, str], int] = {}  # first line of each pair
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -301,9 +302,16 @@ def parse_tiling_system(text: str) -> TilingSystem:
             if re.sub(_COLOUR_PAIR, "", rest).replace(",", " ").strip():
                 raise InputError(f"line {ln}: an {key} line holds only "
                                  f"(a,b) pairs: {rest.strip()!r}")
-            rels[key].update(re.findall(_COLOUR_PAIR, rest))
+            pairs = re.findall(_COLOUR_PAIR, rest)
+            rels[key].update(pairs)
+            for pair in pairs:
+                pair_line.setdefault(pair, ln)
         else:
             raise InputError(f"line {ln}: unrecognized section {key!r}")
+    known = set(colours)  # when empty, TilingSystem reports that instead
+    for (a, b), ln in pair_line.items():
+        if known and not {a, b} <= known:
+            raise InputError(f"line {ln}: constraint ({a},{b}) uses unknown colour")
     return TilingSystem(tuple(colours), frozenset(rels["H"]), frozenset(rels["V"]))
 
 

@@ -515,3 +515,92 @@ class TestWarmStart:
             else:
                 assert got is None
         assert warm > 100
+
+
+def fourier_motzkin_feasible(s):
+    """Whether s has a nonnegative rational solution, by Fourier-Motzkin
+    elimination over Fraction of every variable from the rows written as
+    a . x <= c.  Each row is scaled to a leading coefficient of +-1, and of
+    rows with equal coefficients only the least c is kept."""
+    n = s.num_vars
+    rows = {}
+
+    def add(a, c):
+        lead = abs(next((v for v in a if v), 1))
+        a, c = tuple(Fraction(v, lead) for v in a), Fraction(c, lead)
+        if a not in rows or c < rows[a]:
+            rows[a] = c
+
+    for row, rel, c in zip(s.rows, s.relations, s.rhs):
+        a = [0] * n
+        for j, v in row:
+            a[j] = v
+        if rel != GE:
+            add(a, c)
+        if rel != LE:
+            add([-v for v in a], -c)
+    for j in range(n):
+        add([-(k == j) for k in range(n)], 0)
+    for j in range(n):
+        pos = [(a, c) for a, c in rows.items() if a[j] > 0]
+        neg = [(a, c) for a, c in rows.items() if a[j] < 0]
+        rows = {a: c for a, c in rows.items() if a[j] == 0}
+        for ap, cp in pos:
+            for an, cn in neg:
+                fp, fn = -an[j], ap[j]
+                add([fp * u + fn * v for u, v in zip(ap, an)], fp * cp + fn * cn)
+    return all(c >= 0 for c in rows.values())
+
+
+def beale_system(bound):
+    """Beale's cycling example (x4..x7 of the original numbering) in
+    phase-1 form: its two degenerate rows, x6 <= 1, and its objective
+    -3/4 x4 + 20 x5 - 1/2 x6 + 6 x7 <= bound.  The optimum is -5/4."""
+    return system_from_rows(
+        [[Fraction(1, 4), -8, -1, 9],
+         [Fraction(1, 2), -12, Fraction(-1, 2), 3],
+         [0, 0, 1, 0],
+         [Fraction(-3, 4), 20, Fraction(-1, 2), 6]],
+        [LE, LE, LE, LE], [0, 0, 1, bound])
+
+
+class TestPricing:
+    def test_agrees_with_fourier_motzkin(self):
+        rng = random.Random(97)
+        feasible = 0
+        for k in range(400):
+            n, m = rng.randint(1, 4), rng.randint(1, 5)
+            coeffs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+            rels = [rng.choice([LE, GE, EQ]) for _ in range(m)]
+            rhs = [0 if k % 2 else rng.randint(-3, 3) for _ in range(m)]
+            s = system_from_rows(coeffs, rels, rhs)
+            sol = lp_feasible(s)
+            assert (sol is not None) == fourier_motzkin_feasible(s)
+            if sol is not None:
+                assert s.is_solution(sol)
+                feasible += 1
+        assert 100 < feasible < 400
+
+    def test_beale_example_terminates(self, monkeypatch):
+        monkeypatch.setattr("numlog.linsys.MAX_PIVOTS", 50)
+        sol = lp_feasible(beale_system(Fraction(-5, 4)))
+        assert sol == (1, 0, 1, 0)
+        assert lp_feasible(beale_system(Fraction(-126, 100))) is None
+
+    def test_copy_resumes_from_its_own_position(self, monkeypatch):
+        s = system_from_rows([[-1, 2, -3, 3], [0, 1, -1, 3]], [EQ, EQ], [3, 4])
+        tab = _Tableau(s.num_vars)
+        tab.add_rows(_presolve(s))
+        monkeypatch.setattr("numlog.linsys.MAX_PIVOTS", 0)
+        with pytest.raises(BudgetExhaustedError):
+            tab.solve()  # stops after its first pivot, which entered column 1
+        monkeypatch.undo()
+        child = tab.copy()
+        assert child.pos == tab.pos == 2
+        assert tab.solve() and tab.basis == [1, 2]
+        assert child.pos == 2
+        # pricing from position 0 would enter column 0 and end at basis
+        # [1, 0]; the copy goes on from column 2, as the original did
+        assert child.solve()
+        assert (child.basis, child.xb, child.d) == (tab.basis, tab.xb, tab.d)
+        assert s.is_solution(child.solution())

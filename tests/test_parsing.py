@@ -234,6 +234,16 @@ class TestLexicon:
         with pytest.raises(InputError, match="grammar words"):
             parse_lexicon("nouns: artist, most\nverbs: admire\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("nouns: artist, most\nverbs: admire\n", 1),
+        ("verbs: admire\nnouns: artist\nplural: people=person\n", 3),
+        ("nouns: fly, artist\nverbs: admire\nverbs: fly\n", 3),
+        ("nouns: artist\nverbs: admire\nplural: no=artist\n", 3),
+    ])
+    def test_lexicon_faults_name_the_line(self, text, line):
+        with pytest.raises(InputError, match=rf"^line {line}: "):
+            parse_lexicon(text)
+
     def test_file_round_trip(self):
         text = render_lexicon(LEX)
         again = parse_lexicon(text)

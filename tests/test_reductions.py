@@ -262,3 +262,11 @@ class TestTilingFiles:
     def test_malformed_line_names_its_number(self, text):
         with pytest.raises(InputError, match="^line 2: "):
             parse_tiling_system(text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("colours: a, b\nH: (a,b)\nV: (a,c)\n", 3),
+        ("H: (a,b), (d,a)\ncolours: a, b\nV: (a,a)\n", 1),
+    ])
+    def test_unknown_colour_names_its_line(self, text, line):
+        with pytest.raises(InputError, match=rf"^line {line}: .*unknown colour"):
+            parse_tiling_system(text)
