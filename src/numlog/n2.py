@@ -7,6 +7,11 @@ outer "at least" sentence plus padding up to min(cell size, C*|Phi|+1), then
 reinterprets each verb so every kept element sees min(original successor
 count, C*|Phi|+1) successors per cell.  The output always model-checks the
 input sentences and is at most L*(C*|Phi|+1) elements for L = 2^l.
+
+The finder decides every candidate on counts alone: a unary sentence sums
+the candidate's cell sizes, and a verb sentence counts the subjects whose
+successor tally into the object's cells meets its inner bound.  Explicit
+elements and edges are built only for the model it returns.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from itertools import accumulate, product
 
 from .errors import BudgetExhaustedError, CapExceededError, InputError
 from .logic import (AT_LEAST, CellStructure, CountingAtom, FiniteStructure,
-                    Or, Pred, RelationalAtom, UnaryAtom, compile_body,
-                    evaluate, satisfiers, structure)
+                    RelationalAtom, UnaryAtom, _compare, evaluate,
+                    satisfiers, structure)
 
 
 def _check_atoms(phi) -> list[CountingAtom]:
@@ -175,60 +180,85 @@ def bounded_search(phi, domain_cap: int, *, budget: int = 200_000
     first, then a multiset of per-element successor-count profiles per cell.
     Profiles only track counts into cells some object predicate can see -
     the semantics inspects nothing else - and are materialized on ascending
-    indices.  Each cell vector is checked against the unary atoms on its
-    cells, and only one that passes is expanded into elements.  Raises
+    indices.  Both layers decide a candidate by arithmetic on counts: a
+    unary atom sums the vector over the cells where its two literals hold,
+    and `_search_binary` tallies profiles.  Only a vector that passes is
+    expanded into elements, only the candidate that passes gets edges, and
+    the structure returned is model-checked on every atom.  Raises
     BudgetExhaustedError when the budget runs out, which is distinct from
     "no model up to the cap".
     """
     atoms = _check_atoms(phi)
     preds = tuple(_unary_preds(atoms))
     verbs = _binary_preds(atoms)
-    unary = [a for a in atoms if isinstance(a, UnaryAtom)]
     relational = [a for a in atoms if isinstance(a, RelationalAtom)]
     l = len(preds)
     if l > 16:
         raise CapExceededError("too many unary predicates for exhaustive search")
     cells = 1 << l
-    pred_index = {p: i for i, p in enumerate(preds)}
+    bits = {p: 1 << i for i, p in enumerate(preds)}
+    # each unary atom with the cells where both its literals hold
+    unary = [([k for k in range(cells)
+               if all(bool(k & bits[x.pred]) == x.positive for x in a.lits)], a)
+             for a in atoms if isinstance(a, UnaryAtom)]
     # cells some object predicate of each verb can see
-    relevant: dict[str, list[int]] = {}
-    for r in verbs:
-        objs = {a.obj for a in relational if a.verb == r}
-        sees = compile_body(Or(tuple(map(Pred, objs))), pred_index)
-        relevant[r] = [k for k in range(cells) if sees(k)]
+    relevant = {r: [k for k in range(cells)
+                    if any(k & bits[a.obj] for a in relational if a.verb == r)]
+                for r in verbs}
     spent = 0
     for n in range(1, domain_cap + 1):
         for alpha in _compositions(n, cells):
             spent += 1
             if spent > budget:
                 raise BudgetExhaustedError("bounded_search budget exhausted")
-            cs = CellStructure(preds, tuple(enumerate(alpha)))
-            if not all(evaluate(cs, a) for a in unary):
+            if not all(_compare(sum(alpha[k] for k in ks), a.direction, a.bound)
+                       for ks, a in unary):
                 continue
-            if not verbs:
-                return cs.expand()
-            starts = list(accumulate(alpha, initial=0))
-            found, spent = _search_binary(relational, cs.expand(), verbs,
-                                          relevant, alpha, starts, budget,
-                                          spent)
+            found = CellStructure(preds, tuple(enumerate(alpha))).expand()
+            if verbs:
+                found, spent = _search_binary(relational, found, bits,
+                                              relevant, alpha, budget, spent)
             if found is not None:
+                for a in atoms:
+                    if not evaluate(found, a):
+                        raise AssertionError(f"search model fails {a}")
                 return found
     return None
 
 
-def _search_binary(relational, base, verbs, relevant, alpha, starts, budget,
-                   spent):
+def _search_binary(relational, base, bits, relevant, alpha, budget, spent):
     """Assign each element a successor-count profile per verb, up to
     permutations inside each unary cell.  The unary atoms already hold on
-    `base`, so a candidate is checked on the relational atoms alone."""
+    `base`, so a candidate is checked on the relational atoms alone, on
+    counts: a profile fixes its element's tally on an atom's verb into the
+    object's cells, so the atom counts the elements of its subject cells
+    whose profile meets the inner bound.  Only the candidate that passes is
+    materialized."""
     n = base.domain_size
     cells = len(alpha)
+    starts = list(accumulate(alpha, initial=0))
     # combined profile: one count per (verb, relevant cell)
-    axes = [(r, k) for r in verbs for k in relevant[r]]
+    axes = [(r, k) for r in relevant for k in relevant[r]]
     profiles = list(product(*(range(alpha[k] + 1) for _, k in axes)))
+    # per atom: its subject cells and the profiles that meet its inner bound
+    checks = []
+    for a in relational:
+        into = [j for j, (r, k) in enumerate(axes)
+                if r == a.verb and k & bits[a.obj]]
+        hits = [i for i, prof in enumerate(profiles)
+                if _compare(sum(prof[j] for j in into), a.inner_direction,
+                            a.inner_bound)]
+        checks.append(({k for k in range(cells) if k & bits[a.subject]},
+                       hits, a))
+
+    def passes(per_cell):
+        return all(_compare(sum(split[i] for k, split in per_cell.items()
+                                if k in subjects for i in hits),
+                            a.direction, a.bound)
+                   for subjects, hits, a in checks)
 
     def materialize(per_cell):
-        binary = {r: set() for r in verbs}
+        binary = {r: set() for r in relevant}
         for cell, profile_counts in per_cell.items():
             next_elem = starts[cell]
             for profile, times in zip(profiles, profile_counts):
@@ -248,10 +278,7 @@ def _search_binary(relational, base, verbs, relevant, alpha, starts, budget,
             spent += 1
             if spent > budget:
                 raise BudgetExhaustedError("bounded_search budget exhausted")
-            cand = materialize(per_cell)
-            if all(evaluate(cand, a) for a in relational):
-                return cand
-            return None
+            return materialize(per_cell) if passes(per_cell) else None
         cell = occupied[idx]
         for split in _compositions(alpha[cell], len(profiles)):
             per_cell[cell] = split

@@ -298,6 +298,9 @@ def parse_tiling_system(text: str) -> TilingSystem:
                                  f"{colours_ln}")
             colours = [t.strip() for t in rest.split(",") if t.strip()]
             colours_ln = ln
+            if not colours or len(set(colours)) != len(colours):
+                raise InputError(f"line {ln}: colours must be a nonempty "
+                                 "list of distinct names")
         elif key in ("H", "V"):
             if re.sub(_COLOUR_PAIR, "", rest).replace(",", " ").strip():
                 raise InputError(f"line {ln}: an {key} line holds only "

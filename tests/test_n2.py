@@ -6,6 +6,7 @@ from itertools import accumulate, product
 
 import pytest
 
+from numlog import n2
 from numlog.errors import BudgetExhaustedError, InputError
 from numlog.logic import (AT_LEAST, AT_MOST, Lit, RelationalAtom, at_least,
                           at_most, evaluate, render_structure, structure)
@@ -307,6 +308,68 @@ class TestBoundedSearch:
                      else "model"] += 1
         assert min(outcomes[k] for k in (None, "budget", "model")) >= 20, \
             outcomes
+
+    def test_two_verbs_match_explicit_expansion(self):
+        # both verbs in every set, inner bounds up to 3, and budgets large
+        # enough that profile candidates outnumber cell vectors
+        rng = random.Random(233)
+        outcomes = Counter()
+        for _ in range(200):
+            preds = ["p", "q", "t"][:rng.randint(1, 3)]
+            phi = [RelationalAtom(rng.choice([AT_LEAST, AT_MOST]),
+                                  rng.randint(0, 3), rng.choice(preds), verb,
+                                  rng.choice([AT_LEAST, AT_MOST]),
+                                  rng.randint(0, 3), rng.choice(preds))
+                   for verb in rng.sample("rw", 2)]
+            for _ in range(rng.randint(0, 2)):
+                phi.append(rng.choice([at_least, at_most])(
+                    rng.randint(0, 2), Lit(rng.choice(preds)),
+                    Lit(rng.choice(preds), rng.random() < 0.7)))
+            cap = rng.randint(2, 4)
+            budget = rng.choice([40, 300, 3000])
+            results = []
+            for search in (bounded_search, explicit_search):
+                try:
+                    results.append(search(phi, cap, budget=budget))
+                except BudgetExhaustedError:
+                    results.append("budget")
+            assert results[0] == results[1], phi
+            outcomes[results[1] if results[1] in (None, "budget")
+                     else "model"] += 1
+        assert min(outcomes[k] for k in (None, "budget", "model")) >= 20, \
+            outcomes
+
+    def test_evaluate_runs_only_on_the_model_returned(self, monkeypatch):
+        calls = Counter()
+
+        def counted(s, f):
+            calls[f] += 1
+            return evaluate(s, f)
+
+        monkeypatch.setattr(n2, "evaluate", counted)
+        # the cli_mix Unknown: every candidate fails on counts alone
+        phi = [RelationalAtom(AT_LEAST, 3000, "p", "r", AT_LEAST, 2, "q"),
+               at_most(0, Lit("q"), Lit("q"))]
+        with pytest.raises(BudgetExhaustedError):
+            bounded_search(phi, size_bound(phi), budget=2_000)
+        assert not calls
+        rng = random.Random(239)
+        answered = 0
+        for _ in range(100):
+            preds = ["p", "q"][:rng.randint(1, 2)]
+            phi = [RelationalAtom(rng.choice([AT_LEAST, AT_MOST]),
+                                  rng.randint(0, 2), rng.choice(preds),
+                                  rng.choice("rw"),
+                                  rng.choice([AT_LEAST, AT_MOST]),
+                                  rng.randint(0, 2), rng.choice(preds)),
+                   rng.choice([at_least, at_most])(
+                       rng.randint(0, 2), Lit(rng.choice(preds)),
+                       Lit(rng.choice(preds), rng.random() < 0.7))]
+            calls.clear()
+            if bounded_search(phi, 3, budget=10_000) is not None:
+                assert calls == Counter(phi), phi
+                answered += 1
+        assert answered >= 20
 
     def test_compositions_keep_the_recursive_order(self):
         def recursive(total, parts):

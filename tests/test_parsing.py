@@ -239,10 +239,23 @@ class TestLexicon:
         ("verbs: admire\nnouns: artist\nplural: people=person\n", 3),
         ("nouns: fly, artist\nverbs: admire\nverbs: fly\n", 3),
         ("nouns: artist\nverbs: admire\nplural: no=artist\n", 3),
+        # words no sentence can use, refused before an argument names them
+        ("verbs: admire\nnouns: artist, bee keeper\n", 2),
+        ("nouns: bee-keeper\nverbs: admire\n", 1),
+        ("nouns: artist\nverbs: admire\nplural: bee keepers=artist\n", 3),
     ])
     def test_lexicon_faults_name_the_line(self, text, line):
         with pytest.raises(InputError, match=rf"^line {line}: "):
             parse_lexicon(text)
+
+    @pytest.mark.parametrize("nouns, plural", [
+        ({"artist", "bee keeper"}, {}),
+        ({"bee-keeper"}, {}),
+        ({"artist"}, {"bee keepers": "artist"}),
+    ])
+    def test_unusable_words_rejected(self, nouns, plural):
+        with pytest.raises(InputError, match="predicate name|single word"):
+            Lexicon(frozenset(nouns), frozenset({"admire"}), plural)
 
     def test_file_round_trip(self):
         text = render_lexicon(LEX)

@@ -270,3 +270,11 @@ class TestTilingFiles:
     def test_unknown_colour_names_its_line(self, text, line):
         with pytest.raises(InputError, match=rf"^line {line}: .*unknown colour"):
             parse_tiling_system(text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("colours: a, a\nH: (a,a)\n", 1),
+        ("H: (a,a)\ncolours:\n", 2),
+    ])
+    def test_bad_colours_name_their_line(self, text, line):
+        with pytest.raises(InputError, match=rf"^line {line}: .*distinct names"):
+            parse_tiling_system(text)
