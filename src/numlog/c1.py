@@ -32,9 +32,8 @@ SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
 
-# Size caps of one branch's 1-type system; MAX_LIVE caps every
-# `cell_system`, PSAT's too.
-PRED_CAP = 30
+# The one size cap of a 1-type system: live masks per `cell_system`, PSAT's
+# too; its walk pops at most 10 * MAX_LIVE nodes, dead partial masks too.
 MAX_LIVE = 300_000
 # Nesting depth cap of normalization (one level per eliminated quantifier).
 MAX_DEPTH = 64
@@ -237,8 +236,6 @@ def build_system(normal: NormalC1, preds: list[str]) -> BuiltSystem:
     if not found <= set(preds):
         raise InputError("predicate list does not cover the branch")
     preds = tuple(preds)
-    if len(preds) > PRED_CAP:
-        raise CapExceededError(f"{len(preds)} predicates exceed cap {PRED_CAP}")
     if any(d == AT_MOST and b < 0 for d, b, _ in rows_in):
         return BuiltSystem(None, (), preds, infeasible=True)
 
@@ -264,10 +261,10 @@ def cell_system(preds: Sequence[str], kills: Iterable[C1Formula],
     depth-first order; columns with equal signatures collapse into the
     first of them in that order (feasibility-preserving), and the masks of
     the kept columns are returned with the system.  No live mask gives no
-    columns.  Raises CapExceededError beyond MAX_LIVE live masks.
+    columns.  Raises CapExceededError past MAX_LIVE masks or 10x as many nodes.
     """
     first: dict[int, int] = {}  # signature -> first mask, in walk order
-    walk = live_signatures(preds, kills, [body for _, _, body in rows])
+    walk = live_signatures(preds, kills, [b for _, _, b in rows], 10 * MAX_LIVE)
     for n, (mask, sig) in enumerate(walk):
         if n == MAX_LIVE:
             raise CapExceededError("live 1-type cap exceeded")

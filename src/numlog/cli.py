@@ -21,8 +21,8 @@ from pathlib import Path
 
 from . import c1, n2, proofs, psat, reductions
 from .errors import BudgetExhaustedError, InputError, NumlogError
-from .logic import (CellStructure, RelationalAtom, UnaryAtom, negate_atom,
-                    parse_structure, render_structure)
+from .logic import (RelationalAtom, UnaryAtom, negate_atom, parse_structure,
+                    render_structure)
 from .parsing import (parse_argument, parse_lexicon,
                       render_argument_symbolic, render_symbolic, ArgumentFile)
 
@@ -302,8 +302,6 @@ def cmd_check(args) -> int:
 def cmd_shrink(args) -> int:
     started = time.time()
     s = parse_structure(Path(args.structure).read_text(encoding="utf-8"))
-    if isinstance(s, CellStructure):
-        s = s.expand()
     atoms = _load_formulas(args)
     report = n2.shrink_model(s, atoms)
     out = _out_dir(args, Path(args.structure))

@@ -51,8 +51,6 @@ _RELATIONS = (LE, GE, EQ)
 MAX_PIVOTS = 500_000
 # Subsets `_colliding_subsets` tries before it gives up.
 MAX_SUBSETS = 2_000_000
-# Increments `_greedy_seed` makes before it gives up.
-GREEDY_STEPS = 4_000
 # Box volume above which `enumerate_solutions` refuses to enumerate.
 VOLUME_CAP = 10_000_000
 
@@ -563,9 +561,11 @@ def many_nonzeros_instance(m: int) -> LinearSystem:
 
 def _greedy_seed(system: LinearSystem, ubs: list[int]
                  ) -> tuple[int, ...] | None:
-    """Cheap covering heuristic: repeatedly bump the variable that serves the
-    most unmet >=-rows without breaking any <=/=-row.  Sound (the result is
-    verified exactly); returns None when the heuristic dead-ends."""
+    """Cheap covering heuristic, sound as its result is verified exactly,
+    None on a dead end.  The first unmet >=-row raises the variable that
+    serves the most unmet rows without breaking a <=/=-row, as far as its
+    box, that row's need and its <=/= rows' slack allow.  Nonnegative rows
+    make each raise meet its row or block its variable: m + n + 1 passes."""
     m, n = system.m, system.num_vars
     cols, rhs = system.columns, system.rhs
     vals = [0] * n
@@ -573,7 +573,7 @@ def _greedy_seed(system: LinearSystem, ubs: list[int]
     ge_rows = [i for i in range(m)
                if system.relations[i] in (GE, EQ) and rhs[i] > 0]
     row_pos_cols = {i: [j for j, a in system.rows[i] if a > 0] for i in ge_rows}
-    for _ in range(GREEDY_STEPS):
+    for _ in range(m + n + 1):
         unmet = [i for i in ge_rows if sums[i] < rhs[i]]
         if not unmet:
             return tuple(vals) if system.is_solution(vals) else None
@@ -588,10 +588,7 @@ def _greedy_seed(system: LinearSystem, ubs: list[int]
             helps_target = False
             for i, a in cols[j]:
                 rel = system.relations[i]
-                if rel == LE and sums[i] + a > rhs[i]:
-                    ok = False
-                    break
-                if rel == EQ and sums[i] + a > rhs[i]:
+                if rel != GE and sums[i] + a > rhs[i]:
                     ok = False
                     break
                 if a > 0 and i in unmet_set:
@@ -602,9 +599,15 @@ def _greedy_seed(system: LinearSystem, ubs: list[int]
                 best, best_score = j, score
         if best < 0:
             return None
-        vals[best] += 1
+        step = ubs[best] - vals[best]
         for i, a in cols[best]:
-            sums[i] += a
+            if i == target:  # ceil(need / a)
+                step = min(step, -((sums[i] - rhs[i]) // a))
+            if a > 0 and system.relations[i] != GE:
+                step = min(step, (rhs[i] - sums[i]) // a)
+        vals[best] += step
+        for i, a in cols[best]:
+            sums[i] += a * step
     return None
 
 
@@ -612,7 +615,7 @@ def ilp_solve(system: LinearSystem, upper_bounds: Sequence[int], *,
               max_nodes: int = 200_000) -> tuple[int, ...] | None:
     """A natural solution with x_j <= upper_bounds[j], or None.
 
-    After a greedy try, the system is presolved once and searched by
+    After `_greedy_seed`, the system is presolved once and searched by
     depth-first LP-based branch and bound.  A node whose LP relaxation is
     infeasible is a leaf, an integral LP point is the answer, and otherwise
     the LP-fractional variable with the smallest remaining interval is split

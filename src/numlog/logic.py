@@ -25,9 +25,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import InputError, UnknownPredicateError
+from .errors import CapExceededError, InputError, UnknownPredicateError
 
 AT_LEAST = ">="
 AT_MOST = "<="
@@ -591,7 +592,8 @@ def compile_body(f: C1Formula, index: Mapping[str, int]) -> Callable[[int], bool
 
 
 def live_signatures(preds: Sequence[str], kills: Iterable[C1Formula],
-                    bodies: Sequence[C1Formula]) -> Iterator[tuple[int, int]]:
+                    bodies: Sequence[C1Formula], max_nodes: int | None = None
+                    ) -> Iterator[tuple[int, int]]:
     """(mask, sig) for every mask over `preds` on which no quantifier-free
     kill body holds, where bit i of sig is the truth of bodies[i].
 
@@ -601,7 +603,9 @@ def live_signatures(preds: Sequence[str], kills: Iterable[C1Formula],
     bit of its highest predicate, so a dead child is never pushed: a
     literal conjunction inline, on the one child whose bit agrees with that
     predicate's literal; any other body by `compile_body`, on both; a body
-    without predicates once, at the root.
+    without predicates once, at the root.  A kill decided only at a high
+    bit leaves dead partial masks that no yield counts, so the walk raises
+    CapExceededError on popping more than `max_nodes` nodes, if given.
     """
     index = {p: i for i, p in enumerate(preds)}
     kills = list(kills)
@@ -623,7 +627,9 @@ def live_signatures(preds: Sequence[str], kills: Iterable[C1Formula],
             at[top][c][bool(bit)].append((*(conj or (0, 0)), test, bit))
     n = len(preds)
     stack = [] if dead else [(0, 0, sig)]
-    while stack:
+    for _ in repeat(None) if max_nodes is None else range(max_nodes):
+        if not stack:
+            return
         level, mask, sig = stack.pop()
         if level == n:
             yield mask, sig
@@ -642,6 +648,8 @@ def live_signatures(preds: Sequence[str], kills: Iterable[C1Formula],
                             and (test is None or test(child))):
                         s |= bit
                 stack.append((level + 1, child, s))
+    if stack:
+        raise CapExceededError("1-type walk node cap exceeded")
 
 
 # ---------------------------------------------------------------------------

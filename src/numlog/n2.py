@@ -64,20 +64,22 @@ def size_bound(phi) -> int:
 @dataclass(frozen=True)
 class ShrinkReport:
     input_size: int
-    structure: FiniteStructure
+    structure: FiniteStructure | CellStructure
     kept_per_cell: dict[int, int]
     cell_cap: int
     witnesses: frozenset[int] = frozenset()      # original indices
     kept_elements: tuple[int, ...] = ()          # original indices, ascending
 
 
-def shrink_model(s: FiniteStructure, phi) -> ShrinkReport:
+def shrink_model(s: FiniteStructure | CellStructure, phi) -> ShrinkReport:
     """Shrink a model of phi to at most L*(C*|Phi|+1) elements, preserving
     truth of every sentence in phi.
 
     Kept elements per cell and kept successors are chosen by ascending index
-    (any choice works; this one makes outputs canonical).  Raises InputError
-    when s is not a model of phi.
+    (any choice works; this one makes outputs canonical).  A CellStructure
+    shrinks to a CellStructure without listing any element (see
+    `_shrink_cells`).  Raises InputError when s is not a model of phi, and
+    UnknownPredicateError for a verb sentence on a CellStructure.
     """
     atoms = _check_atoms(phi)
     for a in atoms:
@@ -86,6 +88,8 @@ def shrink_model(s: FiniteStructure, phi) -> ShrinkReport:
     preds = _unary_preds(atoms)
     verbs = _binary_preds(atoms)
     cap = _max_bound(atoms) * len(atoms) + 1
+    if isinstance(s, CellStructure):
+        return _shrink_cells(s, atoms, preds, cap)
 
     # Designated witnesses of outer "at least" sentences.
     a_phi: set[int] = set()
@@ -145,6 +149,29 @@ def shrink_model(s: FiniteStructure, phi) -> ShrinkReport:
                         frozenset(a_phi), tuple(kept))
 
 
+def _shrink_cells(s: CellStructure, atoms, preds, cap) -> ShrinkReport:
+    """The shrink of a cell model, as cells.  The cells are grouped by their
+    mask over `preds`, and each group keeps its first min(size, cap)
+    elements in cell order.  The explicit shrink keeps the same elements:
+    a sentence's designated witnesses in a group are a prefix of it, fewer
+    than cap.  So the result expands to the explicit shrink of
+    `s.expand()`.  Its witnesses and kept elements are not listed."""
+    bits = [s.index[p] for p in preds]
+    left: dict[int, int] = {}  # elements each group may still keep
+    cells = []
+    for mask, count in s.cells:
+        group = sum(1 << i for i, b in enumerate(bits) if mask >> b & 1)
+        keep = min(count, left.setdefault(group, cap))
+        left[group] -= keep
+        cells.append((mask, keep))
+    out = CellStructure(s.preds, tuple(cells))
+    for a in atoms:
+        assert evaluate(out, a), f"shrunk structure lost {a}"
+    assert out.domain_size <= size_bound(atoms)
+    return ShrinkReport(s.domain_size, out,
+                        {g: cap - r for g, r in sorted(left.items())}, cap)
+
+
 # ---------------------------------------------------------------------------
 # Bounded exhaustive search
 # ---------------------------------------------------------------------------
@@ -182,11 +209,10 @@ def bounded_search(phi, domain_cap: int, *, budget: int = 200_000
     the semantics inspects nothing else - and are materialized on ascending
     indices.  Both layers decide a candidate by arithmetic on counts: a
     unary atom sums the vector over the cells where its two literals hold,
-    and `_search_binary` tallies profiles.  Only a vector that passes is
-    expanded into elements, only the candidate that passes gets edges, and
-    the structure returned is model-checked on every atom.  Raises
-    BudgetExhaustedError when the budget runs out, which is distinct from
-    "no model up to the cap".
+    and `_search_binary` tallies profiles.  Only the model returned is
+    expanded into elements and edges, and it is model-checked on every
+    atom.  Raises BudgetExhaustedError when the budget runs out, which is
+    distinct from "no model up to the cap".
     """
     atoms = _check_atoms(phi)
     preds = tuple(_unary_preds(atoms))
@@ -214,10 +240,11 @@ def bounded_search(phi, domain_cap: int, *, budget: int = 200_000
             if not all(_compare(sum(alpha[k] for k in ks), a.direction, a.bound)
                        for ks, a in unary):
                 continue
-            found = CellStructure(preds, tuple(enumerate(alpha))).expand()
             if verbs:
-                found, spent = _search_binary(relational, found, bits,
+                found, spent = _search_binary(relational, preds, bits,
                                               relevant, alpha, budget, spent)
+            else:
+                found = CellStructure(preds, tuple(enumerate(alpha))).expand()
             if found is not None:
                 for a in atoms:
                     if not evaluate(found, a):
@@ -226,15 +253,14 @@ def bounded_search(phi, domain_cap: int, *, budget: int = 200_000
     return None
 
 
-def _search_binary(relational, base, bits, relevant, alpha, budget, spent):
+def _search_binary(relational, preds, bits, relevant, alpha, budget, spent):
     """Assign each element a successor-count profile per verb, up to
     permutations inside each unary cell.  The unary atoms already hold on
-    `base`, so a candidate is checked on the relational atoms alone, on
-    counts: a profile fixes its element's tally on an atom's verb into the
-    object's cells, so the atom counts the elements of its subject cells
-    whose profile meets the inner bound.  Only the candidate that passes is
-    materialized."""
-    n = base.domain_size
+    the cell vector `alpha` over `preds`, so a candidate is checked on the
+    relational atoms alone, on counts: a profile fixes its element's tally
+    on an atom's verb into the object's cells, so the atom counts the
+    elements of its subject cells whose profile meets the inner bound.  Only
+    the candidate that passes is materialized, elements and edges both."""
     cells = len(alpha)
     starts = list(accumulate(alpha, initial=0))
     # combined profile: one count per (verb, relevant cell)
@@ -268,7 +294,8 @@ def _search_binary(relational, base, bits, relevant, alpha, budget, spent):
                     for (r, k), cnt in zip(axes, profile):
                         for b in range(starts[k], starts[k] + cnt):
                             binary[r].add((e, b))
-        return structure(n, dict(base.unary), binary)
+        base = CellStructure(preds, tuple(enumerate(alpha))).expand()
+        return structure(base.domain_size, dict(base.unary), binary)
 
     occupied = [k for k in range(cells) if alpha[k] > 0]
 

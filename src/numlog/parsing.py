@@ -46,15 +46,19 @@ _GRAMMAR_WORDS = frozenset({"there", "are", "is", "at", "least", "most",
 def _lexicon_fault(nouns, verbs, plural) -> tuple[str, str] | None:
     """The first fault of a lexicon as (word at fault, message), or None:
     a noun or verb that is not a predicate name, a plural surface form that
-    is not one word, words both noun and verb, grammar words, or a plural
-    whose target is neither noun nor verb (the word at fault is then its
-    surface form)."""
+    is not one word, a word with an upper-case letter (sentences are
+    matched lower-cased), words both noun and verb, grammar words, or a
+    plural whose target is neither noun nor verb (the word at fault is then
+    its surface form)."""
     for w in sorted(nouns | verbs):
         if not _IDENT.match(w):
             return w, f"not a valid predicate name: {w!r}"
     for w in sorted(plural):
         if w.split() != [w]:
             return w, f"plural form is not a single word: {w!r}"
+    for w in sorted(nouns | verbs | plural.keys()):
+        if w != w.lower():
+            return w, f"upper-case letters in a lexicon word: {w!r}"
     overlap = nouns & verbs
     if overlap:
         return min(overlap), f"words both noun and verb: {sorted(overlap)}"

@@ -9,11 +9,12 @@ import pytest
 
 from numlog.c1 import (SAT, UNSAT, build_system, decide_sat, entails,
                        normalize)
-from numlog.errors import InputError
+from numlog.errors import CapExceededError, InputError
+from numlog.linsys import _Tableau
 from numlog.logic import (AT_LEAST, AT_MOST, And, Count, Lit, Not, Pred,
-                          RelationalAtom, at_least, at_most, evaluate,
-                          live_signatures, negate_atom, render_structure,
-                          structure)
+                          RelationalAtom, UnaryAtom, at_least, at_most,
+                          evaluate, live_signatures, negate_atom,
+                          render_structure, structure)
 from helpers import random_unary_atom
 
 
@@ -271,3 +272,66 @@ class TestEntails:
         with pytest.raises(InputError):
             entails([Count(AT_LEAST, 1, Pred("p"))],
                     at_least(1, Lit("p"), Lit("p")))
+
+
+class TestScaledBounds:
+    """Scaling every bound of a unary set by K maps a solution x to K*x, so
+    Sat stays Sat, and the work must not grow with the numerals."""
+
+    @staticmethod
+    def counted_solves(monkeypatch):
+        calls = [0]
+        solve = _Tableau.solve
+
+        def counting(self, *args, **kwargs):
+            calls[0] += 1
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Tableau, "solve", counting)
+        return calls
+
+    def test_lp_solves_do_not_grow_with_the_scale(self, monkeypatch):
+        calls = self.counted_solves(monkeypatch)
+        rng = random.Random(1)
+        sets = []
+        while len(sets) < 120:
+            preds = ["p", "q", "r", "s"][:rng.randint(2, 4)]
+            atoms = [random_unary_atom(rng, preds, max_bound=6)
+                     for _ in range(rng.randint(2, 6))]
+            if decide_sat(atoms).status == SAT:
+                sets.append(atoms)
+        for k in (1, 10**3, 10**6):
+            per_set = []
+            for atoms in sets:
+                before = calls[0]
+                scaled = [UnaryAtom(a.direction, a.bound * k, a.lits)
+                          for a in atoms]
+                assert decide_sat(scaled).status == SAT, (k, atoms)
+                per_set.append(calls[0] - before)
+            if k == 1:
+                at_one = per_set
+            assert all(c <= c1 for c, c1 in zip(per_set, at_one)), k
+
+    def test_huge_bound_makes_no_lp_solve(self, monkeypatch):
+        calls = self.counted_solves(monkeypatch)
+        res = decide_sat([at_least(10**12, Lit("p"), Lit("q"))])
+        assert res.status == SAT and res.cells.domain_size == 10**12
+        assert calls[0] == 0
+
+    def test_31_predicate_kill_chain_is_decided(self):
+        # p0 -> p1 -> ... -> p30 leaves 32 live 1-types out of 2^31
+        preds = [f"p{i}" for i in range(31)]
+        atoms = [at_most(0, Lit(a), Lit(b, False))
+                 for a, b in zip(preds, preds[1:])]
+        atoms.append(at_least(1, Lit("p0"), Lit("p0")))
+        assert decide_sat(atoms).status == SAT
+
+    def test_kills_decided_at_the_last_predicate_are_refused(self):
+        # every partial mask over a01..a40 dies only at z's bit, so no mask
+        # is ever live and only the walk's node cap stops 2^41 nodes
+        atoms = [at_least(1, Lit(f"a{i:02d}"), Lit(f"a{i:02d}"))
+                 for i in range(1, 41)]
+        atoms += [at_most(0, Lit("z"), Lit("z")),
+                  at_most(0, Lit("z", False), Lit("z", False))]
+        with pytest.raises(CapExceededError, match="walk node cap"):
+            decide_sat(atoms)

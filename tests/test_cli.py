@@ -10,7 +10,7 @@ import pytest
 from numlog import c1
 from numlog.cli import main
 from numlog.linsys import _Tableau, ilp_solve, parse_system
-from numlog.logic import evaluate, negate_atom, parse_structure
+from numlog.logic import CellStructure, evaluate, negate_atom, parse_structure
 from numlog.parsing import parse_argument, parse_lexicon
 
 LEXICON = """
@@ -400,6 +400,25 @@ class TestCellWitnesses:
                      str(workspace / "rel.txt")])
         assert code == 1
         assert "'admire'" in capsys.readouterr().err
+
+    def test_shrink_keeps_a_huge_witness_in_cell_form(self, workspace,
+                                                      capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a cell witness was expanded")
+
+        monkeypatch.setattr(CellStructure, "expand", refuse)
+        (workspace / "big.txt").write_text(">=1000000000000 (p & q)\n",
+                                           encoding="utf-8")
+        code, out = run(capsys, "solve", workspace / "big.txt",
+                        "--out", workspace)
+        assert code == 0 and out.startswith("Sat")
+        code, out = run(capsys, "shrink", workspace / "big.witness.structure",
+                        workspace / "big.txt", "--out", workspace)
+        assert code == 0 and out.startswith("Shrunk")
+        shrunk = workspace / "big.witness.shrunk.structure"
+        assert shrunk.stat().st_size < 1024
+        code, out = run(capsys, "check", shrunk, workspace / "big.txt")
+        assert out.strip().splitlines()[-1] == "all true"
 
     def test_shrink_accepts_a_solve_witness(self, workspace, capsys):
         (workspace / "u.txt").write_text(">=40 (p & q)\n>=30 (p & !q)\n",

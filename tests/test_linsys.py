@@ -251,6 +251,17 @@ class TestIlpSolve:
             assert lp_feasible(s) is not None
             assert ilp_solve(s, box, max_nodes=1) is None
 
+    @pytest.mark.parametrize("k", [1, 10**6])
+    def test_seed_raises_as_far_as_the_rows_allow(self, k, monkeypatch):
+        # 2x + 3y >= 10k with x <= 4k: x rises to the slack of its <= row,
+        # then y by ceil(need / 3); no LP is solved at any scale
+        calls = []
+        monkeypatch.setattr(_Tableau, "solve",
+                            lambda self: calls.append(1))
+        s = system_from_rows([[2, 3], [1, 0]], [GE, LE], [10 * k, 4 * k])
+        assert ilp_solve(s, [10 * k] * 2) == (4 * k, -(-2 * k // 3))
+        assert not calls
+
     def test_deep_chain_exhausts_the_node_budget(self):
         # integer-infeasible (eliminating y leaves 8x - 10z = 11), but the
         # LP relaxation stays feasible deep down the search: the budget ends it

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from numlog.errors import InputError, UnknownPredicateError
+from numlog.errors import CapExceededError, InputError, UnknownPredicateError
 from numlog.logic import (AT_LEAST, AT_MOST, FALSE, TRUE, And, CellStructure,
                           Count, Lit, Not, Or, Pred, RelationalAtom, at_least,
                           at_most, compile_body, evaluate, live_signatures,
@@ -199,6 +199,14 @@ class TestMaskKernel:
                                    for k in kills)]
             assert [mask for mask, _ in live_signatures(preds, kills, ())
                     ] == expected
+
+    def test_walk_node_cap_counts_dead_partial_masks(self):
+        # kills on z, the last bit, leave nothing live: the walk pops the
+        # root, 2 masks over a and 4 over a, b, and pushes none over z
+        kills = [Pred("z"), Not(Pred("z"))]
+        assert list(live_signatures(["a", "b", "z"], kills, (), 7)) == []
+        with pytest.raises(CapExceededError):
+            list(live_signatures(["a", "b", "z"], kills, (), 6))
 
 
 class TestCellModels:

@@ -7,9 +7,11 @@ from itertools import accumulate, product
 import pytest
 
 from numlog import n2
-from numlog.errors import BudgetExhaustedError, InputError
-from numlog.logic import (AT_LEAST, AT_MOST, Lit, RelationalAtom, at_least,
-                          at_most, evaluate, render_structure, structure)
+from numlog.errors import (BudgetExhaustedError, InputError,
+                           UnknownPredicateError)
+from numlog.logic import (AT_LEAST, AT_MOST, CellStructure, Lit,
+                          RelationalAtom, at_least, at_most, evaluate,
+                          render_structure, structure)
 from numlog.n2 import _compositions, bounded_search, shrink_model, size_bound
 from numlog.parsing import parse_english, Lexicon
 
@@ -175,6 +177,47 @@ class TestShrinkModel:
         s = structure(1, {"p": set()}, {})
         with pytest.raises(InputError):
             shrink_model(s, phi)
+
+    def test_cell_input_matches_the_explicit_shrink(self):
+        # a cell model shrinks to cells that expand to exactly what the
+        # explicit shrink of its expansion writes; predicates the sentences
+        # do not name put several cells into one group
+        rng = random.Random(241)
+        done = truncated = grouped = 0
+        while done < 300:
+            preds = ["p", "q", "s", "t"][:rng.randint(1, 4)]
+            masks = rng.sample(range(1 << len(preds)),
+                               rng.randint(1, 1 << len(preds)))
+            cs = CellStructure(tuple(preds),
+                               tuple((m, rng.randint(0, 9)) for m in masks))
+            named = preds[:rng.randint(1, min(2, len(preds)))]
+            phi = [rng.choice([at_least, at_most])(
+                       rng.randint(0, 3), Lit(rng.choice(named),
+                                              rng.random() < 0.7),
+                       Lit(rng.choice(named), rng.random() < 0.7))
+                   for _ in range(rng.randint(1, 3))]
+            phi = [a for a in phi if evaluate(cs, a)]
+            if not phi:
+                continue
+            report = shrink_model(cs, phi)
+            explicit = shrink_model(cs.expand(), phi)
+            assert isinstance(report.structure, CellStructure)
+            assert report.structure.preds == cs.preds
+            assert render_structure(report.structure.expand()) == \
+                render_structure(explicit.structure)
+            assert report.kept_per_cell == explicit.kept_per_cell
+            assert (report.input_size, report.cell_cap) == \
+                (explicit.input_size, explicit.cell_cap)
+            truncated += report.structure.domain_size < cs.domain_size
+            grouped += len(named) < len(preds)
+            done += 1
+        assert truncated >= 50 and grouped >= 50, (truncated, grouped)
+
+    def test_cell_input_refuses_a_verb_sentence(self):
+        cs = CellStructure(("p",), ((1, 2),))
+        with pytest.raises(UnknownPredicateError):
+            shrink_model(cs, [RelationalAtom(AT_LEAST, 1, "p", "r",
+                                             AT_LEAST, 0, "p")])
 
 
 def explicit_search(phi, domain_cap, *, budget):
@@ -370,6 +413,42 @@ class TestBoundedSearch:
                 assert calls == Counter(phi), phi
                 answered += 1
         assert answered >= 20
+
+    def test_expand_runs_only_for_the_model_returned(self, monkeypatch):
+        calls = [0]
+        expand = CellStructure.expand
+
+        def counted(self):
+            calls[0] += 1
+            return expand(self)
+
+        monkeypatch.setattr(CellStructure, "expand", counted)
+        phi = [RelationalAtom(AT_LEAST, 3000, "p", "r", AT_LEAST, 2, "q"),
+               at_most(0, Lit("q"), Lit("q"))]
+        with pytest.raises(BudgetExhaustedError):
+            bounded_search(phi, size_bound(phi), budget=20_000)
+        assert calls[0] == 0
+        rng = random.Random(251)
+        models = 0
+        for _ in range(150):
+            preds = ["p", "q"][:rng.randint(1, 2)]
+            phi = [rng.choice([at_least, at_most])(
+                       rng.randint(0, 2), Lit(rng.choice(preds)),
+                       Lit(rng.choice(preds), rng.random() < 0.7))]
+            if rng.random() < 0.7:
+                phi.append(RelationalAtom(
+                    rng.choice([AT_LEAST, AT_MOST]), rng.randint(0, 2),
+                    rng.choice(preds), rng.choice("rw"),
+                    rng.choice([AT_LEAST, AT_MOST]), rng.randint(0, 2),
+                    rng.choice(preds)))
+            calls[0] = 0
+            try:
+                found = bounded_search(phi, 3, budget=rng.choice([50, 5000]))
+            except BudgetExhaustedError:
+                found = None
+            assert calls[0] == (found is not None), phi
+            models += found is not None
+        assert models >= 50
 
     def test_compositions_keep_the_recursive_order(self):
         def recursive(total, parts):

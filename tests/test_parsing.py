@@ -248,6 +248,16 @@ class TestLexicon:
         with pytest.raises(InputError, match=rf"^line {line}: "):
             parse_lexicon(text)
 
+    @pytest.mark.parametrize("text, line", [
+        ("nouns: Artist, beekeeper\nverbs: admire\n", 1),
+        ("nouns: artist\nverbs: Admire\n", 2),
+        ("nouns: person\nverbs: admire\nplural: People=person\n", 3),
+    ], ids=["noun", "verb", "plural"])
+    def test_upper_case_words_name_the_lexicon_line(self, text, line):
+        # sentences are matched lower-cased, so no sentence could use them
+        with pytest.raises(InputError, match=rf"^line {line}: upper-case"):
+            parse_lexicon(text)
+
     @pytest.mark.parametrize("nouns, plural", [
         ({"artist", "bee keeper"}, {}),
         ({"bee-keeper"}, {}),
