@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from . import c1, n2, proofs, psat, reductions
@@ -47,11 +48,6 @@ def _budget(raw: str, source: str = "--budget") -> int:
     if value < 0:
         raise InputError(f"{source} is negative: {raw!r}")
     return value
-
-
-def _default_budget() -> int:
-    raw = os.environ.get("NUMLOG_BUDGET")
-    return _budget(raw, "NUMLOG_BUDGET") if raw else 200_000
 
 
 def _out_dir(args, input_path: Path) -> Path:
@@ -315,6 +311,7 @@ def cmd_shrink(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="numlog",
@@ -325,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable verdict envelope")
         p.add_argument("--out", help="directory for certificate files")
-        p.add_argument("--budget", type=_budget, default=_default_budget(),
+        p.add_argument("--budget", type=_budget,
                        help="search budget (nodes/updates); default from "
                             "NUMLOG_BUDGET or 200000")
 
@@ -381,6 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "budget", 0) is None:  # read when each command runs
+            args.budget = _budget(os.environ.get("NUMLOG_BUDGET") or "200000",
+                                  "NUMLOG_BUDGET")
         return args.func(args)
     except BudgetExhaustedError as exc:
         print(f"Unknown: {exc}", file=sys.stderr)

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all numlog modules."""
+"""Exceptions shared by all numlog modules, and the rule every text format
+reads lines by: `#` comments, blank lines skipped, errors name their line."""
+
+from contextlib import contextmanager
 
 
 class NumlogError(Exception):
@@ -27,3 +30,22 @@ class BudgetExhaustedError(NumlogError):
 
 class NotASolutionError(NumlogError):
     """A vector handed to a sparsifier does not solve the system exactly."""
+
+
+def numbered_lines(text: str):
+    """Yield (line number from 1, line) for each line of `text` that is not
+    blank once its `#` comment and outer whitespace are removed."""
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield ln, line
+
+
+@contextmanager
+def at_line(ln: int):
+    """Re-raise the block's InputError, ValueError or IndexError as an
+    InputError that starts `line ln: `."""
+    try:
+        yield
+    except (InputError, ValueError, IndexError) as exc:
+        raise InputError(f"line {ln}: {exc}") from exc

@@ -39,7 +39,7 @@ from numbers import Rational
 from typing import Iterable, Sequence
 
 from .errors import (BudgetExhaustedError, CapExceededError, InputError,
-                     NotASolutionError)
+                     NotASolutionError, at_line, numbered_lines)
 
 LE = "<="
 GE = ">="
@@ -766,24 +766,23 @@ def parse_scalar(tok: str) -> Fraction:
 
 
 def parse_system(text: str) -> LinearSystem:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = list(numbered_lines(text))
     if not lines:
         raise InputError("empty system file")
-    try:
-        m, width = (int(t) for t in lines[0].split())
-    except ValueError as exc:
-        raise InputError(f"bad header line {lines[0]!r}") from exc
-    if len(lines) - 1 != m:
-        raise InputError(f"expected {m} rows, found {len(lines) - 1}")
+    (header_ln, header), *body = lines
+    with at_line(header_ln):
+        m, width = map(int, header.split())  # the header is "m L"
+    if len(body) != m:
+        raise InputError(f"expected {m} rows, found {len(body)}")
     rows, relations, rhs = [], [], []
-    for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != width + 2 or toks[width] not in _RELATIONS:
-            raise InputError(f"bad row: {ln!r}")
-        rows.append([parse_scalar(t) for t in toks[:width]])
+    for ln, line in body:
+        toks = line.split()
+        with at_line(ln):
+            if len(toks) != width + 2 or toks[width] not in _RELATIONS:
+                raise InputError(f"bad row: {line!r}")
+            rows.append([parse_scalar(t) for t in toks[:width]])
+            rhs.append(parse_scalar(toks[-1]))
         relations.append(toks[width])
-        rhs.append(parse_scalar(toks[-1]))
     return scaled_system((enumerate(row) for row in rows), relations, rhs, width)
 
 

@@ -28,7 +28,8 @@ from functools import cached_property
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import CapExceededError, InputError, UnknownPredicateError
+from .errors import (CapExceededError, InputError, UnknownPredicateError,
+                     at_line, numbered_lines)
 
 AT_LEAST = ">="
 AT_MOST = "<="
@@ -685,14 +686,12 @@ def parse_structure(text: str) -> FiniteStructure | CellStructure:
     form = None
     unary: dict[str, set[int]] = {}
     binary: dict[str, set[tuple[int, int]]] = {}
+    elements: list[tuple[int, set[int]]] = []  # each explicit line's elements
     index: dict[str, int] | None = None
     cells: list[tuple[int, int]] = []
     cell_ln: dict[int, int] = {}
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
+    for ln, line in numbered_lines(text):
+        with at_line(ln):
             if line.startswith("domain"):
                 if domain_ln is not None:
                     raise InputError(f"domain line repeats line {domain_ln}")
@@ -717,14 +716,16 @@ def parse_structure(text: str) -> FiniteStructure | CellStructure:
                 pred = head.strip()
                 if keyword[1] == "unary":
                     elems = {int(t) for t in rest.replace(",", " ").split()}
-                    unary.setdefault(pred, set()).update(elems)
+                    unary.setdefault(_check_ident(pred), set()).update(elems)
+                    elements.append((ln, elems))
                     continue
                 pairs = re.findall(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", rest)
                 stripped = re.sub(r"[\s,]*\(\s*\d+\s*,\s*\d+\s*\)[\s,]*", "", rest)
                 if stripped.strip():
                     raise InputError(f"bad pair syntax: {rest.strip()!r}")
-                binary.setdefault(pred, set()).update(
-                    (int(a), int(b)) for a, b in pairs)
+                pairs = {(int(a), int(b)) for a, b in pairs}
+                binary.setdefault(_check_ident(pred), set()).update(pairs)
+                elements.append((ln, {e for pair in pairs for e in pair}))
             elif line.startswith("predicates:"):
                 if index is not None:
                     raise InputError("second predicates line")
@@ -749,16 +750,19 @@ def parse_structure(text: str) -> FiniteStructure | CellStructure:
                 cells.append((mask, int(m[2])))
             else:
                 raise InputError(f"unrecognized line: {line!r}")
-        except (ValueError, IndexError, InputError) as exc:
-            raise InputError(f"line {ln}: {exc}") from exc
     if domain is None:
         raise InputError("missing 'domain N' line")
     if form == "cells":
         total = sum(count for _, count in cells)
         if domain != total:
-            raise InputError(f"line {domain_ln}: domain {domain} differs from "
-                             f"the sum of the cell counts, {total}")
+            with at_line(domain_ln):
+                raise InputError(f"domain {domain} differs from the sum of "
+                                 f"the cell counts, {total}")
         return CellStructure(tuple(index), tuple(cells))
+    for ln, elems in elements:
+        if elems and not 0 <= min(elems) <= max(elems) < domain:
+            with at_line(ln):
+                raise InputError(f"element out of range for domain {domain}")
     return structure(domain, unary, binary)
 
 

@@ -22,9 +22,9 @@ The symbolic grammar is lexicon-free, one atom per line:
     <=1 artist [admire <=7 beekeeper]
     =3 (p & q)            # sugar: expands to the <= / >= pair
 
-Argument files for both syntaxes are UTF-8, `#` starts a comment, and an
-optional conclusion follows a line reading `Therefore:`.  An error in an
-argument file names its line.
+Argument files for both syntaxes are UTF-8 text under the line rule of
+`errors` (`#` comments, blank lines skipped, errors name their line), and
+an optional conclusion follows a line reading `Therefore:`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import InputError
+from .errors import InputError, at_line, numbered_lines
 from .logic import (_IDENT, AT_LEAST, AT_MOST, CountingAtom, Lit,
                     RelationalAtom, UnaryAtom, at_least, at_most)
 
@@ -113,29 +113,28 @@ def parse_lexicon(text: str) -> Lexicon:
     verbs: set[str] = set()
     plural: dict[str, str] = {}
     line_of: dict[str, int] = {}  # last line naming each word
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in numbered_lines(text):
         key, _, rest = line.partition(":")
         key = key.strip().lower()
         items = [t.strip() for t in rest.split(",") if t.strip()]
-        if key == "nouns":
-            nouns.update(items)
-        elif key == "verbs":
-            verbs.update(items)
-        elif key == "plural":
-            entries = [item.partition("=") for item in items]
-            if not all(lemma for _, _, lemma in entries):
-                raise InputError(f"line {ln}: plural entries look like surface=lemma")
-            items = [surface.strip() for surface, _, _ in entries]
-            plural.update(zip(items, (lemma.strip() for _, _, lemma in entries)))
-        else:
-            raise InputError(f"line {ln}: unknown lexicon section {key!r}")
+        with at_line(ln):
+            if key == "nouns":
+                nouns.update(items)
+            elif key == "verbs":
+                verbs.update(items)
+            elif key == "plural":
+                entries = [item.partition("=") for item in items]
+                if not all(lemma for _, _, lemma in entries):
+                    raise InputError("plural entries look like surface=lemma")
+                items = [surface.strip() for surface, _, _ in entries]
+                plural.update(zip(items, (lemma.strip() for _, _, lemma in entries)))
+            else:
+                raise InputError(f"unknown lexicon section {key!r}")
         line_of.update(dict.fromkeys(items, ln))
     fault = _lexicon_fault(nouns, verbs, plural)
     if fault:
-        raise InputError(f"line {line_of[fault[0]]}: {fault[1]}")
+        with at_line(line_of[fault[0]]):
+            raise InputError(fault[1])
     return Lexicon(frozenset(nouns), frozenset(verbs), plural)
 
 
@@ -206,19 +205,17 @@ def parse_english_sentence(sentence: str, lex: Lexicon) -> CountingAtom:
 
 
 def _argument_lines(text: str):
-    """Yield (line number, is_conclusion, line) triples, handling comments
-    and Therefore:."""
+    """Yield (line number, is_conclusion, line) for each sentence line,
+    reading the Therefore: separator."""
     in_conclusion = False
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.rstrip(":").strip().lower() == "therefore":
-            if in_conclusion:
-                raise InputError(f"line {ln}: multiple Therefore: separators")
+    for ln, line in numbered_lines(text):
+        if line.rstrip(":").strip().lower() != "therefore":
+            yield ln, in_conclusion, line
+        elif in_conclusion:
+            with at_line(ln):
+                raise InputError("multiple Therefore: separators")
+        else:
             in_conclusion = True
-            continue
-        yield ln, in_conclusion, line
 
 
 def _parse_argument_lines(text: str, parse_line) -> ArgumentFile:
@@ -227,12 +224,10 @@ def _parse_argument_lines(text: str, parse_line) -> ArgumentFile:
     premises: list[CountingAtom] = []
     conclusion: list[CountingAtom] = []
     for ln, is_conc, line in _argument_lines(text):
-        try:
+        with at_line(ln):
             atoms = parse_line(line)
             if is_conc and (conclusion or len(atoms) != 1):
                 raise InputError("the conclusion must be a single atom")
-        except InputError as exc:
-            raise InputError(f"line {ln}: {exc}") from exc
         (conclusion if is_conc else premises).extend(atoms)
     return ArgumentFile(tuple(premises), conclusion[0] if conclusion else None)
 

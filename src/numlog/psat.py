@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from .c1 import cell_system
-from .errors import CapExceededError, InputError
+from .errors import CapExceededError, InputError, at_line, numbered_lines
 from .linsys import EQ, lp_feasible, many_nonzeros_instance, parse_scalar
 from .linsys import sparsify_rational  # noqa: F401  (bench/spans.py rebinds it)
 from .logic import (AT_LEAST, And, CountingAtom, Lit, Not, Or, Pred, TRUE,
@@ -25,10 +25,9 @@ from .logic import (AT_LEAST, And, CountingAtom, Lit, Not, Or, Pred, TRUE,
 
 World = frozenset[str]  # the letters true at that world
 
-# Letter caps of psat_decide: at most LETTER_CAP letters, and more than
-# ENUMERATE_CAP only when some 0/1 row prunes the truth assignments; at
-# most c1.MAX_LIVE assignments survive the pruning.
-LETTER_CAP = 20
+# Letter cap of psat_decide: more than ENUMERATE_CAP letters only when some
+# 0/1 row prunes the truth assignments; c1.cell_system then bounds the
+# pruning walk and the assignments that survive it by c1.MAX_LIVE.
 ENUMERATE_CAP = 12
 
 
@@ -136,8 +135,6 @@ def psat_decide(instance) -> ProbabilityAssignment | None:
             raise InputError(f"probability {q} outside [0,1]")
         norm.append((tuple(cl), rel, q))
     letters = sorted({lit.pred for cl, _, _ in norm for lit in cl})
-    if len(letters) > LETTER_CAP:
-        raise CapExceededError(f"{len(letters)} letters exceed cap {LETTER_CAP}")
 
     kills, kept = [], []
     for cl, rel, q in norm:
@@ -175,11 +172,8 @@ def psat_decide(instance) -> ProbabilityAssignment | None:
 def parse_psat_instance(text: str):
     """Read a PSAT file; an InputError names its line."""
     out = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
+    for ln, line in numbered_lines(text):
+        with at_line(ln):
             clause_text, sep, q_text = line.rpartition(";")
             if not sep:
                 raise InputError("missing '; probability'")
@@ -191,17 +185,10 @@ def parse_psat_instance(text: str):
                 lits.append(Lit(tok[1:].strip(), False)
                             if tok.startswith("!") else Lit(tok))
             q_text = q_text.strip()
-            rel = EQ
-            for candidate in ("<=", ">="):
-                if q_text.startswith(candidate):
-                    rel = candidate
-                    q_text = q_text[2:].strip()
-                    break
-            q = parse_scalar(q_text)
+            rel = q_text[:2] if q_text[:2] in ("<=", ">=") else EQ
+            q = parse_scalar(q_text if rel == EQ else q_text[2:].strip())
             if not 0 <= q <= 1:
                 raise InputError(f"probability {q} outside [0,1]")
-        except InputError as exc:
-            raise InputError(f"line {ln}: {exc}") from exc
         out.append((tuple(lits), q) if rel == EQ else (tuple(lits), rel, q))
     return out
 

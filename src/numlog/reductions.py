@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import BudgetExhaustedError, InputError
+from .errors import BudgetExhaustedError, InputError, at_line, numbered_lines
 from .logic import (AT_LEAST, AT_MOST, CountingAtom, FiniteStructure, Lit,
                     RelationalAtom, UnaryAtom, at_least, at_most, evaluate,
                     structure)
@@ -130,34 +130,30 @@ def brute_3col(g: Graph) -> dict[int, int] | None:
 
 # Graph file format: DIMACS-like "p edge n m" plus "e i j" lines.
 
-def _graph_int(tok: str, ln: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise InputError(f"line {ln}: bad number {tok!r}") from None
-
-
 def parse_graph(text: str) -> Graph:
-    n = None
-    edges = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        toks = line.split()
-        if not toks or toks[0] == "c":
-            continue
-        if toks[0] == "p":
-            if len(toks) != 4 or toks[1] != "edge":
-                raise InputError(f"line {ln}: bad problem line")
-            n = _graph_int(toks[2], ln)
-        elif toks[0] == "e":
-            if len(toks) != 3:
-                raise InputError(f"line {ln}: an edge line is 'e a b'")
-            edges.append((_graph_int(toks[1], ln), _graph_int(toks[2], ln)))
-        else:
-            raise InputError(f"line {ln}: unrecognized {line!r}")
+    n = n_ln = None
+    edge_ln: dict[tuple[int, int], int] = {}  # the first line of each edge
+    for ln, line in numbered_lines(text):
+        tag, *rest = line.split()
+        with at_line(ln):
+            if tag == "p":
+                if n_ln is not None:
+                    raise InputError(f"problem line repeats line {n_ln}")
+                if len(rest) != 3 or rest[0] != "edge":
+                    raise InputError("bad problem line")
+                n, n_ln = graph(int(rest[1]), ()).n, ln  # checks n >= 0
+            elif tag == "e":
+                if len(rest) != 2:
+                    raise InputError("an edge line is 'e a b'")
+                edge_ln.setdefault((int(rest[0]), int(rest[1])), ln)
+            elif tag != "c":
+                raise InputError(f"unrecognized {line!r}")
     if n is None:
         raise InputError("missing 'p edge n m' line")
-    return graph(n, edges)
+    for edge, ln in edge_ln.items():
+        with at_line(ln):
+            graph(n, [edge])  # a loop or a node out of range
+    return graph(n, edge_ln)
 
 
 def render_graph(g: Graph) -> str:
@@ -286,35 +282,31 @@ def parse_tiling_system(text: str) -> TilingSystem:
     colours_ln = None
     rels = {"H": set(), "V": set()}
     pair_line: dict[tuple[str, str], int] = {}  # first line of each pair
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in numbered_lines(text):
         key, _, rest = line.partition(":")
         key = key.strip()
-        if key.lower() == "colours" or key.lower() == "colors":
-            if colours_ln is not None:
-                raise InputError(f"line {ln}: colours line repeats line "
-                                 f"{colours_ln}")
-            colours = [t.strip() for t in rest.split(",") if t.strip()]
-            colours_ln = ln
-            if not colours or len(set(colours)) != len(colours):
-                raise InputError(f"line {ln}: colours must be a nonempty "
-                                 "list of distinct names")
-        elif key in ("H", "V"):
-            if re.sub(_COLOUR_PAIR, "", rest).replace(",", " ").strip():
-                raise InputError(f"line {ln}: an {key} line holds only "
-                                 f"(a,b) pairs: {rest.strip()!r}")
-            pairs = re.findall(_COLOUR_PAIR, rest)
-            rels[key].update(pairs)
-            for pair in pairs:
-                pair_line.setdefault(pair, ln)
-        else:
-            raise InputError(f"line {ln}: unrecognized section {key!r}")
-    known = set(colours)  # when empty, TilingSystem reports that instead
-    for (a, b), ln in pair_line.items():
-        if known and not {a, b} <= known:
-            raise InputError(f"line {ln}: constraint ({a},{b}) uses unknown colour")
+        with at_line(ln):
+            if key.lower() == "colours" or key.lower() == "colors":
+                if colours_ln is not None:
+                    raise InputError(f"colours line repeats line {colours_ln}")
+                colours = [t.strip() for t in rest.split(",") if t.strip()]
+                colours_ln = ln
+                # refuses an empty or repeated colour
+                TilingSystem(tuple(colours), frozenset(), frozenset())
+            elif key in ("H", "V"):
+                if re.sub(_COLOUR_PAIR, "", rest).replace(",", " ").strip():
+                    raise InputError(f"an {key} line holds only (a,b) pairs: "
+                                     f"{rest.strip()!r}")
+                pairs = re.findall(_COLOUR_PAIR, rest)
+                rels[key].update(pairs)
+                for pair in pairs:
+                    pair_line.setdefault(pair, ln)
+            else:
+                raise InputError(f"unrecognized section {key!r}")
+    for (a, b), ln in pair_line.items():  # no colours: the return says so
+        if colours and not {a, b} <= set(colours):
+            with at_line(ln):
+                raise InputError(f"constraint ({a},{b}) uses unknown colour")
     return TilingSystem(tuple(colours), frozenset(rels["H"]), frozenset(rels["V"]))
 
 

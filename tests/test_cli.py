@@ -218,6 +218,23 @@ class TestSolve:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: ") and "NUMLOG_BUDGET" in captured.err
 
+    def test_budget_environment_set_after_a_first_call(self, workspace,
+                                                       capsys, monkeypatch):
+        argv = ["derive", str(workspace / "arg1.txt"), "--lexicon",
+                str(workspace / "lex.txt"), "--out", str(workspace)]
+        monkeypatch.delenv("NUMLOG_BUDGET", raising=False)
+        assert main(argv) == 0
+        monkeypatch.setenv("NUMLOG_BUDGET", "1")
+        assert main(argv) == 2  # one saturation update is not enough
+        monkeypatch.setenv("NUMLOG_BUDGET", "lots")
+        assert main(argv) == 1
+        assert "NUMLOG_BUDGET" in capsys.readouterr().err
+        # a command that takes no budget does not read it
+        (workspace / "s.structure").write_text("domain 1\nunary p: 0\n")
+        (workspace / "f.txt").write_text(">=1 p\n")
+        assert main(["check", str(workspace / "s.structure"),
+                     str(workspace / "f.txt")]) == 0
+
 
 class TestDerive:
     def test_flagship_derivable_with_explanation(self, workspace, capsys):

@@ -120,6 +120,25 @@ class TestPsatDecide:
                 for cl, q in inst:
                     assert prob(p, cl) == q
 
+    @pytest.mark.parametrize("n", [24, 40])
+    def test_an_implication_chain_past_twenty_letters_is_sat(self, n):
+        # the 0/1 rows leave n + 1 live worlds, so no letter count caps it
+        inst = [((Lit(f"x{i}", False), Lit(f"x{i + 1}")), Fraction(1))
+                for i in range(n - 1)]
+        inst += [((Lit("x0"),), Fraction(1, 3)),
+                 ((Lit(f"x{n - 1}"),), Fraction(2, 3))]
+        p = psat_decide(inst)
+        assert p is not None
+        for cl, q in inst:
+            assert prob(p, cl) == q
+
+    def test_a_kill_that_leaves_too_many_worlds_is_refused(self):
+        # x0 ; 0 halves 2^24 truth assignments: c1.MAX_LIVE refuses the rest
+        inst = [((Lit("x0"),), Fraction(0))]
+        inst += [((Lit(f"x{i}"),), HALF) for i in range(1, 24)]
+        with pytest.raises(CapExceededError, match="live 1-type cap"):
+            psat_decide(inst)
+
     def test_thirteen_letters_need_a_pruning_row(self):
         inst = [((Lit(f"x{i}"),), HALF) for i in range(13)]
         with pytest.raises(CapExceededError):
