@@ -8,8 +8,11 @@ row per conjunct, plus a row making the domain nonempty); search for a
 natural solution with every cell capped at the largest bound.  A Sat verdict
 carries one piece of evidence, its witness as 1-type cells, model-checked
 against the original input before being returned and expanded to explicit
-elements only on request; an Unsat verdict carries the systems the search
-refuted, which `render_certificate` writes.
+elements only on request; an Unsat verdict carries each refuted branch
+with the column count of its merged system, which `render_certificate`
+writes as the branch's conjuncts under its cap, column count and
+predicates: the columns are a function of those, so a checker rebuilds the
+system with `build_system` and refutes it again.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import BudgetExhaustedError, CapExceededError, InputError
-from .linsys import GE, LinearSystem, ilp_solve, render_system
+from .linsys import GE, LinearSystem, ilp_solve
 from .linsys import sparsify_natural  # noqa: F401  (bench/spans.py rebinds it)
 from .logic import (AT_LEAST, AT_MOST, EXACTLY, And, C1Formula,
                     CellStructure, Count, CountingAtom, FALSE,
@@ -45,17 +48,25 @@ class NormalC1:
 
     conjuncts: tuple[tuple[str, int, C1Formula], ...]
 
+    @property
+    def cap(self) -> int:
+        """The per-cell cap of its search: the largest bound, at least 1."""
+        return max([1] + [b for _, b, _ in self.conjuncts])
+
 
 @dataclass(frozen=True)
 class SatResult:
     """A verdict and its evidence.  On Sat, `cells` is the model-checked
     witness as its nonzero (1-type, count) cells, in column order, and
     `witness` the same model with explicit elements, expanded on first
-    access; on Unsat, `refuted`.  Unknown carries nothing."""
+    access; on Unsat, `refuted` pairs each branch with the column count of
+    its merged system over `preds` (0: infeasible before any search).
+    Unknown carries nothing."""
 
     status: str
     cells: CellStructure | None = None
-    refuted: tuple[BuiltSystem, ...] = ()
+    refuted: tuple[tuple[NormalC1, int], ...] = ()
+    preds: tuple[str, ...] = ()
 
     @cached_property
     def witness(self) -> FiniteStructure | None:
@@ -289,8 +300,9 @@ def decide_sat(formulas, *, max_nodes: int = 2_000_000) -> SatResult:
     live 1-types is searched with every cell capped at max(1, largest
     bound), which is complete by the finite-model-property cap argument.
     Every branch's system is over all input predicates.  Unsat carries, in
-    `refuted`, the system of every branch in normalization order: the one
-    its search refuted, or one marked infeasible before any search.
+    `refuted`, every branch in normalization order with the column count
+    of the system its search refuted, 0 for a branch infeasible before any
+    search, and the predicates in `preds`.
     Sat carries only the solution's nonzero cells, which `evaluate`
     model-checks without expanding them; `SatResult.witness` expands them
     on request.
@@ -305,21 +317,20 @@ def decide_sat(formulas, *, max_nodes: int = 2_000_000) -> SatResult:
     preds = sorted(all_preds)
 
     saw_budget = False
-    refuted: list[BuiltSystem] = []
+    refuted: list[tuple[NormalC1, int]] = []
     for branch in branches:
         built = build_system(branch, preds)
         if built.infeasible:
-            refuted.append(built)
+            refuted.append((branch, 0))
             continue
-        cap = max(1, max([b for _, b, _ in branch.conjuncts] + [0]))
         try:
-            sol = ilp_solve(built.system, [cap] * len(built.live_types),
+            sol = ilp_solve(built.system, [branch.cap] * len(built.live_types),
                             max_nodes=max_nodes)
         except BudgetExhaustedError:
             saw_budget = True
             continue
         if sol is None:
-            refuted.append(built)
+            refuted.append((branch, len(built.live_types)))
             continue
         # only the nonzero cells: most of up to MAX_LIVE live types get 0
         cells = CellStructure(built.preds,
@@ -330,26 +341,32 @@ def decide_sat(formulas, *, max_nodes: int = 2_000_000) -> SatResult:
         return SatResult(SAT, cells)
     if saw_budget:
         return SatResult(UNKNOWN)
-    return SatResult(UNSAT, refuted=tuple(refuted))
+    return SatResult(UNSAT, refuted=tuple(refuted), preds=tuple(preds))
 
 
 def render_certificate(res: SatResult) -> str:
     """The certificate file of an Unsat result: per branch, in
-    normalization order, the system its search refuted, in `render_system`
-    form (the per-cell caps are not shown), or a note that the branch was
-    infeasible before any search.  A Sat result's evidence is its witness,
-    so any other status raises ValueError.
+    normalization order, a header line and then the branch's conjuncts, one
+    per line in the symbolic syntax (`>=13 (artist & beekeeper)`).
+
+    The header reads `branch i: cap C, K columns, over p, q, ...`: the
+    per-cell cap of the branch's search, the column count of its merged
+    system and the predicates its 1-types range over, in bit order; or
+    `branch i: trivially infeasible` when the branch was refuted before any
+    search.  The refuted system is `build_system` of the conjuncts over
+    those predicates: its rows are the conjuncts other than the <=0 ones
+    (which kill the 1-types they hold on) and the >=0 ones, plus an
+    implicit all-ones >=1 row that keeps the domain nonempty.  A Sat
+    result's evidence is its witness, so any other status raises ValueError.
     """
     if res.status != UNSAT:
         raise ValueError(f"a {res.status} result has no certificate")
     chunks = []
-    for i, built in enumerate(res.refuted):
-        if built.infeasible:
-            chunks.append(f"branch {i}: trivially infeasible\n")
-            continue
-        chunks.append(f"branch {i}: infeasible system over live one-types "
-                      f"{','.join(map(str, built.live_types))}\n"
-                      + render_system(built.system))
+    for i, (branch, columns) in enumerate(res.refuted):
+        chunks.append(f"branch {i}: cap {branch.cap}, {columns} columns, over "
+                      f"{', '.join(res.preds)}\n" if columns
+                      else f"branch {i}: trivially infeasible\n")
+        chunks.extend(f"{d}{b} {body}\n" for d, b, body in branch.conjuncts)
     return "".join(chunks) or "no branches\n"
 
 

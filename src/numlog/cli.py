@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: solve, derive, generate, psat, check, shrink.  Verdicts that
-assert impossibility (Valid, Unsat) cite a certificate file (an infeasible
-system dump or a derivation); verdicts that assert possibility (Invalid,
-Sat) cite a witness structure file that `numlog check` re-validates.
+assert impossibility (Valid, Unsat) cite a certificate file (each refuted
+branch's conjuncts under its search cap, or a derivation); verdicts that
+assert possibility (Invalid, Sat) cite a witness structure file that
+`numlog check` re-validates.
 
 Exit codes: 0 a definite verdict was reached, 2 the budget ran out
 (Unknown), 1 bad input.  The default search budget comes from the

@@ -1,5 +1,6 @@
-"""Exceptions shared by all numlog modules, and the rule every text format
-reads lines by: `#` comments, blank lines skipped, errors name their line."""
+"""Exceptions shared by all numlog modules, and the rules every text format
+reads by: `#` comments, blank lines skipped, errors name their line, and
+numerals are ASCII decimal digits."""
 
 from contextlib import contextmanager
 
@@ -49,3 +50,12 @@ def at_line(ln: int):
         yield
     except (InputError, ValueError, IndexError) as exc:
         raise InputError(f"line {ln}: {exc}") from exc
+
+
+def decimal(text: str) -> int:
+    """The value of a numeral of ASCII decimal digits, the one numeral form
+    of every text format; anything else (`-1`, `+3`, `1_0`, `٢`) is an
+    InputError."""
+    if not (text.isascii() and text.isdigit()):
+        raise InputError(f"not a decimal numeral: {text!r}")
+    return int(text)

@@ -3,7 +3,7 @@
 A system is stored in one form: sparse integer rows.  Each row is scaled
 once, when the system is built, by the least common multiple of its
 denominators (no gcd is divided out), so every kernel below reads the same
-integer data and `render_system` prints exactly those stored rows.
+integer data.
 
 Every operation here is exact: integers are Python ints, rational results
 are `fractions.Fraction`, and no float is ever produced.  The feasibility
@@ -39,7 +39,7 @@ from numbers import Rational
 from typing import Iterable, Sequence
 
 from .errors import (BudgetExhaustedError, CapExceededError, InputError,
-                     NotASolutionError, at_line, numbered_lines)
+                     NotASolutionError)
 
 LE = "<="
 GE = ">="
@@ -749,50 +749,3 @@ def enumerate_solutions(system: LinearSystem, box: Sequence[int]
         walk(0)
     return out
 
-
-# ---------------------------------------------------------------------------
-# System file format:  "m L" header, then rows "a1 ... aL (<=|>=|=) c"
-# ---------------------------------------------------------------------------
-
-def parse_scalar(tok: str) -> Fraction:
-    """An integer or a fraction "a/b"."""
-    try:
-        if "/" in tok:
-            num, _, den = tok.partition("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(tok))
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"bad number {tok!r}") from None
-
-
-def parse_system(text: str) -> LinearSystem:
-    lines = list(numbered_lines(text))
-    if not lines:
-        raise InputError("empty system file")
-    (header_ln, header), *body = lines
-    with at_line(header_ln):
-        m, width = map(int, header.split())  # the header is "m L"
-    if len(body) != m:
-        raise InputError(f"expected {m} rows, found {len(body)}")
-    rows, relations, rhs = [], [], []
-    for ln, line in body:
-        toks = line.split()
-        with at_line(ln):
-            if len(toks) != width + 2 or toks[width] not in _RELATIONS:
-                raise InputError(f"bad row: {line!r}")
-            rows.append([parse_scalar(t) for t in toks[:width]])
-            rhs.append(parse_scalar(toks[-1]))
-        relations.append(toks[width])
-    return scaled_system((enumerate(row) for row in rows), relations, rhs, width)
-
-
-def render_system(system: LinearSystem) -> str:
-    """The system file of the stored integer rows (rational input rows
-    therefore come back scaled)."""
-    lines = [f"{system.m} {system.num_vars}"]
-    for row, rel, c in zip(system.rows, system.relations, system.rhs):
-        dense = [0] * system.num_vars
-        for j, a in row:
-            dense[j] = a
-        lines.append(" ".join(map(str, dense)) + f" {rel} {c}")
-    return "\n".join(lines) + "\n"

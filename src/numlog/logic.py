@@ -29,7 +29,7 @@ from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (CapExceededError, InputError, UnknownPredicateError,
-                     at_line, numbered_lines)
+                     at_line, decimal, numbered_lines)
 
 AT_LEAST = ">="
 AT_MOST = "<="
@@ -677,7 +677,8 @@ def parse_structure(text: str) -> FiniteStructure | CellStructure:
     The explicit form gives a FiniteStructure, the cell form a
     CellStructure: a `predicates:` line fixes the bit order, and each
     `cell` line lists the predicates true in its cell and the cell's
-    decimal count.  Exactly one `domain N` line gives the decimal size N.
+    decimal count.  Exactly one `domain N` line gives the decimal size N,
+    and `unary` elements and `binary` pairs are decimal too.
     The forms cannot be mixed, a mask may appear on one `cell` line only,
     and `domain` must equal the sum of the counts.
     Errors are InputErrors that name the offending line.
@@ -715,12 +716,13 @@ def parse_structure(text: str) -> FiniteStructure | CellStructure:
                 head, _, rest = line[keyword.end():].partition(":")
                 pred = head.strip()
                 if keyword[1] == "unary":
-                    elems = {int(t) for t in rest.replace(",", " ").split()}
+                    elems = {decimal(t) for t in rest.replace(",", " ").split()}
                     unary.setdefault(_check_ident(pred), set()).update(elems)
                     elements.append((ln, elems))
                     continue
-                pairs = re.findall(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", rest)
-                stripped = re.sub(r"[\s,]*\(\s*\d+\s*,\s*\d+\s*\)[\s,]*", "", rest)
+                pairs = re.findall(r"\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)", rest)
+                stripped = re.sub(r"[\s,]*\(\s*[0-9]+\s*,\s*[0-9]+\s*\)[\s,]*",
+                                  "", rest)
                 if stripped.strip():
                     raise InputError(f"bad pair syntax: {rest.strip()!r}")
                 pairs = {(int(a), int(b)) for a, b in pairs}

@@ -182,7 +182,7 @@ def _relational(lex, kind, bound, subj, verb, inner_kind, inner_bound, obj):
 # The four sentence patterns, matched against the lower-cased sentence with
 # single spaces between its tokens; each builder takes the lexicon and the
 # pattern's groups.
-_QUANTIFIER = r"at (least|most) (\d+)"            # kind, bound
+_QUANTIFIER = r"at (least|most) ([0-9]+)"         # kind, bound
 _NOUN = r"(?!non-)(\S+)"                          # NOUN, without non-
 _LITERAL = r"(\S+)"                               # [non-]NOUN
 _COPULA = r"(?:are|is)( not)?(?: an?)?"           # negated
@@ -285,13 +285,13 @@ def render_english(a: CountingAtom, lex: Lexicon) -> str:
 # ---------------------------------------------------------------------------
 
 _SYM_UNARY = re.compile(
-    r"(?P<dir>>=|<=|=)\s*(?P<bound>\d+)\s*"
+    r"(?P<dir>>=|<=|=)\s*(?P<bound>[0-9]+)\s*"
     r"\(\s*(?P<l1>!?\w+)\s*&\s*(?P<l2>!?\w+)\s*\)\Z")
 _SYM_SINGLE = re.compile(
-    r"(?P<dir>>=|<=|=)\s*(?P<bound>\d+)\s*(?P<l1>!?\w+)\Z")
+    r"(?P<dir>>=|<=|=)\s*(?P<bound>[0-9]+)\s*(?P<l1>!?\w+)\Z")
 _SYM_REL = re.compile(
-    r"(?P<dir>>=|<=)\s*(?P<bound>\d+)\s*(?P<subj>\w+)\s*"
-    r"\[\s*(?P<verb>\w+)\s+(?P<idir>>=|<=)\s*(?P<ibound>\d+)\s*(?P<obj>\w+)\s*\]\Z")
+    r"(?P<dir>>=|<=)\s*(?P<bound>[0-9]+)\s*(?P<subj>\w+)\s*"
+    r"\[\s*(?P<verb>\w+)\s+(?P<idir>>=|<=)\s*(?P<ibound>[0-9]+)\s*(?P<obj>\w+)\s*\]\Z")
 
 
 def _sym_lit(tok: str) -> Lit:

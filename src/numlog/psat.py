@@ -17,8 +17,9 @@ from fractions import Fraction
 from math import lcm
 
 from .c1 import cell_system
-from .errors import CapExceededError, InputError, at_line, numbered_lines
-from .linsys import EQ, lp_feasible, many_nonzeros_instance, parse_scalar
+from .errors import (CapExceededError, InputError, at_line, decimal,
+                     numbered_lines)
+from .linsys import EQ, lp_feasible, many_nonzeros_instance
 from .linsys import sparsify_rational  # noqa: F401  (bench/spans.py rebinds it)
 from .logic import (AT_LEAST, And, CountingAtom, Lit, Not, Or, Pred, TRUE,
                     UnaryAtom, compile_body, lit_formula, mask_of, true_preds)
@@ -169,6 +170,15 @@ def psat_decide(instance) -> ProbabilityAssignment | None:
 # PSAT instance file: one "p | !q | r ; 3/5" line per constraint; as an
 # extension the probability may carry a relation, e.g. "p | q ; >= 1/2".
 
+def _probability(text: str) -> Fraction:
+    """A probability written `a` or `a/b` with decimal numerals a and b."""
+    num, slash, den = text.partition("/")
+    den = decimal(den.strip()) if slash else 1
+    if den == 0:
+        raise InputError(f"zero denominator in {text!r}")
+    return Fraction(decimal(num.strip()), den)
+
+
 def parse_psat_instance(text: str):
     """Read a PSAT file; an InputError names its line."""
     out = []
@@ -186,7 +196,7 @@ def parse_psat_instance(text: str):
                             if tok.startswith("!") else Lit(tok))
             q_text = q_text.strip()
             rel = q_text[:2] if q_text[:2] in ("<=", ">=") else EQ
-            q = parse_scalar(q_text if rel == EQ else q_text[2:].strip())
+            q = _probability(q_text if rel == EQ else q_text[2:].strip())
             if not 0 <= q <= 1:
                 raise InputError(f"probability {q} outside [0,1]")
         out.append((tuple(lits), q) if rel == EQ else (tuple(lits), rel, q))
@@ -212,13 +222,13 @@ def counterexample_assignment(m: int) -> tuple[ProbabilityAssignment, int]:
     incompleteness premise set while giving some goal "at least 1 (t_j and
     r)" probability exactly 0; returns it with that j (1-based).
 
-    Construction: take the LP vertex of the unique-solution system, a basic
-    solution with at most m nonzero entries (so some entry is zero, and
-    every entry is at most 3); scale worlds by the least common denominator
-    u; lay out 6u(m+1) worlds with half of them satisfying t, cells of 3u
-    worlds per t_j, u*u_j of each cell satisfying r (padded outside t to
-    total 3u(m+1)), and the s_i unions dictated by the system's columns.
-    The flat distribution then reproduces every premise threshold exactly.
+    Construction: take the LP vertex u of the unique-solution system, a
+    basic solution with at most m nonzero entries (so some entry is zero,
+    and every entry is at most 3).  With scale N = 6(m+1) the worlds come
+    in 2(m+1) + 2 kinds: per column j, a t_j cell of weight 3/N (t, t_j and
+    the s_i of the rows using column j), u_j/N of it with r; r alone,
+    padding P(r) to 1/2; and the empty world.  This reproduces every
+    premise threshold exactly.
     """
     from .proofs import incompleteness_instance
 
@@ -228,42 +238,19 @@ def counterexample_assignment(m: int) -> tuple[ProbabilityAssignment, int]:
     u_vec = lp_feasible(system)
     assert any(v == 0 for v in u_vec)
     assert all(v <= 3 for v in u_vec)
-    u = lcm(*(v.denominator for v in u_vec))
     scale = 6 * (m + 1)
-    num_worlds = u * scale
-    half = 3 * u * (m + 1)
-
-    # worlds 0..half-1 satisfy t, split into m+1 cells of 3u
-    cell_of = {}
-    for j in range(m + 1):
-        for w in range(3 * u * j, 3 * u * (j + 1)):
-            cell_of[w] = j
-    r_states = set()
-    for j in range(m + 1):
-        count = u * u_vec[j]
-        assert count.denominator == 1
-        r_states.update(range(3 * u * j, 3 * u * j + int(count)))
-    pad = half - len(r_states)
-    r_states.update(range(half, half + pad))
-    s_members = {i: {w for j, _ in system.rows[i]
-                     for w in range(3 * u * j, 3 * u * (j + 1))}
-                 for i in range(m)}
 
     letters = tuple(["t"] + [f"t{j}" for j in range(1, m + 2)]
                     + [f"s{i}" for i in range(1, m + 1)] + ["r"])
-    weight = Fraction(1, num_worlds)
+    # per column j, the t_j cell: t, t_j and the s_i of the rows using j
     worlds = []
-    for w in range(num_worlds):
-        true: set[str] = set()
-        if w < half:
-            true.add("t")
-            true.add(f"t{cell_of[w] + 1}")
-            for i in range(m):
-                if w in s_members[i]:
-                    true.add(f"s{i + 1}")
-        if w in r_states:
-            true.add("r")
-        worlds.append((frozenset(true), weight))
+    for j, (u_j, column) in enumerate(zip(u_vec, system.columns)):
+        cell = {"t", f"t{j + 1}"} | {f"s{i + 1}" for i, _ in column}
+        worlds.append((cell | {"r"}, u_j / scale))
+        worlds.append((cell, (3 - u_j) / scale))
+    # r alone pads P(r) to 1/2; the empty world takes the rest
+    worlds.append(({"r"}, (3 * (m + 1) - sum(u_vec)) / scale))
+    worlds.append((set(), sum(u_vec) / scale))
     assignment = ProbabilityAssignment(letters, tuple(worlds), scale)
 
     phi, goals = incompleteness_instance(m)

@@ -15,7 +15,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import BudgetExhaustedError, InputError, at_line, numbered_lines
+from .errors import (BudgetExhaustedError, InputError, at_line, decimal,
+                     numbered_lines)
 from .logic import (AT_LEAST, AT_MOST, CountingAtom, FiniteStructure, Lit,
                     RelationalAtom, UnaryAtom, at_least, at_most, evaluate,
                     structure)
@@ -128,10 +129,11 @@ def brute_3col(g: Graph) -> dict[int, int] | None:
     return walk(1)
 
 
-# Graph file format: DIMACS-like "p edge n m" plus "e i j" lines.
+# Graph file format: DIMACS-like "p edge n m" plus "e i j" lines, where m
+# is the number of distinct edges.
 
 def parse_graph(text: str) -> Graph:
-    n = n_ln = None
+    n = m = n_ln = None
     edge_ln: dict[tuple[int, int], int] = {}  # the first line of each edge
     for ln, line in numbered_lines(text):
         tag, *rest = line.split()
@@ -141,11 +143,11 @@ def parse_graph(text: str) -> Graph:
                     raise InputError(f"problem line repeats line {n_ln}")
                 if len(rest) != 3 or rest[0] != "edge":
                     raise InputError("bad problem line")
-                n, n_ln = graph(int(rest[1]), ()).n, ln  # checks n >= 0
+                n, m, n_ln = decimal(rest[1]), decimal(rest[2]), ln
             elif tag == "e":
                 if len(rest) != 2:
                     raise InputError("an edge line is 'e a b'")
-                edge_ln.setdefault((int(rest[0]), int(rest[1])), ln)
+                edge_ln.setdefault((decimal(rest[0]), decimal(rest[1])), ln)
             elif tag != "c":
                 raise InputError(f"unrecognized {line!r}")
     if n is None:
@@ -153,7 +155,12 @@ def parse_graph(text: str) -> Graph:
     for edge, ln in edge_ln.items():
         with at_line(ln):
             graph(n, [edge])  # a loop or a node out of range
-    return graph(n, edge_ln)
+    g = graph(n, edge_ln)
+    if len(g.edges) != m:
+        with at_line(n_ln):
+            raise InputError(f"the problem line gives {m} edges, the file "
+                             f"has {len(g.edges)}")
+    return g
 
 
 def render_graph(g: Graph) -> str:

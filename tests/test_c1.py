@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from numlog.c1 import (SAT, UNSAT, build_system, decide_sat, entails,
-                       normalize)
+                       normalize, render_certificate)
 from numlog.errors import CapExceededError, InputError
 from numlog.linsys import _Tableau
 from numlog.logic import (AT_LEAST, AT_MOST, And, Count, Lit, Not, Pred,
@@ -245,6 +245,19 @@ class TestDecideSat:
         assert render_structure(res.witness) == (
             "domain 5\nunary a: 2, 3, 4\nunary b: 2, 3, 4\n"
             "unary c: 0, 1, 3, 4\n")
+
+
+    def test_certificate_is_pinned(self):
+        # a branch its search refuted, then one refuted before any search
+        p, not_p = Lit("p"), Lit("p", False)
+        res = decide_sat([at_least(2, p, p), at_most(1, p, p)])
+        assert render_certificate(res) == (
+            "branch 0: cap 2, 2 columns, over p\n>=2 (p & p)\n<=1 (p & p)\n")
+        res = decide_sat([at_most(0, p, p), at_most(0, not_p, not_p)])
+        assert render_certificate(res) == (
+            "branch 0: trivially infeasible\n<=0 (p & p)\n<=0 (!p & !p)\n")
+        with pytest.raises(ValueError):
+            render_certificate(decide_sat([at_least(1, p, p)]))
 
 
 class TestEntails:

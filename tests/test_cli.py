@@ -9,9 +9,10 @@ import pytest
 
 from numlog import c1
 from numlog.cli import main
-from numlog.linsys import _Tableau, ilp_solve, parse_system
-from numlog.logic import CellStructure, evaluate, negate_atom, parse_structure
-from numlog.parsing import parse_argument, parse_lexicon
+from numlog.linsys import _Tableau, ilp_solve
+from numlog.logic import (CellStructure, atom_formula, evaluate, negate_atom,
+                          parse_structure)
+from numlog.parsing import parse_argument, parse_lexicon, parse_symbolic_line
 
 LEXICON = """
 nouns: artist, beekeeper, carpenter, dentist
@@ -73,16 +74,37 @@ class TestSolve:
         # one normalization, one build per branch
         assert calls == {"normalize": 1, "build_system": len(branches)}
         text = (workspace / "arg1.certificate.txt").read_text(encoding="utf-8")
-        chunks = re.split(r"^branch \d+: ", text, flags=re.M)[1:]
-        assert len(chunks) == len(res.refuted) == len(branches)
-        for branch, built, chunk in zip(branches, res.refuted, chunks):
-            header, _, body = chunk.partition("\n")
-            assert header == ("infeasible system over live one-types "
-                              + ",".join(map(str, built.live_types)))
-            system = parse_system(body)
-            assert system == built.system
-            cap = max(1, max(b for _, b, _ in branch.conjuncts))
-            assert ilp_solve(system, [cap] * system.num_vars) is None
+        blocks = re.split(r"^branch \d+: ", text, flags=re.M)[1:]
+        assert len(blocks) == len(res.refuted) == len(branches)
+        for branch, block in zip(branches, blocks):
+            header, *lines = block.splitlines()
+            # the conjuncts, back from the symbolic syntax
+            counts = [atom_formula(a) for line in lines
+                      for a in parse_symbolic_line(line)]
+            replayed = c1.NormalC1(tuple((c.direction, c.bound, c.body)
+                                         for c in counts))
+            assert replayed == branch
+            head = re.fullmatch(r"cap (\d+), (\d+) columns, over (.+)", header)
+            cap, columns, preds = int(head[1]), int(head[2]), head[3].split(", ")
+            # the search cap that makes the refutation complete
+            assert cap == max([1] + [b for _, b, _ in replayed.conjuncts])
+            built = c1.build_system(replayed, preds)
+            assert len(built.live_types) == columns
+            assert ilp_solve(built.system, [cap] * columns) is None
+
+    @pytest.mark.parametrize("m", [6, 8])
+    def test_certificate_grows_with_the_argument(self, workspace, capsys, m):
+        run(capsys, "generate", "incompleteness", "--m", m, "--out", workspace)
+        stem = workspace / f"incompleteness_m{m}"
+        goal = stem.with_suffix(".goals").read_text(encoding="utf-8")
+        arg = (stem.with_suffix(".formulas").read_text(encoding="utf-8")
+               + "Therefore:\n" + goal.splitlines()[0] + "\n")
+        (workspace / "goal1.txt").write_text(arg, encoding="utf-8")
+        code, out = run(capsys, "solve", workspace / "goal1.txt",
+                        "--out", workspace)
+        assert code == 0 and out.startswith("Valid")
+        cert = (workspace / "goal1.certificate.txt").read_bytes()
+        assert len(cert) <= len(arg.encode()) + 512
 
     def test_premises_alone_sat_with_checking_witness(self, workspace, capsys):
         text = "\n".join(ARGUMENT_1.strip().splitlines()[:3])

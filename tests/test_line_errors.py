@@ -5,7 +5,6 @@ also when the check can only run once the whole file is read."""
 import pytest
 
 from numlog.errors import InputError
-from numlog.linsys import parse_system
 from numlog.logic import parse_structure
 from numlog.parsing import (Lexicon, looks_symbolic, parse_argument,
                             parse_lexicon)
@@ -42,15 +41,27 @@ def english(text):
     (parse_graph, f"p edge 2 1\n{PAD}e 1 x\n", 5),
     (parse_tiling_system, f"colours: a, b\n{PAD}V: (a,c)\n", 5),
     (parse_tiling_system, f"{PAD}colours: a, a\n", 4),
-    (parse_system, f"{PAD}1 x\n1 = 1\n", 4),
-    (parse_system, f"1 2\n{PAD}1 1 ~ 1\n", 5),
-    (parse_system, f"1 1\n{PAD}1 = 1/0\n", 5),
+    (parse_graph, f"{PAD}p edge 3 x\ne 1 2\n", 4),
+    (parse_graph, f"{PAD}p edge 3 7\ne 1 2\n", 4),
+    (parse_graph, f"{PAD}p edge 3 2\ne 1 2\ne 2 1\n", 4),
+    # a numeral is ASCII decimal digits, nothing else int() reads
+    (parse_structure, f"domain 11\n{PAD}unary p: 1_0\n", 5),
+    (parse_structure, f"domain 11\n{PAD}unary p: +3\n", 5),
+    (parse_structure, f"domain 11\n{PAD}unary p: \u0662\n", 5),
+    (parse_structure, f"domain 3\n{PAD}binary r: (\u0661, 2)\n", 5),
+    (parse_argument, f"{PAD}>=\u0663 (p & q)\n", 4),
+    (english, f"{PAD}At least \u0663 artists are beekeepers\n", 4),
+    (parse_graph, f"{PAD}p edge \u0663 0\n", 4),
+    (parse_graph, f"p edge 3 1\n{PAD}e +1 2\n", 5),
+    (parse_psat_instance, f"p ; 1\n{PAD}p ; 1_0/2_0\n", 5),
 ], ids=["symbolic", "therefore", "english", "lexicon-section",
         "lexicon-fault", "unary-range", "unary-negative", "binary-range",
         "unary-name", "binary-name", "cell-sum", "psat", "edge-range",
         "edge-loop", "edge-before-problem", "negative-nodes", "edge-number",
-        "tiling-colour", "tiling-colours", "system-header", "system-row",
-        "system-number"])
+        "tiling-colour", "tiling-colours", "edge-count-number",
+        "edge-count", "edge-count-distinct", "unary-underscore",
+        "unary-plus", "unary-arabic", "binary-arabic", "symbolic-arabic",
+        "english-arabic", "nodes-arabic", "edge-plus", "psat-underscore"])
 def test_error_names_its_line(reader, text, line):
     with pytest.raises(InputError, match=rf"^line {line}: "):
         reader(text)
@@ -66,10 +77,7 @@ def test_second_problem_line_names_the_first():
     (parse_structure, f"{PAD}unary p: 0\n"),
     (parse_graph, f"{PAD}e 1 2\n"),
     (parse_tiling_system, f"{PAD}H: (a,a)\n"),
-    (parse_system, PAD),
-    (parse_system, f"2 1\n{PAD}1 = 1\n"),
-], ids=["no-domain", "no-problem-line", "no-colours", "empty-system",
-        "row-count"])
+], ids=["no-domain", "no-problem-line", "no-colours"])
 def test_an_error_with_no_line_to_name_names_none(reader, text):
     with pytest.raises(InputError) as info:
         reader(text)

@@ -10,9 +10,8 @@ from numlog.errors import (BudgetExhaustedError, CapExceededError, InputError,
 from numlog.linsys import (EQ, GE, LE, LinearSystem, _presolve, _Tableau,
                            check_prop2_bound, enumerate_solutions, ilp_solve,
                            lp_feasible, many_nonzeros_instance,
-                           natural_sparsity_bound, parse_system,
-                           render_system, sparsify_natural, sparsify_rational,
-                           system_from_rows)
+                           natural_sparsity_bound, sparsify_natural,
+                           sparsify_rational, system_from_rows)
 
 
 def nnz(x):
@@ -188,6 +187,15 @@ class TestManyNonzerosInstance:
         assert [int(c) for c in s.rhs] == [3, 3, 3, 3, 3, 4]
         assert s.is_boolean
 
+    def test_m6_rows_pinned(self):
+        s = many_nonzeros_instance(6)
+        assert s.rows == (((0, 1), (1, 1), (2, 1)), ((1, 1), (2, 1), (3, 1)),
+                          ((2, 1), (3, 1), (4, 1)), ((3, 1), (4, 1), (5, 1)),
+                          ((4, 1), (5, 1), (6, 1)),
+                          ((0, 1), (1, 1), (3, 1), (6, 1)))
+        assert s.relations == (EQ,) * 6
+        assert s.rhs == (3, 3, 3, 3, 3, 4)
+
     def test_m6_unique_solution_is_all_ones(self):
         s = many_nonzeros_instance(6)
         assert enumerate_solutions(s, [4] * 7) == [(1,) * 7]
@@ -286,32 +294,14 @@ class TestEnumerateSolutions:
             enumerate_solutions(s, [9] * 10)
 
 
-class TestSystemFiles:
-    def test_round_trip(self):
-        s = system_from_rows([[1, Fraction(1, 2)], [0, 3]], [LE, EQ],
-                             [Fraction(7, 3), 4])
-        assert parse_system(render_system(s)) == s
-
-    def test_rational_rows_render_scaled(self):
-        s = system_from_rows([[1, Fraction(1, 2)], [0, 3]], [LE, EQ],
-                             [Fraction(7, 3), 4])
-        assert render_system(s) == "2 2\n6 3 <= 14\n0 3 = 4\n"
-
-    def test_boolean_rendering_pinned(self):
-        s = system_from_rows([[1, 0, 1], [0, 1, 1]], [LE, GE], [2, 0])
-        assert render_system(s) == "2 3\n1 0 1 <= 2\n0 1 1 >= 0\n"
-        assert render_system(many_nonzeros_instance(6)) == (
-            "6 7\n1 1 1 0 0 0 0 = 3\n0 1 1 1 0 0 0 = 3\n0 0 1 1 1 0 0 = 3\n"
-            "0 0 0 1 1 1 0 = 3\n0 0 0 0 1 1 1 = 3\n1 1 0 1 0 0 1 = 4\n")
-
-    def test_parse_errors(self):
-        with pytest.raises(InputError):
-            parse_system("2 2\n1 1 = 1\n")
-        with pytest.raises(InputError):
-            parse_system("1 2\n1 1 ~ 1\n")
-        for bad in ("1/0", "x"):
-            with pytest.raises(InputError):
-                parse_system(f"1 1\n1 = {bad}\n")
+def test_rows_are_stored_scaled():
+    # each rational row is multiplied by the lcm of its denominators
+    s = system_from_rows([[1, Fraction(1, 2)], [0, 3]], [LE, EQ],
+                         [Fraction(7, 3), 4])
+    assert (s.rows, s.rhs) == ((((0, 6), (1, 3)), ((1, 3),)), (14, 4))
+    # 0/1 rows are stored as they are, zero entries dropped
+    s = system_from_rows([[1, 0, 1], [0, 1, 1]], [LE, GE], [2, 0])
+    assert (s.rows, s.rhs) == ((((0, 1), (2, 1)), ((1, 1), (2, 1))), (2, 0))
 
 
 def test_boolean_flag():
