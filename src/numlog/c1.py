@@ -28,8 +28,9 @@ from .linsys import sparsify_natural  # noqa: F401  (bench/spans.py rebinds it)
 from .logic import (AT_LEAST, AT_MOST, EXACTLY, And, C1Formula,
                     CellStructure, Count, CountingAtom, FALSE,
                     FiniteStructure, Not, Or, Pred, RelationalAtom, TRUE,
-                    UnaryAtom, atom_formula, evaluate, formula_predicates,
-                    is_closed, is_quantifier_free, live_signatures)
+                    UnaryAtom, _compare, atom_formula, evaluate,
+                    formula_predicates, is_closed, is_quantifier_free,
+                    live_signatures)
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -79,7 +80,8 @@ class SatResult:
 
 def _simplify(f: C1Formula) -> C1Formula:
     """Constant-fold TRUE/FALSE, flatten nested And/Or, and rewrite every
-    =C quantifier as the <=C and >=C pair."""
+    =C quantifier as the <=C and >=C pair.  A count over a FALSE body, and
+    a <=C count with C < 0, fold to the constant its count 0 gives."""
     if isinstance(f, Pred):
         return f
     if isinstance(f, Not):
@@ -119,10 +121,9 @@ def _simplify(f: C1Formula) -> C1Formula:
         return _simplify(And((Count(AT_MOST, f.bound, f.body),
                               Count(AT_LEAST, f.bound, f.body))))
     body = _simplify(f.body)
-    if body == FALSE:
-        # no element satisfies the body, whatever the domain
-        count_ok = (0 >= f.bound) if f.direction == AT_LEAST else (0 <= f.bound)
-        return TRUE if count_ok else FALSE
+    if body == FALSE or (f.direction == AT_MOST and f.bound < 0):
+        # no element satisfies the body, or no count is small enough
+        return TRUE if _compare(0, f.direction, f.bound) else FALSE
     return Count(f.direction, f.bound, body)
 
 
@@ -247,9 +248,6 @@ def build_system(normal: NormalC1, preds: list[str]) -> BuiltSystem:
     if not found <= set(preds):
         raise InputError("predicate list does not cover the branch")
     preds = tuple(preds)
-    if any(d == AT_MOST and b < 0 for d, b, _ in rows_in):
-        return BuiltSystem(None, (), preds, infeasible=True)
-
     kills = [body for d, b, body in rows_in if d == AT_MOST and b == 0]
     kept = [(d, b, body) for d, b, body in rows_in
             if not (d == AT_MOST and b == 0) and not (d == AT_LEAST and b <= 0)]
@@ -356,8 +354,11 @@ def render_certificate(res: SatResult) -> str:
     search.  The refuted system is `build_system` of the conjuncts over
     those predicates: its rows are the conjuncts other than the <=0 ones
     (which kill the 1-types they hold on) and the >=0 ones, plus an
-    implicit all-ones >=1 row that keeps the domain nonempty.  A Sat
-    result's evidence is its witness, so any other status raises ValueError.
+    implicit all-ones >=1 row that keeps the domain nonempty.  When
+    normalization leaves no branch (a constant-false conjunct such as
+    `<=-1`, the dual of a `>=0` conclusion, folds each one away) the
+    certificate is the line `no branches`.  A Sat result's evidence is its
+    witness, so any other status raises ValueError.
     """
     if res.status != UNSAT:
         raise ValueError(f"a {res.status} result has no certificate")

@@ -7,8 +7,10 @@ assert possibility (Invalid, Sat) cite a witness structure file that
 `numlog check` re-validates.
 
 Exit codes: 0 a definite verdict was reached, 2 the budget ran out
-(Unknown), 1 bad input.  The default search budget comes from the
-NUMLOG_BUDGET environment variable when set.
+(Unknown), 1 bad input, an option value too.  The default search budget
+comes from the NUMLOG_BUDGET environment variable when set.  Numeric
+options and NUMLOG_BUDGET are ASCII decimal numerals, as in every file
+format.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ import sys
 import time
 from functools import cache
 from pathlib import Path
+from typing import Callable
 
 from . import c1, n2, proofs, psat, reductions
-from .errors import BudgetExhaustedError, InputError, NumlogError
+from .errors import BudgetExhaustedError, InputError, NumlogError, decimal
 from .logic import (RelationalAtom, UnaryAtom, negate_atom, parse_structure,
                     render_structure)
 from .parsing import (parse_argument, parse_lexicon,
@@ -40,15 +43,16 @@ _DECIDED = {VALID, INVALID, SAT, UNSAT, DERIVABLE, NOT_DERIVABLE,
             "Generated", "Shrunk"}
 
 
-def _budget(raw: str, source: str = "--budget") -> int:
-    """A search budget given as text: a nonnegative integer."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"{source} is not an integer: {raw!r}") from None
-    if value < 0:
-        raise InputError(f"{source} is negative: {raw!r}")
-    return value
+def _numeral(source: str) -> Callable[[str], int]:
+    """The reader of the option or environment variable `source`: a numeral
+    of ASCII decimal digits, as in every file format.  Its InputError names
+    `source`; argparse lets it through to `main`, which exits 1."""
+    def read(raw: str) -> int:
+        try:
+            return decimal(raw)
+        except InputError as exc:
+            raise InputError(f"{source}: {exc}") from None
+    return read
 
 
 def _out_dir(args, input_path: Path) -> Path:
@@ -323,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable verdict envelope")
         p.add_argument("--out", help="directory for certificate files")
-        p.add_argument("--budget", type=_budget,
+        p.add_argument("--budget", type=_numeral("--budget"),
                        help="search budget (nodes/updates); default from "
                             "NUMLOG_BUDGET or 200000")
 
@@ -344,13 +348,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit reduction instances with oracles")
     p.add_argument("kind", choices=["3col", "tiling", "incompleteness"])
     p.add_argument("--graph", help="k3|k4|c5 or a graph file (3col)")
-    p.add_argument("--nodes", type=int, default=6, help="random graph size")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--k", type=int, default=1, help="grid exponent (tiling)")
-    p.add_argument("--colours", type=int, default=2,
+    p.add_argument("--nodes", type=_numeral("--nodes"), default=6,
+                   help="random graph size")
+    p.add_argument("--seed", type=_numeral("--seed"), default=0,
+                   help="random seed")
+    p.add_argument("--k", type=_numeral("--k"), default=1,
+                   help="grid exponent (tiling)")
+    p.add_argument("--colours", type=_numeral("--colours"), default=2,
                    help="colour count (tiling)")
     p.add_argument("--init", help="comma-separated initial colours (tiling)")
-    p.add_argument("--m", type=int, default=6,
+    p.add_argument("--m", type=_numeral("--m"), default=6,
                    help="instance parameter (incompleteness)")
     common(p)
     p.set_defaults(func=cmd_generate)
@@ -380,8 +387,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if getattr(args, "budget", 0) is None:  # read when each command runs
-            args.budget = _budget(os.environ.get("NUMLOG_BUDGET") or "200000",
-                                  "NUMLOG_BUDGET")
+            args.budget = _numeral("NUMLOG_BUDGET")(
+                os.environ.get("NUMLOG_BUDGET") or "200000")
         return args.func(args)
     except BudgetExhaustedError as exc:
         print(f"Unknown: {exc}", file=sys.stderr)

@@ -458,26 +458,6 @@ def satisfiers(s: FiniteStructure, a: CountingAtom) -> frozenset[int]:
     raise InputError(f"not a counting atom: {a!r}")
 
 
-def _cell_holds(s: CellStructure, f: C1Formula, mask: int | None) -> bool:
-    """`_holds_at` on an element of the cell `mask` of s.  A Count sums the
-    cells whose mask satisfies its body, so every nonzero cell's mask is
-    tested exactly where `_holds_at` would test each of its elements."""
-    if isinstance(f, Pred):
-        if mask is None:
-            raise InputError("free variable in a closed evaluation context")
-        return bool(mask >> _bit(f.name, s.index) & 1)
-    if isinstance(f, Not):
-        return not _cell_holds(s, f.body, mask)
-    if isinstance(f, And):
-        return all(_cell_holds(s, p, mask) for p in f.parts)
-    if isinstance(f, Or):
-        return any(_cell_holds(s, p, mask) for p in f.parts)
-    if isinstance(f, Count):
-        n = sum(count for m, count in s.cells if _cell_holds(s, f.body, m))
-        return _compare(n, f.direction, f.bound)
-    raise InputError(f"cannot evaluate {f!r}")
-
-
 def _evaluate_cells(s: CellStructure, f) -> bool:
     if isinstance(f, UnaryAtom):
         pos = neg = 0
@@ -491,7 +471,7 @@ def _evaluate_cells(s: CellStructure, f) -> bool:
         return _compare(n, f.direction, f.bound)
     if isinstance(f, RelationalAtom):
         raise UnknownPredicateError(f"binary predicate {f.verb!r} not interpreted")
-    return _cell_holds(s, f, None)
+    return compile_body(f, s.index, s.cells)(0)
 
 
 def evaluate(s: FiniteStructure | CellStructure, f) -> bool:
@@ -564,15 +544,20 @@ def _literal_bits(f: C1Formula, connective: type, index: Mapping[str, int]
     return None
 
 
-def compile_body(f: C1Formula, index: Mapping[str, int]) -> Callable[[int], bool]:
+def compile_body(f: C1Formula, index: Mapping[str, int],
+                 cells: Sequence[tuple[int, int]] | None = None
+                 ) -> Callable[[int], bool]:
     """A test on 1-type masks (bit index[p] = truth of p) equivalent to the
-    quantifier-free formula f.
+    formula f, quantifier-free unless `cells` are given.
 
     A literal conjunction becomes one bit test that all its positive bits
     are set and all its negative bits clear; a clause, one test that some
     positive bit is set or some negative bit clear.  Other bodies combine
-    the tests of their parts.  Raises UnknownPredicateError for a predicate
-    outside `index` and InputError for a quantifier.
+    the tests of their parts.  With `cells`, the (mask, count) cells of a
+    structure, a Count is the constant truth of its count there: the sum
+    of the cells whose mask satisfies its body.  Raises
+    UnknownPredicateError for a predicate outside `index` and InputError
+    for a quantifier when no cells are given.
     """
     conj = _literal_bits(f, And, index)
     if conj is not None:
@@ -583,13 +568,17 @@ def compile_body(f: C1Formula, index: Mapping[str, int]) -> Callable[[int], bool
         pos, neg = clause
         return lambda mask: bool(mask & pos or neg & ~mask)
     if isinstance(f, Not):
-        inner = compile_body(f.body, index)
+        inner = compile_body(f.body, index, cells)
         return lambda mask: not inner(mask)
     if isinstance(f, (And, Or)):
-        tests = [compile_body(p, index) for p in f.parts]
+        tests = [compile_body(p, index, cells) for p in f.parts]
         combine = all if isinstance(f, And) else any
         return lambda mask: combine(t(mask) for t in tests)
-    raise InputError("formula is not quantifier-free")
+    if cells is None or not isinstance(f, Count):
+        raise InputError("formula is not quantifier-free")
+    body = compile_body(f.body, index, cells)
+    holds = _compare(sum(n for m, n in cells if body(m)), f.direction, f.bound)
+    return lambda mask: holds
 
 
 def live_signatures(preds: Sequence[str], kills: Iterable[C1Formula],

@@ -212,9 +212,12 @@ def bounded_search(phi, domain_cap: int, *, budget: int = 200_000
     and `_search_binary` tallies profiles.  Only the model returned is
     expanded into elements and edges, and it is model-checked on every
     atom.  Raises BudgetExhaustedError when the budget runs out, which is
-    distinct from "no model up to the cap".
+    distinct from "no model up to the cap".  A constant-false atom (such
+    as `<=-1`, the dual of a `>=0` conclusion) gives None before any search.
     """
     atoms = _check_atoms(phi)
+    if any(a.is_trivially_false for a in atoms):
+        return None
     preds = tuple(_unary_preds(atoms))
     verbs = _binary_preds(atoms)
     relational = [a for a in atoms if isinstance(a, RelationalAtom)]

@@ -328,8 +328,25 @@ def render_tiling_system(ts: TilingSystem) -> str:
 # The tiling encoding
 # ---------------------------------------------------------------------------
 
+def _matches(coord: int, pairs) -> bool:
+    """Whether a coordinate has the value of every (digit, value) pair."""
+    return all(coord >> d & 1 == v for d, v in pairs)
+
+
 class _Frame:
-    """Shared bookkeeping between the encoder and the witness builder."""
+    """Shared bookkeeping between the encoder and the witness builder.
+
+    `tracked` lists the s tracked predicates, the X axis's then the Y
+    axis's, each as (name, complement, pairs): a grid element has the
+    predicate exactly when its coordinate on that axis `_matches` the
+    (digit, value) pairs.  The first p of each axis are the digits; the
+    rest (carry chain `s`, fix-ups `p` and `m`) each head one clause of
+    `clauses`, the predicate then the negation of each of its pairs, as
+    (tracked index, barred) literals on the axis's digits, in that order:
+    the witness links each grid element to its clause's first true literal.
+    The encoder's complement counts and the witness's extensions and clause
+    edges all derive from these pairs.
+    """
 
     def __init__(self, ts: TilingSystem, init, k: int):
         if k < 1:
@@ -351,74 +368,27 @@ class _Frame:
             if c in reserved or re.match(r"(X|Y|o\d|l\d|lb\d|rg\d)", c):
                 raise InputError(f"colour name {c!r} clashes with encoding names")
         p = self.p
-        # the s tracked predicates per axis: digits, carry-chain, fix-ups
-        self.q_preds: list[str] = []
-        self.q_bars: list[str] = []
+
+        def chain(i: int) -> tuple:  # digit i is the lowest 0 (none at i = p)
+            return (((i, 0),) if i < p else ()) + tuple((d, 1) for d in range(i))
+
+        self.tracked: list[tuple[str, str, tuple]] = []
         for ax in ("X", "Y"):
-            for i in range(p):
-                self.q_preds.append(f"{ax}{i}")
-                self.q_bars.append(f"{ax}b{i}")
-            for i in range(p + 1):
-                self.q_preds.append(f"{ax}s{i}")
-                self.q_bars.append(f"{ax}sb{i}")
-            for i in range(p):
-                for j in range(i + 1, p):
-                    self.q_preds.append(f"{ax}p{i}_{j}")
-                    self.q_bars.append(f"{ax}pb{i}_{j}")
-            for i in range(p):
-                for j in range(i + 1, p):
-                    self.q_preds.append(f"{ax}m{i}_{j}")
-                    self.q_bars.append(f"{ax}mb{i}_{j}")
-        assert len(self.q_preds) == self.s
-        self.q_index = {name: h for h, name in enumerate(self.q_preds)}
-        self.clauses = self._clauses()
-
-    def _clauses(self) -> list[list[tuple[int, bool]]]:
-        """Clauses over the tracked predicates: (index, barred) literals.
-
-        Each clause gives a sufficient condition for one carry-chain or
-        fix-up predicate in terms of digits: together they pin those
-        predicates from below on every grid element.
-        """
-        p = self.p
-        out = []
-        for ax in ("X", "Y"):
-
-            def idx(name: str) -> int:
-                return self.q_index[name]
-
-            for i in range(p):
-                clause = [(idx(f"{ax}s{i}"), False), (idx(f"{ax}{i}"), False)]
-                clause += [(idx(f"{ax}{kk}"), True) for kk in range(i)]
-                out.append(clause)
-            clause = [(idx(f"{ax}s{p}"), False)]
-            clause += [(idx(f"{ax}{kk}"), True) for kk in range(p)]
-            out.append(clause)
-            for i in range(p):
-                for j in range(i + 1, p):
-                    clause = [(idx(f"{ax}p{i}_{j}"), False),
-                              (idx(f"{ax}{j}"), True), (idx(f"{ax}{i}"), False)]
-                    clause += [(idx(f"{ax}{kk}"), True) for kk in range(i)]
-                    out.append(clause)
-            for i in range(p):
-                for j in range(i + 1, p):
-                    clause = [(idx(f"{ax}m{i}_{j}"), False),
-                              (idx(f"{ax}{j}"), False), (idx(f"{ax}{i}"), False)]
-                    clause += [(idx(f"{ax}{kk}"), True) for kk in range(i)]
-                    out.append(clause)
-        return out
-
-    def grid_count(self, name: str) -> int:
-        """Cardinality of a tracked predicate on the intended grid."""
-        p, N = self.p, self.N
-        rest = name[1:]
-        if rest.startswith("s"):
-            i = int(rest[1:])
-            return N if i == p else (N * N) >> (i + 1)
-        if rest.startswith(("p", "m")):
-            i = int(rest[1:].split("_")[0])
-            return (N * N) >> (i + 2)
-        return (N * N) >> 1  # plain digit
+            self.tracked += [(f"{ax}{i}", f"{ax}b{i}", ((i, 1),))
+                             for i in range(p)]
+            self.tracked += [(f"{ax}s{i}", f"{ax}sb{i}", chain(i))
+                             for i in range(p + 1)]
+            for tag, v in (("p", 1), ("m", 0)):
+                self.tracked += [(f"{ax}{tag}{i}_{j}", f"{ax}{tag}b{i}_{j}",
+                                  ((j, v),) + chain(i))
+                                 for i in range(p) for j in range(i + 1, p)]
+        assert len(self.tracked) == self.s
+        half = self.s // 2
+        # the negation of (d, v) is digit d of the axis, barred when v is 1
+        self.clauses = [[(h, False)] + [(h - h % half + d, v == 1)
+                                        for d, v in pairs]
+                        for h, (_, _, pairs) in enumerate(self.tracked)
+                        if h % half >= p]
 
 
 def encode_tiling(ts: TilingSystem, init, k: int) -> list[CountingAtom]:
@@ -509,10 +479,9 @@ def encode_tiling(ts: TilingSystem, init, k: int) -> list[CountingAtom]:
                 emit(RelationalAtom(AT_MOST, 0, a, "v", AT_LEAST, 1, b))
 
     # complement axioms for the carry-chain / fix-up predicates
-    for name, bar in zip(f.q_preds, f.q_bars):
-        if bar.startswith(("Xb", "Yb")) and "_" not in bar and bar[2:].isdigit():
-            continue  # plain digit complements already axiomatized
-        n_g = f.grid_count(name)
+    for clause in f.clauses:  # the digits' are axiomatized above
+        name, bar, pairs = f.tracked[clause[0][0]]
+        n_g = f.N * sum(_matches(c, pairs) for c in range(f.N))
         emit(at_least(n_g, Lit(name), Lit(name)))
         emit(at_least(N2 - n_g, Lit(bar), Lit(bar)))
         subset(name, "q")
@@ -549,9 +518,9 @@ def encode_tiling(ts: TilingSystem, init, k: int) -> list[CountingAtom]:
                 emit(RelationalAtom(AT_MOST, 0, "q", verb,
                                     AT_LEAST, 1, f"lb{h + 1}"))
         for h in range(f.s):
-            emit(RelationalAtom(AT_MOST, 0, f.q_preds[h], verb,
+            emit(RelationalAtom(AT_MOST, 0, f.tracked[h][0], verb,
                                 AT_LEAST, 1, f"lb{h + 1}"))
-            emit(RelationalAtom(AT_MOST, 0, f.q_bars[h], verb,
+            emit(RelationalAtom(AT_MOST, 0, f.tracked[h][1], verb,
                                 AT_LEAST, 1, f"l{h + 1}"))
 
     return list(atoms)
@@ -585,26 +554,10 @@ def witness_model(ts: TilingSystem, t: Tiling, init, k: int) -> FiniteStructure:
         return unary.setdefault(name, set())
 
     ext("q").update(grid)
-    tracked: dict[str, set[int]] = {}
-    for x in range(N):
-        for y in range(N):
-            e = gidx(x, y)
-            for ax, coord in (("X", x), ("Y", y)):
-                for i in range(f.p):
-                    tracked.setdefault(
-                        f"{ax}{i}" if (coord >> i) & 1 else f"{ax}b{i}",
-                        set()).add(e)
-                ones = 0
-                while ones < f.p and (coord >> ones) & 1:
-                    ones += 1
-                tracked.setdefault(f"{ax}s{ones}", set()).add(e)
-                for i in range(f.p):
-                    for j in range(i + 1, f.p):
-                        if ones == i:
-                            which = "p" if (coord >> j) & 1 else "m"
-                            tracked.setdefault(f"{ax}{which}{i}_{j}", set()).add(e)
-    for name, bar in zip(f.q_preds, f.q_bars):
-        members = tracked.get(name, set())
+    half = f.s // 2
+    for h, (name, bar, pairs) in enumerate(f.tracked):
+        members = {gidx(x, y) for x in range(N) for y in range(N)
+                   if _matches(x if h < half else y, pairs)}
         ext(name).update(members)
         ext(bar).update(set(grid) - members)
 
@@ -638,8 +591,8 @@ def witness_model(ts: TilingSystem, t: Tiling, init, k: int) -> FiniteStructure:
         for e in grid:
             target = None
             for h, barred in clause:
-                name = f.q_bars[h] if barred else f.q_preds[h]
-                if e in unary.get(name, ()):
+                name = f.tracked[h][1] if barred else f.tracked[h][0]
+                if e in unary[name]:
                     target = note_bot[h + 1] if barred else note_top[h + 1]
                     break
             assert target is not None, "grid element satisfies no clause literal"

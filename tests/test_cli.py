@@ -2,6 +2,7 @@
 re-validate, exit codes, and the JSON envelope."""
 
 import json
+import random
 import re
 import time
 
@@ -473,3 +474,97 @@ class TestCellWitnesses:
         code, out = run(capsys, "check", workspace / "u.witness.shrunk.structure",
                         workspace / "u.txt")
         assert out.strip().splitlines()[-1] == "all true"
+
+
+class TestConstantFalseDuals:
+    """The dual of a `>=0` conclusion is `<=-1`, false in every structure:
+    such an argument is Valid, decided before any search."""
+
+    def test_relational_at_least_zero_conclusion_is_valid(self, workspace,
+                                                          capsys):
+        (workspace / "rel0.txt").write_text(
+            ">=2 p [r >=1 q]\nTherefore:\n>=0 p [r >=1 q]\n", encoding="utf-8")
+        code, out = run(capsys, "solve", workspace / "rel0.txt",
+                        "--budget", "20000", "--out", workspace)
+        assert code == 0 and out.startswith("Valid")
+
+    def test_unary_at_least_zero_certificate_has_no_branches(self, workspace,
+                                                             capsys):
+        (workspace / "un0.txt").write_text(
+            ">=2 (p & q)\nTherefore:\n>=0 (p & !q)\n", encoding="utf-8")
+        code, out = run(capsys, "solve", workspace / "un0.txt",
+                        "--out", workspace)
+        assert code == 0 and out.startswith("Valid")
+        cert = workspace / "un0.certificate.txt"
+        assert cert.read_text(encoding="utf-8") == "no branches\n"
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_valid_certificate_lines_parse(self, workspace, capsys, seed):
+        # premises true in a seeded structure, and a weakening of one of
+        # them as the conclusion; seed 0 concludes >=0
+        rng = random.Random(seed)
+        preds = "abcd"
+        n = rng.randint(4, 8)
+        members = {p: {e for e in range(n) if rng.random() < 0.5} for p in preds}
+
+        def lit():
+            return rng.choice(preds), rng.random() < 0.5
+
+        def text(l):
+            return l[0] if l[1] else "!" + l[0]
+
+        premises = []
+        for _ in range(rng.randint(4, 6)):
+            l1, l2 = lit(), lit()
+            count = sum(1 for e in range(n) if (e in members[l1[0]]) == l1[1]
+                        and (e in members[l2[0]]) == l2[1])
+            rel = ">=" if rng.random() < 0.5 else "<="
+            premises.append((rel, count, l1, l2))
+        rel, bound, l1, l2 = rng.choice(premises)
+        slack = rng.randint(0, 2)
+        if seed == 0:
+            rel, bound = ">=", 0
+        else:
+            bound = max(0, bound - slack) if rel == ">=" else bound + slack
+        lines = [f"{r}{b} ({text(x)} & {text(y)})" for r, b, x, y in premises]
+        lines += ["Therefore:", f"{rel}{bound} ({text(l2)} & {text(l1)})"]
+        (workspace / "v.txt").write_text("\n".join(lines) + "\n",
+                                         encoding="utf-8")
+        code, out = run(capsys, "solve", workspace / "v.txt",
+                        "--out", workspace)
+        assert code == 0 and out.startswith("Valid")
+        cert = (workspace / "v.certificate.txt").read_text(encoding="utf-8")
+        for line in cert.splitlines():
+            if not line.startswith("branch ") and line != "no branches":
+                assert parse_symbolic_line(line)
+
+
+class TestNumeralOptions:
+    """Numeric options and NUMLOG_BUDGET are ASCII decimal numerals, as in
+    every file format; any other value is bad input (exit 1) that names
+    the option."""
+
+    @pytest.mark.parametrize("argv, option", [
+        (["solve", "arg1.txt", "--budget", "2_0"], "--budget"),
+        (["generate", "3col", "--nodes", "1_0"], "--nodes"),
+        (["generate", "3col", "--nodes", "x"], "--nodes"),
+        (["generate", "3col", "--seed", "+3"], "--seed"),
+        (["generate", "tiling", "--k", "+1"], "--k"),
+        (["generate", "tiling", "--colours", " 2"], "--colours"),
+        (["generate", "incompleteness", "--m", "٦"], "--m"),
+    ])
+    def test_bad_numeral_option(self, workspace, capsys, argv, option):
+        argv = [str(workspace / a) if a.endswith(".txt") else a for a in argv]
+        code = main(argv + ["--out", str(workspace / "gen")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: {option}: ")
+
+    def test_bad_numeral_budget_environment(self, workspace, capsys,
+                                            monkeypatch):
+        monkeypatch.setenv("NUMLOG_BUDGET", "2_0")
+        code = main(["solve", str(workspace / "arg1.txt"), "--lexicon",
+                     str(workspace / "lex.txt"), "--out", str(workspace)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: NUMLOG_BUDGET: ")

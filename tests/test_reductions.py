@@ -278,3 +278,28 @@ class TestTilingFiles:
     def test_bad_colours_name_their_line(self, text, line):
         with pytest.raises(InputError, match=rf"^line {line}: .*distinct names"):
             parse_tiling_system(text)
+
+
+# rows of distinct neighbours, constant columns: tilings exist for every N
+PROPER3 = TilingSystem(
+    ("c1", "c2", "c3"),
+    frozenset((a, b) for a in ("c1", "c2", "c3") for b in ("c1", "c2", "c3")
+              if a != b),
+    frozenset((a, a) for a in ("c1", "c2", "c3")))
+
+
+class TestTilingRoundTripPastK1:
+    """From k = 2 on the encoding has the fix-up predicates `Xp`/`Xm` and
+    `Yp`/`Ym`; the witness must model their digit conditions exactly."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("ts, init", [(FREE2, ["c1"]),
+                                          (PROPER3, ["c1", "c2"])])
+    def test_witness_models_every_atom_and_decodes(self, ts, init, k):
+        t = brute_tiling(ts, 1 << k, init)
+        s = witness_model(ts, t, init, k)
+        atoms = encode_tiling(ts, init, k)
+        assert all(evaluate(s, a) for a in atoms)
+        assert any("Xp0_1" in a.predicates() for a in atoms
+                   if isinstance(a, UnaryAtom))
+        assert decode_tiling(s, ts, k, init) == t
