@@ -7,8 +7,8 @@ semantics, and generate reduction instances (graph colouring, toroidal
 tiling) with oracles.  All arithmetic is exact.
 """
 
-from .errors import (BudgetExhaustedError, CapExceededError, InputError,
-                     NotASolutionError, NumlogError, UnknownPredicateError)
+from .errors import (BudgetExhaustedError, InputError, NotASolutionError,
+                     NumlogError, UnknownPredicateError)
 from .logic import (AT_LEAST, AT_MOST, CellStructure, CountingAtom,
                     FiniteStructure, Lit, RelationalAtom, UnaryAtom,
                     at_least, at_most, evaluate, negate_atom,

@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, Sequence
 
-from .errors import BudgetExhaustedError, CapExceededError, InputError
+from .errors import BudgetExhaustedError, InputError
 from .linsys import GE, LinearSystem, ilp_solve
 from .linsys import sparsify_natural  # noqa: F401  (bench/spans.py rebinds it)
 from .logic import (AT_LEAST, AT_MOST, EXACTLY, And, C1Formula,
@@ -210,7 +210,7 @@ def normalize(formulas) -> list[NormalC1]:
                 (c.direction, c.bound, c.body) for c in flat)))
             return
         if depth >= MAX_DEPTH:
-            raise CapExceededError("normalization nesting depth cap exceeded")
+            raise BudgetExhaustedError("normalization nesting depth cap exceeded")
         top = [_substitute(c, target, TRUE) for c in flat] + [target]
         walk(top, depth + 1)
         bot = [_substitute(c, target, FALSE) for c in flat] + [_dual_count(target)]
@@ -270,13 +270,14 @@ def cell_system(preds: Sequence[str], kills: Iterable[C1Formula],
     depth-first order; columns with equal signatures collapse into the
     first of them in that order (feasibility-preserving), and the masks of
     the kept columns are returned with the system.  No live mask gives no
-    columns.  Raises CapExceededError past MAX_LIVE masks or 10x as many nodes.
+    columns.  Raises BudgetExhaustedError past MAX_LIVE masks or 10x as
+    many nodes.
     """
     first: dict[int, int] = {}  # signature -> first mask, in walk order
     walk = live_signatures(preds, kills, [b for _, _, b in rows], 10 * MAX_LIVE)
     for n, (mask, sig) in enumerate(walk):
         if n == MAX_LIVE:
-            raise CapExceededError("live 1-type cap exceeded")
+            raise BudgetExhaustedError("live 1-type cap exceeded")
         first.setdefault(sig, mask)
     entries: list[list[tuple[int, int]]] = [[] for _ in rows]
     for k, sig in enumerate(first):

@@ -6,11 +6,11 @@ branch's conjuncts under its search cap, or a derivation); verdicts that
 assert possibility (Invalid, Sat) cite a witness structure file that
 `numlog check` re-validates.
 
-Exit codes: 0 a definite verdict was reached, 2 the budget ran out
-(Unknown), 1 bad input, an option value too.  The default search budget
-comes from the NUMLOG_BUDGET environment variable when set.  Numeric
-options and NUMLOG_BUDGET are ASCII decimal numerals, as in every file
-format.
+Exit codes: 0 a definite verdict was reached, 2 the budget ran out or
+the input passed a size cap (Unknown), 1 bad input, an option value too.
+The default search budget comes from the NUMLOG_BUDGET environment
+variable when set.  Numeric options and NUMLOG_BUDGET are ASCII decimal
+numerals, as in every file format.
 """
 
 from __future__ import annotations
@@ -111,10 +111,12 @@ def cmd_solve(args) -> int:
         detail["model_size_bound"] = cap
         try:
             witness = n2.bounded_search(atoms, cap, budget=budget)
-        except BudgetExhaustedError:
-            return _emit(args, "solve", UNKNOWN, [], detail, started)
-        evidence = ("no model exists up to the finite-model bound "
-                    f"{cap}; the search was exhaustive\n")
+        except BudgetExhaustedError as exc:
+            return _emit(args, "solve", UNKNOWN, [],
+                         {**detail, "note": str(exc)}, started)
+        evidence = None if witness is not None else (
+            n2.refutation(atoms)[0] or "no model exists up to the "
+            f"finite-model bound {cap}; the search was exhaustive") + "\n"
     else:
         res = c1.decide_sat(atoms, max_nodes=budget)
         if res.status == c1.UNKNOWN:

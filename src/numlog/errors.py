@@ -17,12 +17,9 @@ class UnknownPredicateError(InputError):
     """A formula mentions a predicate the structure or lexicon does not interpret."""
 
 
-class CapExceededError(NumlogError):
-    """A configured size cap (predicates, columns, box volume) was exceeded."""
-
-
 class BudgetExhaustedError(NumlogError):
-    """A search or solver ran out of budget.
+    """A search or solver ran out of budget, or an input passed a size cap
+    (predicates, live 1-types, walk nodes, nesting depth, box volume).
 
     Deliberately distinct from "infeasible"/"not derivable": callers must
     report Unknown, never a definite verdict, when they catch this.

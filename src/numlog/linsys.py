@@ -38,8 +38,7 @@ from itertools import chain, combinations
 from numbers import Rational
 from typing import Iterable, Sequence
 
-from .errors import (BudgetExhaustedError, CapExceededError, InputError,
-                     NotASolutionError)
+from .errors import BudgetExhaustedError, InputError, NotASolutionError
 
 LE = "<="
 GE = ">="
@@ -704,7 +703,7 @@ def enumerate_solutions(system: LinearSystem, box: Sequence[int]
     for b in box:
         volume *= b + 1
         if volume > VOLUME_CAP:
-            raise CapExceededError("box volume exceeds the enumeration cap")
+            raise BudgetExhaustedError("box volume exceeds the enumeration cap")
     m, columns = system.m, system.columns
     # suffix_min[i][j], suffix_max[i][j]: extreme contribution of vars j..n-1
     suffix_min = [[0] * (n + 1) for _ in range(m)]

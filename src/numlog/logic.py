@@ -28,7 +28,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import (CapExceededError, InputError, UnknownPredicateError,
+from .errors import (BudgetExhaustedError, InputError, UnknownPredicateError,
                      at_line, decimal, numbered_lines)
 
 AT_LEAST = ">="
@@ -92,10 +92,6 @@ class UnaryAtom:
     def is_trivially_false(self) -> bool:
         return self.direction == AT_MOST and self.bound < 0
 
-    @property
-    def is_trivially_true(self) -> bool:
-        return self.direction == AT_LEAST and self.bound <= 0
-
     def predicates(self) -> set[str]:
         return {l.pred for l in self.lits}
 
@@ -129,10 +125,6 @@ class RelationalAtom:
     @property
     def is_trivially_false(self) -> bool:
         return self.direction == AT_MOST and self.bound < 0
-
-    @property
-    def is_trivially_true(self) -> bool:
-        return self.direction == AT_LEAST and self.bound <= 0
 
     def predicates(self) -> set[str]:
         return {self.subject, self.obj}
@@ -595,7 +587,7 @@ def live_signatures(preds: Sequence[str], kills: Iterable[C1Formula],
     predicate's literal; any other body by `compile_body`, on both; a body
     without predicates once, at the root.  A kill decided only at a high
     bit leaves dead partial masks that no yield counts, so the walk raises
-    CapExceededError on popping more than `max_nodes` nodes, if given.
+    BudgetExhaustedError on popping more than `max_nodes` nodes, if given.
     """
     index = {p: i for i, p in enumerate(preds)}
     kills = list(kills)
@@ -639,7 +631,7 @@ def live_signatures(preds: Sequence[str], kills: Iterable[C1Formula],
                         s |= bit
                 stack.append((level + 1, child, s))
     if stack:
-        raise CapExceededError("1-type walk node cap exceeded")
+        raise BudgetExhaustedError("1-type walk node cap exceeded")
 
 
 # ---------------------------------------------------------------------------

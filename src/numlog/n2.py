@@ -8,8 +8,10 @@ reinterprets each verb so every kept element sees min(original successor
 count, C*|Phi|+1) successors per cell.  The output always model-checks the
 input sentences and is at most L*(C*|Phi|+1) elements for L = 2^l.
 
-The finder decides every candidate on counts alone: a unary sentence sums
-the candidate's cell sizes, and a verb sentence counts the subjects whose
+The finder's cells are the live 1-types under the `<=0` unary sentences,
+from the one walk `logic.live_signatures`; `refutation` decides the sets
+that need no candidate.  Each candidate is decided on counts alone: a unary
+sentence sums its cell sizes, and a verb sentence counts the subjects whose
 successor tally into the object's cells meets its inner bound.  Explicit
 elements and edges are built only for the model it returns.
 """
@@ -20,10 +22,11 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, product
 
-from .errors import BudgetExhaustedError, CapExceededError, InputError
-from .logic import (AT_LEAST, CellStructure, CountingAtom, FiniteStructure,
-                    RelationalAtom, UnaryAtom, _compare, evaluate,
-                    satisfiers, structure)
+from .errors import BudgetExhaustedError, InputError
+from .logic import (AT_LEAST, AT_MOST, CellStructure, CountingAtom,
+                    FiniteStructure, RelationalAtom, UnaryAtom, _compare,
+                    atom_formula, evaluate, live_signatures, satisfiers,
+                    structure)
 
 
 def _check_atoms(phi) -> list[CountingAtom]:
@@ -196,58 +199,89 @@ def _compositions(total: int, parts: int):
         last = parts - 1 if v > 1 else last - 1
 
 
+def refutation(atoms) -> tuple[str | None, tuple[str, ...], list, list]:
+    """Why `atoms` have no model, as one line decided before any candidate
+    of `bounded_search`, or None; with its predicates, live 1-types (masks
+    on which no `<=0` unary atom holds, ascending, with their signatures
+    over the rows, the other unary atoms) and rows.  No model exists when
+    an atom is constant false, when no 1-type is live, or when an atom's
+    count is 0 on every candidate and 0 fails its bound: no live 1-type
+    satisfies its body or has its subject, or none has its object and its
+    inner bound fails at 0.  Raises BudgetExhaustedError past 16 predicates
+    unless an atom is constant false."""
+    preds = tuple(_unary_preds(atoms))
+    for a in atoms:
+        if a.is_trivially_false:
+            return f"false in every structure: {a}", preds, [], []
+    if len(preds) > 16:
+        raise BudgetExhaustedError(
+            "too many unary predicates for exhaustive search")
+    unary = [a for a in atoms if isinstance(a, UnaryAtom)]
+    kills = [a for a in unary if a.direction == AT_MOST and a.bound == 0]
+    rows = [a for a in unary if a not in kills]
+    live = sorted(live_signatures(preds, [atom_formula(a).body for a in kills],
+                                  [atom_formula(a).body for a in rows]))
+    if not live:
+        return "every 1-type is excluded by a <=0 sentence", preds, live, rows
+    met = seen = 0  # bits of the rows and predicates some live 1-type has
+    for mask, sig in live:
+        met, seen = met | sig, seen | mask
+    for a in atoms:  # is its count 0 on every candidate, and 0 too few?
+        if not _compare(0, a.direction, a.bound) and (
+                not met >> rows.index(a) & 1 if isinstance(a, UnaryAtom)
+                else not seen >> preds.index(a.subject) & 1
+                or not seen >> preds.index(a.obj) & 1
+                and not _compare(0, a.inner_direction, a.inner_bound)):
+            return (f"false in every model of the <=0 sentences: {a}",
+                    preds, live, rows)
+    return None, preds, live, rows
+
+
 def bounded_search(phi, domain_cap: int, *, budget: int = 200_000
                    ) -> FiniteStructure | None:
     """Exhaustive model search up to domain_cap; None when no model exists
     within the cap.
 
     Complete for this fragment when domain_cap >= size_bound(phi), since the
-    fragment has the finite model property with that bound.  Candidates are
-    canonical under cell-respecting permutations: a cell cardinality vector
-    first, then a multiset of per-element successor-count profiles per cell.
-    Profiles only track counts into cells some object predicate can see -
-    the semantics inspects nothing else - and are materialized on ascending
-    indices.  Both layers decide a candidate by arithmetic on counts: a
-    unary atom sums the vector over the cells where its two literals hold,
-    and `_search_binary` tallies profiles.  Only the model returned is
-    expanded into elements and edges, and it is model-checked on every
-    atom.  Raises BudgetExhaustedError when the budget runs out, which is
-    distinct from "no model up to the cap".  A constant-false atom (such
-    as `<=-1`, the dual of a `>=0` conclusion) gives None before any search.
+    fragment has the finite model property with that bound.  `refutation`
+    may decide None first; else candidates range over its live 1-types,
+    canonical under cell-respecting permutations: a cardinality vector,
+    then a multiset of per-element successor-count profiles per 1-type,
+    tracking only counts into 1-types some object predicate can see.  A
+    candidate is decided on counts: a row sums the vector over the 1-types
+    its signature bit marks, and `_search_binary` tallies profiles.  Only
+    the model returned is expanded, on ascending indices, and model-checked
+    on every atom.  Raises BudgetExhaustedError when the budget runs out or
+    past 16 predicates, which is distinct from "no model up to the cap".
     """
     atoms = _check_atoms(phi)
-    if any(a.is_trivially_false for a in atoms):
+    why, preds, live, rows = refutation(atoms)
+    if why is not None:
         return None
-    preds = tuple(_unary_preds(atoms))
-    verbs = _binary_preds(atoms)
+    masks = [mask for mask, _ in live]
     relational = [a for a in atoms if isinstance(a, RelationalAtom)]
-    l = len(preds)
-    if l > 16:
-        raise CapExceededError("too many unary predicates for exhaustive search")
-    cells = 1 << l
-    bits = {p: 1 << i for i, p in enumerate(preds)}
-    # each unary atom with the cells where both its literals hold
-    unary = [([k for k in range(cells)
-               if all(bool(k & bits[x.pred]) == x.positive for x in a.lits)], a)
-             for a in atoms if isinstance(a, UnaryAtom)]
-    # cells some object predicate of each verb can see
-    relevant = {r: [k for k in range(cells)
-                    if any(k & bits[a.obj] for a in relational if a.verb == r)]
-                for r in verbs}
+    # each row with the positions of the live 1-types that satisfy it
+    unary = [([k for k, (_, sig) in enumerate(live) if sig >> i & 1], a)
+             for i, a in enumerate(rows)]
+    # positions some object predicate of each verb can see
+    relevant = {r: [k for k, m in enumerate(masks)
+                    if any(m >> preds.index(a.obj) & 1
+                           for a in relational if a.verb == r)]
+                for r in _binary_preds(atoms)}
     spent = 0
     for n in range(1, domain_cap + 1):
-        for alpha in _compositions(n, cells):
+        for alpha in _compositions(n, len(masks)):
             spent += 1
             if spent > budget:
                 raise BudgetExhaustedError("bounded_search budget exhausted")
             if not all(_compare(sum(alpha[k] for k in ks), a.direction, a.bound)
                        for ks, a in unary):
                 continue
-            if verbs:
-                found, spent = _search_binary(relational, preds, bits,
+            if relational:
+                found, spent = _search_binary(relational, preds, masks,
                                               relevant, alpha, budget, spent)
             else:
-                found = CellStructure(preds, tuple(enumerate(alpha))).expand()
+                found = CellStructure(preds, tuple(zip(masks, alpha))).expand()
             if found is not None:
                 for a in atoms:
                     if not evaluate(found, a):
@@ -256,28 +290,27 @@ def bounded_search(phi, domain_cap: int, *, budget: int = 200_000
     return None
 
 
-def _search_binary(relational, preds, bits, relevant, alpha, budget, spent):
-    """Assign each element a successor-count profile per verb, up to
-    permutations inside each unary cell.  The unary atoms already hold on
-    the cell vector `alpha` over `preds`, so a candidate is checked on the
-    relational atoms alone, on counts: a profile fixes its element's tally
-    on an atom's verb into the object's cells, so the atom counts the
-    elements of its subject cells whose profile meets the inner bound.  Only
-    the candidate that passes is materialized, elements and edges both."""
-    cells = len(alpha)
+def _search_binary(relational, preds, masks, relevant, alpha, budget, spent):
+    """Assign each of the `alpha[k]` elements of each live 1-type `masks[k]`
+    a successor-count profile per verb, up to permutations inside the
+    1-type.  The rows already hold on `alpha`, so a candidate is checked on
+    counts, on the relational atoms alone: each counts the elements of its
+    subject 1-types whose profile's tally into its object's 1-types meets
+    the inner bound.  Only the candidate that passes is materialized."""
     starts = list(accumulate(alpha, initial=0))
-    # combined profile: one count per (verb, relevant cell)
+    # combined profile: one count per (verb, relevant position)
     axes = [(r, k) for r in relevant for k in relevant[r]]
     profiles = list(product(*(range(alpha[k] + 1) for _, k in axes)))
-    # per atom: its subject cells and the profiles that meet its inner bound
+    # per atom: its subject positions and the profiles that meet its inner bound
     checks = []
     for a in relational:
         into = [j for j, (r, k) in enumerate(axes)
-                if r == a.verb and k & bits[a.obj]]
+                if r == a.verb and masks[k] >> preds.index(a.obj) & 1]
         hits = [i for i, prof in enumerate(profiles)
                 if _compare(sum(prof[j] for j in into), a.inner_direction,
                             a.inner_bound)]
-        checks.append(({k for k in range(cells) if k & bits[a.subject]},
+        subject = preds.index(a.subject)
+        checks.append(({k for k, m in enumerate(masks) if m >> subject & 1},
                        hits, a))
 
     def passes(per_cell):
@@ -297,10 +330,10 @@ def _search_binary(relational, preds, bits, relevant, alpha, budget, spent):
                     for (r, k), cnt in zip(axes, profile):
                         for b in range(starts[k], starts[k] + cnt):
                             binary[r].add((e, b))
-        base = CellStructure(preds, tuple(enumerate(alpha))).expand()
+        base = CellStructure(preds, tuple(zip(masks, alpha))).expand()
         return structure(base.domain_size, dict(base.unary), binary)
 
-    occupied = [k for k in range(cells) if alpha[k] > 0]
+    occupied = [k for k, n in enumerate(alpha) if n > 0]
 
     def assign(idx: int, per_cell: dict):
         nonlocal spent

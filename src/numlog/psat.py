@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from .c1 import cell_system
-from .errors import (CapExceededError, InputError, at_line, decimal,
+from .errors import (BudgetExhaustedError, InputError, at_line, decimal,
                      numbered_lines)
 from .linsys import EQ, lp_feasible, many_nonzeros_instance
 from .linsys import sparsify_rational  # noqa: F401  (bench/spans.py rebinds it)
@@ -147,7 +147,7 @@ def psat_decide(instance) -> ProbabilityAssignment | None:
         else:
             kept.append((rel, q, body))
     if len(letters) > ENUMERATE_CAP and not kills:
-        raise CapExceededError(
+        raise BudgetExhaustedError(
             f"{len(letters)} letters need 0/1 rows to prune; cap is {ENUMERATE_CAP}")
     scale = lcm(*(q.denominator for _, q, _ in kept))
     live, system = cell_system(

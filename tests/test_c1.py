@@ -9,7 +9,7 @@ import pytest
 
 from numlog.c1 import (SAT, UNSAT, build_system, decide_sat, entails,
                        normalize, render_certificate)
-from numlog.errors import CapExceededError, InputError
+from numlog.errors import BudgetExhaustedError, InputError
 from numlog.linsys import _Tableau
 from numlog.logic import (AT_LEAST, AT_MOST, And, Count, Lit, Not, Pred,
                           RelationalAtom, UnaryAtom, at_least, at_most,
@@ -346,5 +346,5 @@ class TestScaledBounds:
                  for i in range(1, 41)]
         atoms += [at_most(0, Lit("z"), Lit("z")),
                   at_most(0, Lit("z", False), Lit("z", False))]
-        with pytest.raises(CapExceededError, match="walk node cap"):
+        with pytest.raises(BudgetExhaustedError, match="walk node cap"):
             decide_sat(atoms)

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from numlog import c1
-from numlog.errors import CapExceededError, UnknownPredicateError
+from numlog.errors import BudgetExhaustedError, UnknownPredicateError
 from numlog.linsys import EQ, GE, LE, LinearSystem
 from numlog.logic import FALSE, TRUE, And, Not, Or, Pred, live_signatures
 
@@ -150,6 +150,6 @@ class TestCellSystemDifferential:
             assert c1.cell_system(preds, kills, rows) == \
                 reference_system(preds, kills, rows)
             monkeypatch.setattr(c1, "MAX_LIVE", live - 1)
-            with pytest.raises(CapExceededError):
+            with pytest.raises(BudgetExhaustedError):
                 c1.cell_system(preds, kills, rows)
             done += 1

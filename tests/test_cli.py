@@ -177,6 +177,27 @@ class TestSolve:
                         "--budget", "5", "--out", workspace)
         assert code == 2 and out.startswith("Unknown")
 
+    def test_relational_set_without_a_q_is_unsat_before_search(self,
+                                                                workspace,
+                                                                capsys):
+        (workspace / "u.txt").write_text(
+            ">=3000 p [r >=2 q]\n<=0 (q & q)\n", encoding="utf-8")
+        code, out = run(capsys, "solve", workspace / "u.txt",
+                        "--budget", "20000", "--out", workspace)
+        assert code == 0 and out.startswith("Unsat")
+        cert = (workspace / "u.certificate.txt").read_text(encoding="utf-8")
+        assert cert.count("\n") == 1 and ">=3000 p [r >=2 q]" in cert
+
+    def test_relational_set_over_17_predicates_is_unknown(self, workspace,
+                                                          capsys):
+        lines = [">=1 p0 [r >=1 p1]"] + [f">=1 (p{i} & p{i})" for i in range(17)]
+        (workspace / "wide.txt").write_text("\n".join(lines) + "\n",
+                                            encoding="utf-8")
+        code, out = run(capsys, "solve", workspace / "wide.txt",
+                        "--out", workspace)
+        assert code == 2 and out.startswith("Unknown")
+        assert "too many unary predicates" in out
+
     def test_unary_budget_exhaustion_is_unknown(self, workspace, capsys,
                                                 monkeypatch):
         run(capsys, "generate", "incompleteness", "--m", "6",

@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from numlog.errors import (BudgetExhaustedError, CapExceededError, InputError,
-                           NotASolutionError)
+from numlog.errors import BudgetExhaustedError, InputError, NotASolutionError
 from numlog.linsys import (EQ, GE, LE, LinearSystem, _presolve, _Tableau,
                            check_prop2_bound, enumerate_solutions, ilp_solve,
                            lp_feasible, many_nonzeros_instance,
@@ -290,7 +289,7 @@ class TestEnumerateSolutions:
 
     def test_volume_cap(self):
         s = system_from_rows([[1] * 10], [EQ], [5])
-        with pytest.raises(CapExceededError):
+        with pytest.raises(BudgetExhaustedError):
             enumerate_solutions(s, [9] * 10)
 
 

@@ -222,12 +222,22 @@ class TestShrinkModel:
 
 def explicit_search(phi, domain_cap, *, budget):
     """bounded_search's candidates in its order, each expanded into an
-    explicit structure before any atom is evaluated on it."""
+    explicit structure before any atom is evaluated on it.  They range over
+    the masks that no `<=0` unary atom kills, found by evaluating each kill
+    on a one-element structure of every mask."""
     preds = sorted({p for a in phi for p in a.predicates()})
     verbs = sorted({a.verb for a in phi if isinstance(a, RelationalAtom)})
-    cells = 1 << len(preds)
+    kills = [a for a in phi if not isinstance(a, RelationalAtom)
+             and a.direction == AT_MOST and a.bound == 0]
+    masks = [k for k in range(1 << len(preds))
+             if all(evaluate(structure(1, {p: {0} if k >> i & 1 else set()
+                                           for i, p in enumerate(preds)}), a)
+                    for a in kills)]
+    if not masks:  # every structure has an element of some mask
+        return None
+    cells = len(masks)
     relevant = {r: [k for k in range(cells)
-                    if any(k >> preds.index(a.obj) & 1 for a in phi
+                    if any(masks[k] >> preds.index(a.obj) & 1 for a in phi
                            if isinstance(a, RelationalAtom) and a.verb == r)]
                 for r in verbs}
     spent = 0
@@ -243,7 +253,7 @@ def explicit_search(phi, domain_cap, *, budget):
             tick()
             starts = list(accumulate(alpha, initial=0))
             members = [range(starts[k], starts[k + 1]) for k in range(cells)]
-            unary = {p: {e for k in range(cells) if k >> i & 1
+            unary = {p: {e for k in range(cells) if masks[k] >> i & 1
                          for e in members[k]}
                      for i, p in enumerate(preds)}
             base = structure(n, unary)
@@ -271,6 +281,30 @@ def explicit_search(phi, domain_cap, *, budget):
                 if all(evaluate(cand, a) for a in phi):
                     return cand
     return None
+
+
+def agreed_outcome(phi, cap, budget):
+    """None, "budget", "model" or "decided", where bounded_search and
+    explicit_search agree on the model, on None and on where the budget
+    runs out.  A set that bounded_search decides with budget 0 has no
+    model by a rule applied before its first candidate ("decided"), so
+    there the reference, given a budget it finishes within, must find
+    none either."""
+    try:
+        decided = bounded_search(phi, cap, budget=0) is None
+    except BudgetExhaustedError:
+        decided = False
+    if decided:
+        assert explicit_search(phi, cap, budget=10**6) is None, phi
+        return "decided"
+    results = []
+    for search in (bounded_search, explicit_search):
+        try:
+            results.append(search(phi, cap, budget=budget))
+        except BudgetExhaustedError:
+            results.append("budget")
+    assert results[0] == results[1], phi
+    return results[1] if results[1] in (None, "budget") else "model"
 
 
 class TestBoundedSearch:
@@ -313,6 +347,22 @@ class TestBoundedSearch:
             "domain 3\nunary p: 0, 1\nunary q: 2\n"
             "binary r: (0,0), (0,1), (0,2), (1,0), (1,1), (1,2), (2,2)\n")
 
+    @pytest.mark.parametrize("phi", [
+        # no q can exist, so no p has two r-successors in q
+        [RelationalAtom(AT_LEAST, 3000, "p", "r", AT_LEAST, 2, "q"),
+         at_most(0, Lit("q"), Lit("q"))],
+        # the kills leave no 1-type
+        [at_most(0, Lit("p"), Lit("p")),
+         at_most(0, Lit("p", False), Lit("p", False)),
+         RelationalAtom(AT_LEAST, 1, "p", "r", AT_LEAST, 1, "p")],
+        # no live 1-type satisfies >=1 (q & q)
+        [at_least(1, Lit("q"), Lit("q")), at_most(0, Lit("q"), Lit("q")),
+         RelationalAtom(AT_MOST, 1, "q", "r", AT_LEAST, 1, "q")],
+    ])
+    def test_no_model_before_the_first_candidate(self, phi):
+        assert bounded_search(phi, size_bound(phi), budget=0) is None
+        assert n2.refutation(phi)[0] is not None
+
     def test_budget_is_distinct_from_no_model(self):
         phi = [RelationalAtom(AT_LEAST, 2, "p", "r", AT_LEAST, 2, "q")]
         with pytest.raises(BudgetExhaustedError):
@@ -340,17 +390,9 @@ class TestBoundedSearch:
                         Lit(rng.choice(preds), rng.random() < 0.7)))
             cap = rng.randint(1, 4)
             budget = rng.choice([5, 40, 300])
-            results = []
-            for search in (bounded_search, explicit_search):
-                try:
-                    results.append(search(phi, cap, budget=budget))
-                except BudgetExhaustedError:
-                    results.append("budget")
-            assert results[0] == results[1], phi
-            outcomes[results[1] if results[1] in (None, "budget")
-                     else "model"] += 1
-        assert min(outcomes[k] for k in (None, "budget", "model")) >= 20, \
-            outcomes
+            outcomes[agreed_outcome(phi, cap, budget)] += 1
+        assert min(outcomes[None] + outcomes["decided"], outcomes["budget"],
+                   outcomes["model"]) >= 20 and outcomes["decided"], outcomes
 
     def test_two_verbs_match_explicit_expansion(self):
         # both verbs in every set, inner bounds up to 3, and budgets large
@@ -370,17 +412,9 @@ class TestBoundedSearch:
                     Lit(rng.choice(preds), rng.random() < 0.7)))
             cap = rng.randint(2, 4)
             budget = rng.choice([40, 300, 3000])
-            results = []
-            for search in (bounded_search, explicit_search):
-                try:
-                    results.append(search(phi, cap, budget=budget))
-                except BudgetExhaustedError:
-                    results.append("budget")
-            assert results[0] == results[1], phi
-            outcomes[results[1] if results[1] in (None, "budget")
-                     else "model"] += 1
-        assert min(outcomes[k] for k in (None, "budget", "model")) >= 20, \
-            outcomes
+            outcomes[agreed_outcome(phi, cap, budget)] += 1
+        assert min(outcomes[None] + outcomes["decided"], outcomes["budget"],
+                   outcomes["model"]) >= 20 and outcomes["decided"], outcomes
 
     def test_evaluate_runs_only_on_the_model_returned(self, monkeypatch):
         calls = Counter()
@@ -390,9 +424,8 @@ class TestBoundedSearch:
             return evaluate(s, f)
 
         monkeypatch.setattr(n2, "evaluate", counted)
-        # the cli_mix Unknown: every candidate fails on counts alone
-        phi = [RelationalAtom(AT_LEAST, 3000, "p", "r", AT_LEAST, 2, "q"),
-               at_most(0, Lit("q"), Lit("q"))]
+        # every candidate fails on counts alone
+        phi = [RelationalAtom(AT_LEAST, 3000, "p", "r", AT_LEAST, 2, "q")]
         with pytest.raises(BudgetExhaustedError):
             bounded_search(phi, size_bound(phi), budget=2_000)
         assert not calls
@@ -423,8 +456,7 @@ class TestBoundedSearch:
             return expand(self)
 
         monkeypatch.setattr(CellStructure, "expand", counted)
-        phi = [RelationalAtom(AT_LEAST, 3000, "p", "r", AT_LEAST, 2, "q"),
-               at_most(0, Lit("q"), Lit("q"))]
+        phi = [RelationalAtom(AT_LEAST, 3000, "p", "r", AT_LEAST, 2, "q")]
         with pytest.raises(BudgetExhaustedError):
             bounded_search(phi, size_bound(phi), budget=20_000)
         assert calls[0] == 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from numlog.errors import CapExceededError, InputError, UnknownPredicateError
+from numlog.errors import BudgetExhaustedError, InputError, UnknownPredicateError
 from numlog.linsys import lp_feasible, scaled_system
 from numlog.logic import And, Lit, Not, Or, Pred, at_least, at_most
 from numlog.proofs import incompleteness_instance, rule_conclusions
@@ -136,12 +136,12 @@ class TestPsatDecide:
         # x0 ; 0 halves 2^24 truth assignments: c1.MAX_LIVE refuses the rest
         inst = [((Lit("x0"),), Fraction(0))]
         inst += [((Lit(f"x{i}"),), HALF) for i in range(1, 24)]
-        with pytest.raises(CapExceededError, match="live 1-type cap"):
+        with pytest.raises(BudgetExhaustedError, match="live 1-type cap"):
             psat_decide(inst)
 
     def test_thirteen_letters_need_a_pruning_row(self):
         inst = [((Lit(f"x{i}"),), HALF) for i in range(13)]
-        with pytest.raises(CapExceededError):
+        with pytest.raises(BudgetExhaustedError):
             psat_decide(inst)
 
     def test_instance_file_round_trip(self):
