@@ -269,9 +269,9 @@ def cell_system(preds: Sequence[str], kills: Iterable[C1Formula],
     with its row signature (bit i: the mask satisfies row i's body), in its
     depth-first order; columns with equal signatures collapse into the
     first of them in that order (feasibility-preserving), and the masks of
-    the kept columns are returned with the system.  No live mask gives no
-    columns.  Raises BudgetExhaustedError past MAX_LIVE masks or 10x as
-    many nodes.
+    the kept columns are returned with the system, whose columns and rows
+    one pass over the kept signatures' bits writes.  No live mask gives no
+    columns.  Past MAX_LIVE masks or 10x as many nodes: BudgetExhaustedError.
     """
     first: dict[int, int] = {}  # signature -> first mask, in walk order
     walk = live_signatures(preds, kills, [b for _, _, b in rows], 10 * MAX_LIVE)
@@ -280,15 +280,20 @@ def cell_system(preds: Sequence[str], kills: Iterable[C1Formula],
             raise BudgetExhaustedError("live 1-type cap exceeded")
         first.setdefault(sig, mask)
     entries: list[list[tuple[int, int]]] = [[] for _ in rows]
+    units = [(i, 1) for i in range(len(rows))]
+    columns = []
     for k, sig in enumerate(first):
-        entry = (k, 1)
+        entry, column = (k, 1), []
         while sig:  # one step per set bit, lowest first
             low = sig & -sig
-            entries[low.bit_length() - 1].append(entry)
+            i = low.bit_length() - 1
+            entries[i].append(entry)
+            column.append(units[i])
             sig ^= low
+        columns.append(tuple(column))
     return tuple(first.values()), LinearSystem(
         tuple(map(tuple, entries)), tuple(d for d, _, _ in rows),
-        tuple(b for _, b, _ in rows), len(first))
+        tuple(b for _, b, _ in rows), len(first), tuple(columns))
 
 
 def decide_sat(formulas, *, max_nodes: int = 2_000_000) -> SatResult:

@@ -227,8 +227,8 @@ def cmd_generate(args) -> int:
         ts = reductions.TilingSystem(colours, allpairs, allpairs)
         init = args.init.split(",") if args.init else [colours[0]]
         stem = f"tiling_k{args.k}_m{args.colours}"
+        atoms = reductions.encode_tiling(ts, init, args.k)  # refuses a big k
         save(f"{stem}.system", reductions.render_tiling_system(ts))
-        atoms = reductions.encode_tiling(ts, init, args.k)
         save(f"{stem}.formulas",
              render_argument_symbolic(ArgumentFile(tuple(atoms))))
         tiling = reductions.brute_tiling(ts, 1 << args.k, init)
@@ -386,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    started, args = time.time(), None
     try:
         args = build_parser().parse_args(argv)
         if getattr(args, "budget", 0) is None:  # read when each command runs
@@ -393,6 +394,9 @@ def main(argv=None) -> int:
                 os.environ.get("NUMLOG_BUDGET") or "200000")
         return args.func(args)
     except BudgetExhaustedError as exc:
+        if getattr(args, "json", False):
+            return _emit(args, args.command, UNKNOWN, [], {"note": str(exc)},
+                         started)
         print(f"Unknown: {exc}", file=sys.stderr)
         return 2
     except (NumlogError, OSError, ValueError) as exc:

@@ -1,9 +1,9 @@
 """Exact rational/integer linear feasibility and sparse-solution kernels.
 
-A system is stored in one form: sparse integer rows.  Each row is scaled
-once, when the system is built, by the least common multiple of its
-denominators (no gcd is divided out), so every kernel below reads the same
-integer data.
+A system is stored as sparse integer rows and the same coefficients as
+sparse columns.  Each row is scaled once, when the system is built, by the
+least common multiple of its denominators (no gcd is divided out), so
+every kernel below reads the same integer data.
 
 Every operation here is exact: integers are Python ints, rational results
 are `fractions.Fraction`, and no float is ever produced.  The feasibility
@@ -31,9 +31,8 @@ keep the solution exact at every step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, combinations
 from numbers import Rational
 from typing import Iterable, Sequence
@@ -45,6 +44,10 @@ GE = ">="
 EQ = "="
 
 _RELATIONS = (LE, GE, EQ)
+
+
+def _holds(v: int, rel: str, c: int) -> bool:  # v rel c
+    return v <= c if rel == LE else v >= c if rel == GE else v == c
 
 # Pivot cap of every phase-1 LP (its pricing terminates; this bounds time).
 MAX_PIVOTS = 500_000
@@ -62,34 +65,34 @@ class LinearSystem:
     per row.
 
     Row i is the tuple of its nonzero `(j, a)` entries in increasing j; it
-    reads sum(a * x_j) rel_i rhs_i.  Build systems from rational data with
-    `system_from_rows` or `scaled_system`, which scale each row to integers;
-    the constructor takes rows already in this form.
+    reads sum(a * x_j) rel_i rhs_i; column j, its `(i, a)` entries in
+    increasing i, is gathered from them unless a builder passes it.  Build
+    systems from rational data with `system_from_rows` or `scaled_system`,
+    which scale each row to integers; the constructor takes rows already
+    in this form.
     """
 
     rows: tuple[SparseVector, ...]
     relations: tuple[str, ...]
     rhs: tuple[int, ...]
     num_vars: int
+    columns: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.rows) != len(self.relations) or len(self.rows) != len(self.rhs):
             raise InputError("row count mismatch between rows, relations, rhs")
         if any(rel not in _RELATIONS for rel in self.relations):
             raise InputError("relations must be <=, >= or =")
+        if self.columns is None:
+            cols: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vars)]
+            for i, row in enumerate(self.rows):
+                for j, a in row:
+                    cols[j].append((i, a))
+            object.__setattr__(self, "columns", tuple(map(tuple, cols)))
 
     @property
     def m(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def columns(self) -> tuple[SparseVector, ...]:
-        """Column j as the tuple of its nonzero `(i, a)` entries in increasing i."""
-        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vars)]
-        for i, row in enumerate(self.rows):
-            for j, a in row:
-                cols[j].append((i, a))
-        return tuple(map(tuple, cols))
 
     @property
     def is_boolean(self) -> bool:
@@ -105,14 +108,7 @@ class LinearSystem:
             if xj:
                 for i, a in self.columns[j]:
                     lhs[i] += a * xj
-        for v, rel, c in zip(lhs, self.relations, self.rhs):
-            if rel == LE and not v <= c:
-                return False
-            if rel == GE and not v >= c:
-                return False
-            if rel == EQ and v != c:
-                return False
-        return True
+        return all(map(_holds, lhs, self.relations, self.rhs))
 
 
 def scaled_system(rows: Iterable[Iterable[tuple[int, Rational]]],
@@ -155,7 +151,8 @@ _FLIP = {LE: GE, GE: LE, EQ: EQ}
 Row = tuple[SparseVector, str, int]
 
 
-def _presolve(system: LinearSystem) -> list[Row] | None:
+def _presolve(system: LinearSystem, origin: list | None = None
+              ) -> list[Row] | None:
     """The system's rows in canonical form and merged, or None when a row
     alone is infeasible.
 
@@ -165,12 +162,15 @@ def _presolve(system: LinearSystem) -> list[Row] | None:
     coefficients share one interval [lo, hi]: it gives one `=` row when
     lo == hi, otherwise a `<=` and/or a `>=` row, at the place of the first
     such row; lo > hi is infeasible.  Empty rows are checked and dropped.
-    A row that is already canonical is used as it is, not copied.
+    A row that is already canonical is used as it is, not copied.  A list
+    `origin` receives each returned row's (r, g): the first input row r
+    with its coefficients, and the signed gcd g that divides r into it.
     """
     bounds: dict[SparseVector, list] = {}
-    for row, rel, c in zip(system.rows, system.relations, system.rhs):
-        if not row:  # 0 rel c
-            if not {LE: c >= 0, GE: c <= 0, EQ: c == 0}[rel]:
+    for r, (row, rel, c) in enumerate(zip(system.rows, system.relations,
+                                          system.rhs)):
+        if not row:
+            if not _holds(0, rel, c):
                 return None
             continue
         g = 0
@@ -185,22 +185,22 @@ def _presolve(system: LinearSystem) -> list[Row] | None:
         if g != 1:
             row = tuple((j, a // g) for j, a in row)
             c //= g
-        b = bounds.setdefault(row, [None, None])
+        b = bounds.setdefault(row, [None, None, r, g])
         if rel != LE and (b[0] is None or c > b[0]):
             b[0] = c
         if rel != GE and (b[1] is None or c < b[1]):
             b[1] = c
     out = []
-    for row, (lo, hi) in bounds.items():
+    for row, (lo, hi, r, g) in bounds.items():
         if lo is not None and hi is not None and lo >= hi:
             if lo > hi:
                 return None
-            out.append((row, EQ, lo))
-            continue
-        if hi is not None:
-            out.append((row, LE, hi))
-        if lo is not None:
-            out.append((row, GE, lo))
+            kept = [(EQ, lo)]
+        else:
+            kept = [(rel, c) for rel, c in ((LE, hi), (GE, lo)) if c is not None]
+        out += [(row, rel, c) for rel, c in kept]
+        if origin is not None:
+            origin += [(r, g)] * len(kept)
     return out
 
 
@@ -222,7 +222,8 @@ class _Tableau:
     column.  This terminates: a nondegenerate pivot strictly lowers the
     phase-1 objective, so no earlier basis comes back, and every run of
     degenerate pivots ends under Bland's rule alone, which cannot cycle.
-    `copy` carries `pos`, so a warm-started copy resumes where it was.
+    `copy` carries `pos`, so a warm-started copy resumes where it was, and
+    shares the column tuples, which are never changed.
 
     Warm start: `add_rows` appends rows to a solved tableau and keeps its
     basis.  Each new row is negated (its relation flipped) when its
@@ -231,13 +232,15 @@ class _Tableau:
     comes out nonnegative, and a fresh artificial otherwise.  With B'
     = [[B, 0], [r_B, 1]], the new row of `binv` is -(r_B . binv) with d on
     the diagonal, and d = det B' is unchanged.  `solve` then continues
-    phase 1 from that basis.  A cold solve is the same `add_rows` on an
-    empty tableau, where every residual is the row's rhs.
+    phase 1 from that basis.  The cold start `start` is `add_rows` of the
+    presolved rows on an empty tableau, where every residual is the rhs,
+    except that it reads the structural columns off `system.columns`
+    through `_presolve`'s row map: the system's own tuples when no row moves.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        self.cols: list[SparseVector] = [()] * n
         self.price: list[int] = list(range(n))
         self.pos = 0  # where the next pricing pass starts in `price`
         self.basis: list[int] = []
@@ -250,9 +253,26 @@ class _Tableau:
         t = _Tableau.__new__(_Tableau)
         t.n, t.d, t.price, t.pos = self.n, self.d, self.price[:], self.pos
         t.basis, t.art, t.xb = self.basis[:], self.art[:], self.xb[:]
-        t.cols = [col[:] for col in self.cols]
+        t.cols = self.cols[:]
         t.binv = [row[:] for row in self.binv]
         return t
+
+    def start(self, system: LinearSystem) -> list[Row] | None:
+        """The cold start of `system`: its presolved rows, or None."""
+        origin: list[tuple[int, int]] = []
+        rows = _presolve(system, origin)
+        if rows is None:
+            return None
+        self.add_rows([((), rel, c) for _, rel, c in rows])
+        # feeds[r]: (i, g) per tableau row i that input row r gives, over g
+        feeds: list[tuple] = [()] * system.m
+        for i, ((r, g), (_, rel, c)) in enumerate(zip(origin, rows)):
+            feeds[r] += ((i, -g if c < 0 or (c == 0 and rel == GE) else g),)
+        in_place = all(f == ((r, 1),) for r, f in enumerate(feeds))
+        self.cols[:self.n] = system.columns if in_place else [
+            tuple((i, a // g) for r, a in col for i, g in feeds[r])
+            for col in system.columns]
+        return rows
 
     def add_rows(self, rows: Sequence[Row]) -> None:
         """Append rows `(sparse row, relation, rhs)`, each with a basic
@@ -279,7 +299,7 @@ class _Tableau:
             if res < 0 or (res == 0 and rel == GE):
                 sign, res, rel = -1, -res, _FLIP[rel]
             for j, a in sparse:
-                cols[j].append((i, sign * a))
+                cols[j] = (*cols[j], (i, sign * a))
             new = [-sign * v for v in r_binv]
             new[i] = d
             binv.append(new)
@@ -294,12 +314,12 @@ class _Tableau:
             self.price.append(len(cols))
             if a == 1:
                 basis[i] = len(cols)
-            cols.append([(i, a)])
+            cols.append(((i, a),))
         self.art.extend([False] * (m - m0))
         for i in arts:
             basis[i] = len(cols)
             self.art[i] = True
-            cols.append([(i, 1)])
+            cols.append(((i, 1),))
 
     def solve(self) -> bool:
         """Phase 1 from the current basis; True iff the rows are feasible.
@@ -410,11 +430,9 @@ def lp_feasible(system: LinearSystem) -> tuple[Fraction, ...] | None:
     it resumes after the last entering column, and a run of degenerate
     pivots falls back to Bland's rule).
     """
-    rows = _presolve(system)
-    if rows is None:
-        return None
     tab = _Tableau(system.num_vars)
-    tab.add_rows(rows)
+    if tab.start(system) is None:
+        return None
     return tab.solution() if tab.solve() else None
 
 
@@ -637,7 +655,8 @@ def ilp_solve(system: LinearSystem, upper_bounds: Sequence[int], *,
     seed = _greedy_seed(system, ubs)
     if seed is not None:
         return seed
-    presolved = _presolve(system)
+    root = _Tableau(n)
+    presolved = root.start(system)
     if presolved is None:
         return None
     for row, rel, c in presolved:
@@ -648,7 +667,7 @@ def ilp_solve(system: LinearSystem, upper_bounds: Sequence[int], *,
     # it, rows still to append); the low child is searched first.  `lo` and
     # `hi` are the node's branch and box bounds, read only to pick the
     # branch variable: every one of them is a row of the node's LP.
-    stack = [([0] * n, list(ubs), _Tableau(n), 0, presolved)]
+    stack = [([0] * n, list(ubs), root, 0, [])]
     nodes = 0
     while stack:
         lo, hi, tab, have, new_rows = stack.pop()

@@ -25,7 +25,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (BudgetExhaustedError, InputError, UnknownPredicateError,
@@ -497,6 +496,9 @@ def evaluate(s: FiniteStructure | CellStructure, f) -> bool:
 # 1-types
 # ---------------------------------------------------------------------------
 
+FRONTIER = 1024  # (mask, sig) siblings `live_signatures` expands at once
+
+
 def _bit(pred: str, index: Mapping[str, int]) -> int:
     try:
         return index[pred]
@@ -579,15 +581,19 @@ def live_signatures(preds: Sequence[str], kills: Iterable[C1Formula],
     """(mask, sig) for every mask over `preds` on which no quantifier-free
     kill body holds, where bit i of sig is the truth of bodies[i].
 
-    The walk is depth-first over predicate bits, bit 0 first and the 0
-    child before the 1 child, so over [a, b] the order is 0, 2, 1, 3.
-    Every kill and body is decided once per parent, on the children of the
-    bit of its highest predicate, so a dead child is never pushed: a
-    literal conjunction inline, on the one child whose bit agrees with that
-    predicate's literal; any other body by `compile_body`, on both; a body
-    without predicates once, at the root.  A kill decided only at a high
-    bit leaves dead partial masks that no yield counts, so the walk raises
-    BudgetExhaustedError on popping more than `max_nodes` nodes, if given.
+    The order is depth-first over predicate bits, bit 0 first and the 0
+    child before the 1 child, so over [a, b] it is 0, 2, 1, 3.  The walk
+    expands up to FRONTIER sibling pairs a level at a time and pushes a
+    longer child list in parts, last first, which keeps that order and at
+    most one frontier a level waiting.  Every kill and body is decided once
+    per parent, on the children of the bit of its highest predicate, so a
+    dead child is never pushed: a literal conjunction inline, on the one
+    child whose bit agrees with that predicate's literal; any other body by
+    `compile_body`, on both; a body without predicates once, at the root;
+    a child with nothing to decide is copied untested.  A kill decided only
+    at a high bit leaves dead partial masks that no yield counts, so the
+    walk raises BudgetExhaustedError on popping (a frontier at a time)
+    more than `max_nodes` nodes, if given.
     """
     index = {p: i for i, p in enumerate(preds)}
     kills = list(kills)
@@ -608,30 +614,43 @@ def live_signatures(preds: Sequence[str], kills: Iterable[C1Formula],
         for c in (0, 1) if conj is None else (conj[0] >> top & 1,):
             at[top][c][bool(bit)].append((*(conj or (0, 0)), test, bit))
     n = len(preds)
-    stack = [] if dead else [(0, 0, sig)]
-    for _ in repeat(None) if max_nodes is None else range(max_nodes):
-        if not stack:
-            return
-        level, mask, sig = stack.pop()
+    stack = [] if dead else [(0, [(0, sig)])]
+    nodes = 0
+    while stack:
+        level, frontier = stack.pop()
+        nodes += len(frontier)
+        if max_nodes is not None and nodes > max_nodes:
+            raise BudgetExhaustedError("1-type walk node cap exceeded")
         if level == n:
-            yield mask, sig
+            yield from frontier
             continue
-        for c in (1, 0):
-            child = mask | c << level
-            kill_tests, body_tests = at[level][c]
-            for pos, neg, test, _ in kill_tests:
-                if (child & pos == pos and not child & neg
-                        and (test is None or test(child))):
-                    break
-            else:
-                s = sig
-                for pos, neg, test, bit in body_tests:
-                    if (child & pos == pos and not child & neg
-                            and (test is None or test(child))):
-                        s |= bit
-                stack.append((level + 1, child, s))
-    if stack:
-        raise BudgetExhaustedError("1-type walk node cap exceeded")
+        bit = 1 << level
+        if not any(map(any, at[level])):
+            children = [(m | c, s) for m, s in frontier for c in (0, bit)]
+        else:
+            sides = []
+            for c, (kill_tests, body_tests) in zip((0, bit), at[level]):
+                if not kill_tests and not body_tests:
+                    sides.append([(m | c, s) for m, s in frontier])
+                    continue
+                side = []
+                for mask, sig in frontier:
+                    child = mask | c
+                    for pos, neg, test, _ in kill_tests:
+                        if (child & pos == pos and not child & neg
+                                and (test is None or test(child))):
+                            side.append(None)
+                            break
+                    else:
+                        for pos, neg, test, b in body_tests:
+                            if (child & pos == pos and not child & neg
+                                    and (test is None or test(child))):
+                                sig |= b
+                        side.append((child, sig))
+                sides.append(side)
+            children = [x for pair in zip(*sides) for x in pair if x]
+        for k in reversed(range(0, len(children), FRONTIER)):
+            stack.append((level + 1, children[k:k + FRONTIER]))
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,9 @@ def render_tiling_system(ts: TilingSystem) -> str:
 # The tiling encoding
 # ---------------------------------------------------------------------------
 
+MAX_TILING_K = 6  # largest grid exponent; k = 6: 7 s, 150 MB on 2 cores
+
+
 def _matches(coord: int, pairs) -> bool:
     """Whether a coordinate has the value of every (digit, value) pair."""
     return all(coord >> d & 1 == v for d, v in pairs)
@@ -349,8 +352,8 @@ class _Frame:
     """
 
     def __init__(self, ts: TilingSystem, init, k: int):
-        if k < 1:
-            raise InputError("exponent k must be at least 1")
+        if not 1 <= k <= MAX_TILING_K:
+            raise InputError(f"exponent k must be from 1 to {MAX_TILING_K}")
         self.ts = ts
         self.init = list(init)
         self.k = k

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from numlog import c1
+from numlog import c1, logic
 from numlog.errors import BudgetExhaustedError, UnknownPredicateError
 from numlog.linsys import EQ, GE, LE, LinearSystem
 from numlog.logic import FALSE, TRUE, And, Not, Or, Pred, live_signatures
@@ -114,13 +114,38 @@ class TestCellSystemDifferential:
             seen["zero preds"] += not preds
         assert min(seen.values()) >= 20, seen
 
-    def test_walk_yields_every_live_mask_with_its_signature(self):
+    @pytest.mark.parametrize("frontier", [1, 2, logic.FRONTIER])
+    def test_walk_yields_every_live_mask_with_its_signature(self, monkeypatch,
+                                                            frontier):
+        monkeypatch.setattr(logic, "FRONTIER", frontier)
         rng = random.Random(223)
         for _ in range(300):
             preds, kills, rows = random_case(rng)
             bodies = [b for _, _, b in rows]
             assert (list(live_signatures(preds, kills, bodies))
                     == reference_signatures(preds, kills, bodies))
+
+    def test_columns_are_the_transposed_rows(self):
+        rng = random.Random(239)
+        for _ in range(300):
+            _, system = c1.cell_system(*random_case(rng))
+            gathered = LinearSystem(system.rows, system.relations, system.rhs,
+                                    system.num_vars)
+            assert system.columns == gathered.columns
+
+    def test_a_wide_walk_spans_several_frontiers(self):
+        # 11-13 predicates and one or two kills on three of them leave more
+        # live masks than a frontier holds, so the walk splits its children
+        rng = random.Random(233)
+        for _ in range(4):
+            preds = [f"x{i}" for i in range(rng.randint(11, 13))]
+            kills = [And(tuple(Pred(p) if rng.random() < 0.5 else Not(Pred(p))
+                               for p in rng.sample(preds, 3)))
+                     for _ in range(rng.randint(1, 2))]
+            bodies = [random_body(rng, preds) for _ in range(rng.randint(2, 5))]
+            want = reference_signatures(preds, kills, bodies)
+            assert len(want) > logic.FRONTIER
+            assert list(live_signatures(preds, kills, bodies)) == want
 
     def test_unknown_predicate_in_a_kill_or_a_row(self):
         rng = random.Random(227)

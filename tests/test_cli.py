@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from numlog import c1
+from numlog import c1, reductions
 from numlog.cli import main
 from numlog.linsys import _Tableau, ilp_solve
 from numlog.logic import (CellStructure, atom_formula, evaluate, negate_atom,
@@ -224,6 +224,31 @@ class TestSolve:
         assert code == 2 and payload["status"] == "Unknown"
         assert payload["exit_code"] == 2 and not payload["certificates"]
 
+    @pytest.mark.parametrize("command, text, note", [
+        ("solve", "".join(f">=1 (p{i} & p{i})\n" for i in range(3)),
+         "live 1-type cap exceeded"),
+        ("psat", "".join(f"x{i} ; 1/2\n" for i in range(13)),
+         "13 letters need 0/1 rows to prune; cap is 12"),
+    ])
+    def test_a_cap_that_escapes_a_command_is_unknown(self, workspace, capsys,
+                                                     monkeypatch, command,
+                                                     text, note):
+        # 3 free predicates have 8 live 1-types, past a cap of 4
+        monkeypatch.setattr(c1, "MAX_LIVE", 4)
+        (workspace / "wide.txt").write_text(text, encoding="utf-8")
+        argv = [command, str(workspace / "wide.txt"), "--out", str(workspace)]
+        assert main(argv + ["--json"]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.out.splitlines()
+        payload = json.loads(line)
+        assert captured.err == "" and payload["command"] == command
+        assert payload["status"] == "Unknown" and payload["exit_code"] == 2
+        assert payload["certificates"] == []
+        assert payload["detail"] == {"note": note}
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"Unknown: {note}\n"
+
     def test_json_envelope(self, workspace, capsys):
         code, out = run(capsys, "solve", workspace / "arg1.txt",
                         "--lexicon", workspace / "lex.txt",
@@ -360,6 +385,24 @@ class TestGenerate:
             workspace / "gen" / "tiling_k1_m2.witness.structure",
             workspace / "gen" / "tiling_k1_m2.formulas")
         assert code2 == 0 and "all true" in out2
+
+    def test_tiling_past_the_largest_grid_is_refused(self, workspace, capsys,
+                                                    monkeypatch):
+        frames = []
+        frame = reductions._Frame
+
+        def counting(*args):
+            frames.append(args[-1])
+            return frame(*args)
+
+        monkeypatch.setattr(reductions, "_Frame", counting)
+        k = reductions.MAX_TILING_K + 1
+        code = main(["generate", "tiling", "--k", str(k),
+                     "--out", str(workspace / "gen")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: exponent k must be from 1 to 6\n"
+        assert frames == [k] and not any((workspace / "gen").iterdir())
 
     def test_incompleteness(self, workspace, capsys):
         code, out = run(capsys, "generate", "incompleteness", "--m", "6",

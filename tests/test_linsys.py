@@ -453,6 +453,77 @@ class TestPresolve:
             assert enumerate_solutions(t, box) == enumerate_solutions(s, box)
 
 
+def presolve_case(rng):
+    """1-4 groups of rows over 1-3 columns, each group one thing `_presolve`
+    does: a row kept as drawn, a row times -3, -2, 2 or 3 (negated and/or
+    divided by its gcd), a `<=` pair of a row and -2 times it whose bounds
+    meet (merged into one `=` row), a `>=`/`<=` band on one row (kept as a
+    `<=` and a `>=` row) or an empty row with a true relation (dropped)."""
+    n = rng.randint(1, 3)
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        a = [rng.randint(-3, 3) for _ in range(n)]
+        rel, c = rng.choice([LE, GE, EQ]), rng.randint(-4, 8)
+        kind = rng.choice(["kept", "scaled", "equation", "band", "empty"])
+        if kind == "kept":
+            rows.append((a, rel, c))
+        elif kind == "scaled":
+            k = rng.choice([-3, -2, 2, 3])
+            rows.append(([k * v for v in a], rel, k * c))
+        elif kind == "equation":
+            rows += [(a, LE, c), ([-2 * v for v in a], LE, -2 * c)]
+        elif kind == "band":
+            rows += [(a, GE, c), (a, LE, c + rng.randint(1, 3))]
+        else:
+            rows.append(([0] * n, LE, rng.randint(0, 3)))
+    rng.shuffle(rows)
+    return system_from_rows(*zip(*rows))
+
+
+class TestColdStart:
+    def test_columns_are_the_transposed_presolved_rows(self):
+        rng = random.Random(241)
+        seen = dict.fromkeys(["in place", "negated", "divided", "merged",
+                              "split", "made =", "dropped", "refuted"], 0)
+        for _ in range(600):
+            s = presolve_case(rng)
+            n = s.num_vars
+            origin = []
+            rows = _presolve(s, origin)
+            tab = _Tableau(n)
+            assert tab.start(s) == rows
+            box = [rng.randint(3, 6)] * n
+            expected = enumerate_solutions(s, box)
+            got = ilp_solve(s, box)
+            assert got in expected if expected else got is None
+            x = lp_feasible(s)
+            assert x is not None if expected else True
+            assert x is None or s.is_solution(x)
+            seen["dropped"] += any(not row for row in s.rows)
+            if rows is None:
+                seen["refuted"] += 1
+                continue
+            # the test-side transposition, each row negated as add_rows does
+            cols = [[] for _ in range(n)]
+            for i, (row, rel, c) in enumerate(rows):
+                sign = -1 if c < 0 or (c == 0 and rel == GE) else 1
+                for j, a in row:
+                    cols[j].append((i, sign * a))
+            assert tab.cols[:n] == list(map(tuple, cols))
+            cold = _Tableau(n)
+            cold.add_rows(rows)
+            assert vars(tab) == vars(cold)
+            seen["in place"] += all(c is d for c, d in zip(tab.cols, s.columns))
+            seen["negated"] += any(g < 0 for _, g in origin)
+            seen["divided"] += any(abs(g) > 1 for _, g in origin)
+            used = [r for r, _ in origin]
+            seen["merged"] += len(set(used)) < sum(1 for row in s.rows if row)
+            seen["split"] += len(set(used)) < len(used)
+            seen["made ="] += (sum(rel == EQ for _, rel, _ in rows)
+                               > s.relations.count(EQ))
+        assert min(seen.values()) >= 20, seen
+
+
 class TestWarmStart:
     def test_child_matches_cold_solve(self):
         # a child tableau (parent copy plus one branch row) decides the same

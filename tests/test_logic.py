@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from numlog import logic
 from numlog.errors import BudgetExhaustedError, InputError, UnknownPredicateError
 from numlog.logic import (AT_LEAST, AT_MOST, FALSE, TRUE, And, CellStructure,
                           Count, Lit, Not, Or, Pred, RelationalAtom, at_least,
@@ -183,7 +184,9 @@ class TestMaskKernel:
             compile_body(Or((Pred("p"), Count(AT_LEAST, 1, Pred("p")))),
                          {"p": 0})
 
-    def test_live_masks_match_brute_force(self):
+    @pytest.mark.parametrize("frontier", [1, 2, logic.FRONTIER])
+    def test_live_masks_match_brute_force(self, monkeypatch, frontier):
+        monkeypatch.setattr(logic, "FRONTIER", frontier)
         rng = random.Random(167)
         for _ in range(200):
             preds = [f"x{i}" for i in range(rng.randint(0, 4))]
@@ -199,7 +202,10 @@ class TestMaskKernel:
             assert [mask for mask, _ in live_signatures(preds, kills, ())
                     ] == expected
 
-    def test_walk_node_cap_counts_dead_partial_masks(self):
+    @pytest.mark.parametrize("frontier", [1, 2, logic.FRONTIER])
+    def test_walk_node_cap_counts_dead_partial_masks(self, monkeypatch,
+                                                     frontier):
+        monkeypatch.setattr(logic, "FRONTIER", frontier)
         # kills on z, the last bit, leave nothing live: the walk pops the
         # root, 2 masks over a and 4 over a, b, and pushes none over z
         kills = [Pred("z"), Not(Pred("z"))]
