@@ -192,11 +192,12 @@ def _random_graph(n: int, seed: int) -> reductions.Graph:
 def cmd_generate(args) -> int:
     started = time.time()
     out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
     detail: dict = {}
 
     def save(name: str, text: str) -> Path:
+        if not written:  # a refused request leaves no directory behind
+            out.mkdir(parents=True, exist_ok=True)
         p = out / name
         p.write_text(text, encoding="utf-8")
         written.append(str(p))

@@ -214,7 +214,14 @@ class _Tableau:
     fraction-free: `binv` is an integer matrix whose shared positive
     denominator `d` is det B, so every division in a pivot is exact by the
     subdeterminant argument (and checked), and `xb` holds d times the basic
-    values.  The entering column is the first one with a positive reduced
+    values.  A pivot keeps the leaving row `lrow`, as the new d is the pivot
+    element piv = u[leave] (u = binv . A_enter), and maps every other entry
+    to (binv[i][k] * piv - u[i] * lrow[k]) / d.  An entry with binv[i][k]
+    and lrow[k] both zero stays zero, and when piv == d an entry with
+    lrow[k] == 0 stays as it is, so the pivot rewrites only the entries
+    that change: the leaving row's nonzeros in each row with u[i] != 0
+    when piv == d, else every position where binv[i][k] or lrow[k] is
+    nonzero.  The entering column is the first one with a positive reduced
     cost in `price` order, starting at `pos`, just after the last entering
     column, and wrapping around; after m degenerate pivots in a row (m rows,
     zero step) the scan starts at position 0 (Bland's rule) until a pivot
@@ -337,11 +344,7 @@ class _Tableau:
             if not any(xb[i] for i in art_rows):
                 return True
             # y = (basis cost vector) . Binv; cost 1 on artificial basics.
-            y = [0] * m
-            for i in art_rows:
-                row = binv[i]
-                for k in range(m):
-                    y[k] += row[k]
+            y = [sum(c) for c in zip(*[binv[i] for i in art_rows])]
             # Bland's scan from 0 once m degenerate pivots run in a row
             price = self.price
             s = 0 if degenerate >= m else self.pos
@@ -359,8 +362,7 @@ class _Tableau:
             self.pos = p + 1
             u = [0] * m
             for r, a in cols[enter]:
-                for i in range(m):
-                    u[i] += binv[i][r] * a
+                u = [v + row[r] * a for v, row in zip(u, binv)]
             leave = -1
             for i in range(m):
                 if u[i] > 0:
@@ -373,38 +375,24 @@ class _Tableau:
                         leave = i
             if leave < 0:
                 raise AssertionError("phase-1 objective unbounded below")
-            d = self.d
-            piv = u[leave]
-            lrow = binv[leave]
-            lxb = xb[leave]
+            d, piv = self.d, u[leave]
+            lrow, lxb = binv[leave], xb[leave]
+            lnz = [k for k in range(m) if lrow[k]]
             for i in range(m):
-                if i == leave:
-                    continue
                 f = u[i]
+                if i == leave or (f == 0 and piv == d):
+                    continue
                 row = binv[i]
-                if f == 0:
-                    if piv != d:
-                        for k in range(m):
-                            v = row[k]
-                            if v:
-                                q, rr = divmod(v * piv, d)
-                                if rr:
-                                    raise ArithmeticError("non-exact pivot division")
-                                row[k] = q
-                        q, rr = divmod(xb[i] * piv, d)
-                        if rr:
-                            raise ArithmeticError("non-exact pivot division")
-                        xb[i] = q
-                else:
-                    for k in range(m):
-                        q, rr = divmod(row[k] * piv - f * lrow[k], d)
-                        if rr:
-                            raise ArithmeticError("non-exact pivot division")
-                        row[k] = q
-                    q, rr = divmod(xb[i] * piv - f * lxb, d)
+                for k in lnz if piv == d else [
+                        k for k in range(m) if row[k] or lrow[k]]:
+                    q, rr = divmod(row[k] * piv - f * lrow[k], d)
                     if rr:
                         raise ArithmeticError("non-exact pivot division")
-                    xb[i] = q
+                    row[k] = q
+                q, rr = divmod(xb[i] * piv - f * lxb, d)
+                if rr:
+                    raise ArithmeticError("non-exact pivot division")
+                xb[i] = q
             basis[leave] = enter
             art[leave] = False
             self.d = piv

@@ -402,7 +402,21 @@ class TestGenerate:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == "error: exponent k must be from 1 to 6\n"
-        assert frames == [k] and not any((workspace / "gen").iterdir())
+        assert frames == [k] and not (workspace / "gen").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["tiling", "--k", "7"],
+        ["3col", "--graph", "bad.graph"],
+    ])
+    def test_refusal_leaves_no_directory(self, workspace, capsys, argv,
+                                         monkeypatch):
+        monkeypatch.chdir(workspace)
+        (workspace / "bad.graph").write_text("p edge 3 1\ne 1\n",
+                                             encoding="utf-8")
+        code = main(["generate", *argv, "--out", "g7/sub"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err.startswith("error: ")
+        assert not (workspace / "g7").exists()
 
     def test_incompleteness(self, workspace, capsys):
         code, out = run(capsys, "generate", "incompleteness", "--m", "6",

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import dense_solve
 from numlog.errors import BudgetExhaustedError, InputError, NotASolutionError
 from numlog.linsys import (EQ, GE, LE, LinearSystem, _presolve, _Tableau,
                            check_prop2_bound, enumerate_solutions, ilp_solve,
@@ -586,6 +587,73 @@ class TestWarmStart:
             else:
                 assert got is None
         assert warm > 100
+
+
+class TestSparsePivot:
+    def test_pivots_match_the_dense_loop(self):
+        # every basis, binv, xb, d and pricing position after a cold solve
+        # and after each warm-started child equals the dense loop's
+        rng = random.Random(113)
+        log = []
+        for case in range(1200):
+            s = presolve_case(rng) if case % 3 == 0 else random_small_system(
+                rng, max_m=6, max_l=5)
+            rows = _presolve(s)
+            if rows is None:
+                continue
+            root = _Tableau(s.num_vars)
+            root.add_rows(rows)
+            ref = root.copy()
+            assert root.solve() == dense_solve(ref, log)
+            assert vars(root) == vars(ref)
+            for j, v in enumerate(root.solution()):
+                if v.denominator == 1:
+                    continue
+                floor = v.numerator // v.denominator
+                for rel, c in ((LE, floor), (GE, floor + 1)):
+                    child, ref_child = root.copy(), ref.copy()
+                    child.add_rows([(((j, 1),), rel, c)])
+                    ref_child.add_rows([(((j, 1),), rel, c)])
+                    assert child.solve() == dense_solve(ref_child, log)
+                    assert vars(child) == vars(ref_child)
+        scaled = sum(piv != d for piv, d in log)
+        over_one = sum(d > 1 for _, d in log)
+        assert scaled >= 100 and over_one >= 100, (len(log), scaled, over_one)
+
+
+    @pytest.mark.parametrize("rows, rels, rhs, branch, entry, scaled", [
+        # the child's first pivot has piv 1 != d 3 and leaves on the branch
+        # row, so it rescales binv[1], where a 4 in place of 3 is caught
+        ([[-2, 3], [-2, -1]], [GE, LE], [11, 0], (1, GE, 4), (1, 1), True),
+        # piv == d == 4: binv[0][0] meets the entering column, so it shifts
+        # row 0's factor f, and f * lrow[k] stops being a multiple of d on
+        # the leaving row's nonzeros
+        ([[2, 1, -3], [-1, 2, -1], [-1, -2, 3]], [LE, EQ, LE], [3, 9, -1],
+         (1, GE, 7), (0, 0), False),
+    ])
+    def test_a_non_exact_division_raises(self, rows, rels, rhs, branch,
+                                         entry, scaled):
+        # one binv entry off by one, in a row that the next pivot updates
+        s = system_from_rows(rows, rels, rhs)
+        root = _Tableau(s.num_vars)
+        root.add_rows(_presolve(s))
+        assert root.solve() and root.d > 1
+        j, rel, c = branch
+        log = []
+        child = root.copy()
+        child.add_rows([(((j, 1),), rel, c)])
+        assert dense_solve(child, log)
+        assert (log[0][0] != log[0][1]) == scaled
+        i, k = entry
+        assert root.binv[i][k]
+        root.binv[i][k] += 1
+        root.add_rows([(((j, 1),), rel, c)])
+        log = []
+        with pytest.raises(ArithmeticError, match="non-exact"):
+            dense_solve(root.copy(), log)
+        assert len(log) == 1 and (log[0][0] != log[0][1]) == scaled
+        with pytest.raises(ArithmeticError, match="non-exact"):
+            root.solve()
 
 
 def fourier_motzkin_feasible(s):
