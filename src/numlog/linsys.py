@@ -13,7 +13,10 @@ is checked to be exact.  Its pricing resumes after the last entering
 column and falls back to Bland's rule during a run of degenerate pivots,
 so it terminates.  Before it runs, the rows are presolved: divided by
 their gcd, given a positive first coefficient and merged when their
-coefficients agree.  The presolve lives only inside
+coefficients agree; a 0/1 row whose support complements an `=` 0/1 row's
+is folded into the all-ones row (the domain size of a cell system), so
+exact counts |p| and |!p| cost one tableau row, not two, and totals that
+disagree are refuted before any pivot.  The presolve lives only inside
 `lp_feasible` and `ilp_solve`; stored rows are never gcd-divided.
 `ilp_solve` is one LP-based branch and bound: it presolves once at the
 root, every child re-solves from its parent's tableau with one more row (a
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from numbers import Rational
 from typing import Iterable, Sequence
 
@@ -153,8 +156,8 @@ Row = tuple[SparseVector, str, int]
 
 def _presolve(system: LinearSystem, origin: list | None = None
               ) -> list[Row] | None:
-    """The system's rows in canonical form and merged, or None when a row
-    alone is infeasible.
+    """The system's rows in canonical form, merged and folded, or None when
+    a row alone, or a fold, is infeasible.
 
     Each row is divided by the gcd of its coefficients and rhs, and negated
     (its relation flipped) when its first coefficient is negative, so rows
@@ -165,6 +168,19 @@ def _presolve(system: LinearSystem, origin: list | None = None
     A row that is already canonical is used as it is, not copied.  A list
     `origin` receives each returned row's (r, g): the first input row r
     with its coefficients, and the signed gcd g that divides r into it.
+
+    Then, when the all-ones row ONES is present, a 0/1 row R' whose support
+    is the complement of an `=` 0/1 row R = c is folded: R' = ONES - R, so
+    R' in [lo', hi'] is dropped and ONES's interval is intersected with
+    [lo' + c, hi' + c].  The solution set is unchanged; totals that
+    disagree (|p| + |!p| != |q| + |!q|) leave ONES empty, which is
+    infeasible.  When R' is an `=` row too, the pair keeps whichever row
+    comes first.  A candidate R' has length n - len(R) and is confirmed by
+    one disjointness test; without an `=` row nothing more is looked at.
+    A folded input row feeds no returned row.  For a Farkas map back to
+    the input rows: ONES's multiplier, when its folded bound is the tight
+    one, goes to both R' and R, since ONES >= lo' + c is R' >= lo' plus
+    R = c.
     """
     bounds: dict[SparseVector, list] = {}
     for r, (row, rel, c) in enumerate(zip(system.rows, system.relations,
@@ -190,6 +206,28 @@ def _presolve(system: LinearSystem, origin: list | None = None
             b[0] = c
         if rel != GE and (b[1] is None or c < b[1]):
             b[1] = c
+    # fold each 0/1 row R' complementing an `=` 0/1 row R = c into ONES
+    n = system.num_vars
+    eqs = [row for row, (lo, hi, _, _) in bounds.items()
+           if lo is not None and lo == hi]
+    ones = bounds.get(tuple(zip(range(n), repeat(1)))) if eqs else None
+    if ones is not None:
+        by_len: dict[int, list[SparseVector]] = {}
+        for row in bounds:
+            by_len.setdefault(len(row), []).append(row)
+        for row in eqs:
+            if row not in bounds or any(a != 1 for _, a in row):
+                continue
+            support = {j for j, _ in row}
+            for other in by_len.get(n - len(row), ()):
+                if (other in bounds and all(a == 1 for _, a in other)
+                        and support.isdisjoint(j for j, _ in other)):
+                    c, (lo, hi, _, _) = bounds[row][0], bounds.pop(other)
+                    if lo is not None and (ones[0] is None or lo + c > ones[0]):
+                        ones[0] = lo + c
+                    if hi is not None and (ones[1] is None or hi + c < ones[1]):
+                        ones[1] = hi + c
+                    break
     out = []
     for row, (lo, hi, r, g) in bounds.items():
         if lo is not None and hi is not None and lo >= hi:
@@ -243,6 +281,8 @@ class _Tableau:
     presolved rows on an empty tableau, where every residual is the rhs,
     except that it reads the structural columns off `system.columns`
     through `_presolve`'s row map: the system's own tuples when no row moves.
+    An input row that was merged or folded away feeds no tableau row, so
+    its entries are left out of every column.
     """
 
     def __init__(self, n: int):

@@ -1,5 +1,6 @@
 """Exact LP/ILP kernels and the sparse-solution machinery."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,9 +8,9 @@ import pytest
 
 from helpers import dense_solve
 from numlog.errors import BudgetExhaustedError, InputError, NotASolutionError
-from numlog.linsys import (EQ, GE, LE, LinearSystem, _presolve, _Tableau,
-                           check_prop2_bound, enumerate_solutions, ilp_solve,
-                           lp_feasible, many_nonzeros_instance,
+from numlog.linsys import (_FLIP, EQ, GE, LE, LinearSystem, _presolve,
+                           _Tableau, check_prop2_bound, enumerate_solutions,
+                           ilp_solve, lp_feasible, many_nonzeros_instance,
                            natural_sparsity_bound, sparsify_natural,
                            sparsify_rational, system_from_rows)
 
@@ -438,6 +439,47 @@ class TestPresolve:
         assert out[1:] == [(((0, 1), (1, 1), (3, 2)), GE, 1),
                            (((0, 2), (1, 2), (3, 4)), LE, 3)]
 
+    # complementary 0/1 rows over three columns: {0} and {1, 2}
+    ONES, R, R_ = ((0, 1), (1, 1), (2, 1)), ((0, 1),), ((1, 1), (2, 1))
+
+    def test_equation_pair_folds_into_the_all_ones_row(self):
+        s = system_from_rows([[1, 1, 1], [1, 0, 0], [0, 1, 1], [0, 2, 2]],
+                             [GE, EQ, LE, GE], [1, 2, 3, 6])
+        origin = []
+        assert _presolve(s, origin) == [(self.ONES, EQ, 5), (self.R, EQ, 2)]
+        assert origin == [(0, 1), (1, 1)]
+        assert lp_feasible(s) is not None
+        assert ilp_solve(s, [5] * 3) in enumerate_solutions(s, [5] * 3)
+
+    def test_band_on_the_complement_of_an_equation(self):
+        s = system_from_rows([[1, 0, 0], [0, 1, 1], [0, 1, 1], [1, 1, 1]],
+                             [EQ, GE, LE, LE], [2, 1, 4, 9])
+        assert _presolve(s) == [(self.R, EQ, 2), (self.ONES, LE, 6),
+                                (self.ONES, GE, 3)]
+
+    def test_of_two_equations_the_first_is_kept(self):
+        s = system_from_rows([[0, 1, 1], [1, 1, 1], [1, 0, 0]],
+                             [EQ, GE, EQ], [3, 1, 2])
+        assert _presolve(s) == [(self.R_, EQ, 3), (self.ONES, EQ, 5)]
+
+    def test_disagreeing_totals_are_refuted(self):
+        # cells pq, p!q, !pq, !p!q: |p| + |!p| = 7 but |q| + |!q| = 8
+        s = system_from_rows(
+            [[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0],
+             [0, 1, 0, 1]], [GE, EQ, EQ, EQ, EQ], [1, 3, 4, 5, 3])
+        assert _presolve(s) is None
+        assert lp_feasible(s) is None and ilp_solve(s, [8] * 4) is None
+
+    def test_no_fold_without_an_all_ones_row(self):
+        s = system_from_rows([[1, 0, 0], [0, 1, 1]], [EQ, LE], [2, 3])
+        assert _presolve(s) == [(self.R, EQ, 2), (self.R_, LE, 3)]
+
+    def test_no_fold_without_an_equation(self):
+        s = system_from_rows([[1, 1, 1], [1, 0, 0], [0, 1, 1]],
+                             [EQ, LE, GE], [5, 2, 3])
+        assert _presolve(s) == [(self.ONES, EQ, 5), (self.R, LE, 2),
+                                (self.R_, GE, 3)]
+
     def test_same_integer_solutions(self):
         rng = random.Random(83)
         for _ in range(300):
@@ -481,6 +523,17 @@ def presolve_case(rng):
     return system_from_rows(*zip(*rows))
 
 
+def transposed(rows, n):
+    """The n columns of presolved rows, each row negated as `add_rows`
+    does."""
+    cols = [[] for _ in range(n)]
+    for i, (row, rel, c) in enumerate(rows):
+        sign = -1 if c < 0 or (c == 0 and rel == GE) else 1
+        for j, a in row:
+            cols[j].append((i, sign * a))
+    return list(map(tuple, cols))
+
+
 class TestColdStart:
     def test_columns_are_the_transposed_presolved_rows(self):
         rng = random.Random(241)
@@ -504,13 +557,7 @@ class TestColdStart:
             if rows is None:
                 seen["refuted"] += 1
                 continue
-            # the test-side transposition, each row negated as add_rows does
-            cols = [[] for _ in range(n)]
-            for i, (row, rel, c) in enumerate(rows):
-                sign = -1 if c < 0 or (c == 0 and rel == GE) else 1
-                for j, a in row:
-                    cols[j].append((i, sign * a))
-            assert tab.cols[:n] == list(map(tuple, cols))
+            assert tab.cols[:n] == transposed(rows, n)
             cold = _Tableau(n)
             cold.add_rows(rows)
             assert vars(tab) == vars(cold)
@@ -523,6 +570,77 @@ class TestColdStart:
             seen["made ="] += (sum(rel == EQ for _, rel, _ in rows)
                                > s.relations.count(EQ))
         assert min(seen.values()) >= 20, seen
+
+
+def complement_case(rng):
+    """A 0/1 system over 2-4 columns: usually an all-ones row, then one or
+    two planted pairs of rows over complementary supports, each side an
+    `=` row, a `<=` or `>=` row or a `>=`/`<=` band, and sometimes a row of
+    coefficients in [-2, 2].  Every row is scaled by 1, 2, -1 or -2."""
+    n = rng.randint(2, 4)
+    rows = []
+
+    def add(support, rel, c):
+        k = rng.choice([1, 2, -1, -2])
+        rows.append(([k * (j in support) for j in range(n)],
+                     _FLIP[rel] if k < 0 else rel, k * c))
+
+    def side(support):
+        kind, c = rng.choice([EQ, EQ, LE, GE, "band"]), rng.randint(0, 4)
+        if kind == "band":
+            add(support, GE, c)
+            add(support, LE, c + rng.randint(0, 2))
+        else:
+            add(support, kind, c)
+
+    if rng.random() < 0.85:
+        add(range(n), rng.choice([GE, GE, LE, EQ]), rng.randint(1, 8))
+    for _ in range(rng.randint(1, 2)):
+        left = set(rng.sample(range(n), rng.randint(1, n - 1)))
+        side(left)
+        side(set(range(n)) - left)
+    if rng.random() < 0.3:
+        rows.append(([rng.randint(-2, 2) for _ in range(n)],
+                     rng.choice([LE, GE, EQ]), rng.randint(-2, 6)))
+    rng.shuffle(rows)
+    return system_from_rows(*zip(*rows))
+
+
+def canonical(row):
+    """A nonempty row divided by its gcd, with a positive first entry."""
+    g = math.gcd(*(a for _, a in row)) * (1 if row[0][1] > 0 else -1)
+    return tuple((j, a // g) for j, a in row)
+
+
+class TestComplementFold:
+    def test_folded_systems_agree_with_the_oracles(self):
+        rng = random.Random(251)
+        folded = refuted = 0
+        for _ in range(500):
+            s = complement_case(rng)
+            n, box = s.num_vars, [4] * s.num_vars
+            rows = _presolve(s)
+            tab = _Tableau(n)
+            assert tab.start(s) == rows
+            x = lp_feasible(s)
+            assert (x is not None) == fourier_motzkin_feasible(s)
+            assert x is None or s.is_solution(x)
+            expected = enumerate_solutions(s, box)
+            got = ilp_solve(s, box)
+            assert got in expected if expected else got is None
+            if rows is None:
+                assert expected == []
+                refuted += 1
+                continue
+            t = LinearSystem(tuple(r for r, _, _ in rows),
+                             tuple(rel for _, rel, _ in rows),
+                             tuple(c for _, _, c in rows), n)
+            assert enumerate_solutions(t, box) == expected
+            assert tab.cols[:n] == transposed(rows, n)
+            # a merged row keeps its coefficients; only a fold drops them
+            kept = {row for row, _, _ in rows}
+            folded += any(canonical(r) not in kept for r in s.rows if r)
+        assert folded >= 20 and refuted >= 20, (folded, refuted)
 
 
 class TestWarmStart:

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+from numlog.c1 import build_system, entails, normalize
 from numlog.errors import InputError
-from numlog.logic import Lit, at_least, at_most, evaluate
+from numlog.linsys import EQ, _presolve
+from numlog.logic import Lit, at_least, at_most, evaluate, negate_atom
 from numlog.proofs import (apply_rule, check_derivation, derives,
                            incompleteness_instance, is_numerically_explicit,
                            render_derivation, rule_conclusions, saturate)
@@ -215,6 +217,25 @@ class TestIncompletenessInstance:
         explicit_part = 4 + 4 * (m + 1) + 4 * m + 4
         assert len(phi) == system_part + explicit_part == 156
         assert len(goals) == m + 1
+
+    @pytest.mark.parametrize("m, rows, total", [(6, 22, 42), (8, 28, 54)])
+    def test_presolve_folds_the_exact_counts(self, m, rows, total):
+        # |p| and |!p| are both exact for every predicate, so each !p row
+        # folds into the domain-size row, which becomes "= total"
+        phi, goals = incompleteness_instance(m)
+        atoms = phi + [negate_atom(goals[0])]
+        preds = sorted(set().union(*(a.predicates() for a in atoms)))
+        (branch,) = normalize(atoms)
+        system = build_system(branch, preds).system
+        presolved = _presolve(system)
+        assert len(presolved) == rows
+        assert [(rel, c) for row, rel, c in presolved
+                if len(row) == system.num_vars] == [(EQ, total)]
+
+    @pytest.mark.parametrize("m", range(7, 11))
+    def test_every_goal_is_entailed(self, m):
+        phi, goals = incompleteness_instance(m)
+        assert all(entails(phi, goal) for goal in goals)
 
     def test_satisfiable_with_42_element_model(self):
         from numlog.c1 import decide_sat, SAT
