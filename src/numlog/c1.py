@@ -30,7 +30,7 @@ from .logic import (AT_LEAST, AT_MOST, EXACTLY, And, C1Formula,
                     FiniteStructure, Not, Or, Pred, RelationalAtom, TRUE,
                     UnaryAtom, _compare, atom_formula, evaluate,
                     formula_predicates, is_closed, is_quantifier_free,
-                    live_signatures)
+                    lit_formula, live_signatures)
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -173,7 +173,19 @@ def normalize(formulas) -> list[NormalC1]:
     conjunct is a counting quantifier over a quantifier-free body.  The union
     of branches is equisatisfiable with the input over every domain.  No
     branch holds an =C conjunct, since `_simplify` splits each one.
+
+    Unary atoms alone are one branch of their own conjuncts as they stand,
+    each literal one shared formula object, or none when some `<=C` has
+    C < 0; that is what the general path gives them.
     """
+    formulas = list(formulas)
+    if all(isinstance(f, UnaryAtom) for f in formulas):
+        if any(a.is_trivially_false for a in formulas):
+            return []
+        lit = {l: lit_formula(l) for l in {l for a in formulas for l in a.lits}}
+        return [NormalC1(tuple((a.direction, a.bound,
+                                And((lit[a.lits[0]], lit[a.lits[1]])))
+                               for a in formulas))]
     conjuncts: list[C1Formula] = []
     for f in formulas:
         if isinstance(f, RelationalAtom):

@@ -575,6 +575,58 @@ def compile_body(f: C1Formula, index: Mapping[str, int],
     return lambda mask: holds
 
 
+class _Side:
+    """What `live_signatures` decides on one child side of one bit.
+
+    A literal conjunction with at most one literal besides its highest
+    predicate's is folded into masks: as a kill, one bit of `pos` or `neg`
+    (the child dies when it has a `pos` bit or lacks a `neg` bit; with no
+    other literal, the highest one's bit, which kills every child here); as
+    a body, `sig` (no other literal: set on every child) or `lits[b] = [on,
+    off]`, the sig bits set when mask bit b is on or off.  `kills` and
+    `bodies` hold the other tests as (pos, neg, test, sig bit): a wider
+    conjunction's bits, or 0, 0 and a `compile_body` test."""
+
+    def __init__(self):
+        self.pos = self.neg = self.sig = 0
+        self.lits: dict[int, list[int]] = {}
+        self.kills: list[tuple] = []
+        self.bodies: list[tuple] = []
+
+    def children(self, frontier: list, c: int) -> list:
+        """Child c of every frontier pair as (mask, sig), or None if dead."""
+        pos, neg, const, kills, bodies = (self.pos, self.neg, self.sig,
+                                          self.kills, self.bodies)
+        if not (self.lits or kills or bodies):
+            if not (pos or neg):
+                return [(mask | c, sig | const) for mask, sig in frontier]
+            return [None if (child := mask | c) & pos or ~child & neg
+                    else (child, sig | const) for mask, sig in frontier]
+        lits = self.lits.items()
+        folds = pos or neg or const or lits  # a side of tests alone skips them
+        side = []
+        for mask, sig in frontier:
+            child = mask | c
+            if folds:
+                if child & pos or ~child & neg:
+                    side.append(None)
+                    continue
+                sig |= const
+                for b, (on, off) in lits:
+                    sig |= on if child & b else off
+            for p, n, t, _ in kills:
+                if child & p == p and not child & n and (t is None or t(child)):
+                    side.append(None)
+                    break
+            else:
+                for p, n, t, b in bodies:
+                    if (child & p == p and not child & n
+                            and (t is None or t(child))):
+                        sig |= b
+                side.append((child, sig))
+        return side
+
+
 def live_signatures(preds: Sequence[str], kills: Iterable[C1Formula],
                     bodies: Sequence[C1Formula], max_nodes: int | None = None
                     ) -> Iterator[tuple[int, int]]:
@@ -587,32 +639,62 @@ def live_signatures(preds: Sequence[str], kills: Iterable[C1Formula],
     longer child list in parts, last first, which keeps that order and at
     most one frontier a level waiting.  Every kill and body is decided once
     per parent, on the children of the bit of its highest predicate, so a
-    dead child is never pushed: a literal conjunction inline, on the one
-    child whose bit agrees with that predicate's literal; any other body by
-    `compile_body`, on both; a body without predicates once, at the root;
-    a child with nothing to decide is copied untested.  A kill decided only
-    at a high bit leaves dead partial masks that no yield counts, so the
-    walk raises BudgetExhaustedError on popping (a frontier at a time)
-    more than `max_nodes` nodes, if given.
+    dead child is never pushed.  A literal conjunction is decided on the
+    one child whose bit agrees with that predicate's literal; one holding
+    p and !p never holds and is dropped.  With at most one literal besides
+    that predicate's (every two-literal atom), it is folded into masks (see
+    `_Side`): all such kills of a child are one test, and all such bodies
+    one lookup per remaining literal; a wider conjunction is tested on its
+    bits.  Any other body is decided by `compile_body`, on both children;
+    a body without predicates once, at the root; a child with nothing to
+    decide is copied untested.  A kill decided only at a high bit leaves
+    dead partial masks that no yield counts, so the walk raises
+    BudgetExhaustedError on popping (a frontier at a time) more than
+    `max_nodes` nodes, if given.
     """
     index = {p: i for i, p in enumerate(preds)}
     kills = list(kills)
-    # at[b][c]: (kills, bodies) decided on child c of bit b, as (pos, neg,
-    # test, sig bit): a literal conjunction's bits, or 0, 0 and a test
-    at = [[([], []), ([], [])] for _ in preds]
+    at = [[None, None] for _ in preds]  # at[b][c]: _Side of child c of bit b
+
+    def side_at(b: int, c: int) -> _Side:
+        if at[b][c] is None:
+            at[b][c] = _Side()
+        return at[b][c]
+
     dead, sig = False, 0
     for i, body in enumerate(kills + list(bodies)):
-        conj = _literal_bits(body, And, index)
-        test = compile_body(body, index) if conj is None else None
-        top = max((_bit(p, index) for p in formula_predicates(body)), default=-1)
         bit = 0 if i < len(kills) else 1 << (i - len(kills))
+        conj = _literal_bits(body, And, index)
+        if conj is None:
+            test = compile_body(body, index)
+            top = max((_bit(p, index) for p in formula_predicates(body)),
+                      default=-1)
+        else:
+            test, top = None, (conj[0] | conj[1]).bit_length() - 1
         if top < 0:
-            if compile_body(body, index)(0):
+            if test is None or test(0):  # an empty conjunction holds
                 dead |= not bit
                 sig |= bit
             continue
-        for c in (0, 1) if conj is None else (conj[0] >> top & 1,):
-            at[top][c][bool(bit)].append((*(conj or (0, 0)), test, bit))
+        if test is not None:
+            for side in (side_at(top, 0), side_at(top, 1)):
+                (side.bodies if bit else side.kills).append((0, 0, test, bit))
+            continue
+        pos, neg = conj
+        if pos & neg:
+            continue
+        side = side_at(top, pos >> top & 1)
+        rest = (pos | neg) ^ 1 << top
+        if rest & (rest - 1):
+            (side.bodies if bit else side.kills).append((pos, neg, None, bit))
+        elif not bit:
+            rest = rest or 1 << top
+            side.pos |= pos & rest
+            side.neg |= neg & rest
+        elif rest:
+            side.lits.setdefault(rest, [0, 0])[not pos & rest] |= bit
+        else:
+            side.sig |= bit
     n = len(preds)
     stack = [] if dead else [(0, [(0, sig)])]
     nodes = 0
@@ -625,29 +707,12 @@ def live_signatures(preds: Sequence[str], kills: Iterable[C1Formula],
             yield from frontier
             continue
         bit = 1 << level
-        if not any(map(any, at[level])):
+        if at[level] == [None, None]:
             children = [(m | c, s) for m, s in frontier for c in (0, bit)]
         else:
-            sides = []
-            for c, (kill_tests, body_tests) in zip((0, bit), at[level]):
-                if not kill_tests and not body_tests:
-                    sides.append([(m | c, s) for m, s in frontier])
-                    continue
-                side = []
-                for mask, sig in frontier:
-                    child = mask | c
-                    for pos, neg, test, _ in kill_tests:
-                        if (child & pos == pos and not child & neg
-                                and (test is None or test(child))):
-                            side.append(None)
-                            break
-                    else:
-                        for pos, neg, test, b in body_tests:
-                            if (child & pos == pos and not child & neg
-                                    and (test is None or test(child))):
-                                sig |= b
-                        side.append((child, sig))
-                sides.append(side)
+            sides = [[(m | c, s) for m, s in frontier] if side is None
+                     else side.children(frontier, c)
+                     for c, side in zip((0, bit), at[level])]
             children = [x for pair in zip(*sides) for x in pair if x]
         for k in reversed(range(0, len(children), FRONTIER)):
             stack.append((level + 1, children[k:k + FRONTIER]))

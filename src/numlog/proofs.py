@@ -25,7 +25,8 @@ exactly.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError
 from .linsys import many_nonzeros_instance
@@ -142,37 +143,92 @@ def render_derivation(d: Derivation, indent: int = 0) -> str:
 # Saturation
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BoundTable:
-    """Best derivable bounds per canonical literal pair.
+    """Best derivable bounds per canonical literal pair, as `saturate`
+    leaves them: flat lists indexed by pair id, over `literals`.
 
     lower[pair] is the largest C with ">=C" derivable (axioms give 0);
     upper[pair] the smallest C with "<=C" derivable (None when no upper is
-    known; complementary pairs start at 0).  `contradiction` carries the
-    offending pair once some lower exceeds an upper, after which every
+    known; complementary pairs start at 0).  prov_lower and prov_upper list
+    each pair's (value, justification) improvements in order.  These four
+    dict views are built on first access; `lower_of`, `upper_of` and
+    `justification` read one pair without them.  `contradiction` carries
+    the offending pair once some lower exceeds an upper, after which every
     sentence is derivable by ex falso.  `complete` is False when saturation
     stopped on budget rather than at the fixpoint: the table is still sound,
     but "not in the table" then means "not shown derivable".  `updates`
     counts the bound improvements made, premises included.
     """
 
-    lower: dict[PairKey, int] = field(default_factory=dict)
-    upper: dict[PairKey, int] = field(default_factory=dict)
-    prov_lower: dict[PairKey, list] = field(default_factory=dict)
-    prov_upper: dict[PairKey, list] = field(default_factory=dict)
-    contradiction: PairKey | None = None
-    complete: bool = True
-    literals: tuple[Lit, ...] = ()
-    updates: int = 0
+    def __init__(self, literals: tuple[Lit, ...], pid: list[list[int]],
+                 ends: list[tuple[int, int]], bounds: tuple[list, list],
+                 prov: tuple[list, list], contradiction: int | None,
+                 complete: bool, updates: int):
+        self.literals, self._pid, self._ends = literals, pid, ends
+        self._bounds, self._prov = bounds, prov
+        self._index = {l: i for i, l in enumerate(literals)}
+        self.contradiction = (None if contradiction is None
+                              else self._keys[contradiction])
+        self.complete, self.updates = complete, updates
+
+    @cached_property
+    def _keys(self) -> list[PairKey]:
+        literals = self.literals
+        return [(literals[a], literals[b]) for a, b in self._ends]
+
+    def _id(self, pair: PairKey) -> int | None:
+        a, b = (self._index.get(l) for l in pair)
+        return None if a is None or b is None else self._pid[a][b]
+
+    def _keyed(self, just: tuple) -> tuple:
+        if just[0] not in (R1, R2, R3):
+            return just
+        rule, (pa, sa, va), (pb, sb, vb) = just
+        return rule, (self._keys[pa], sa, va), (self._keys[pb], sb, vb)
+
+    def _view(self, upper: bool, prov: bool) -> dict:
+        """Each pair with a bound on that side, to the bound or to its
+        provenance."""
+        bounds, entries = self._bounds[upper], self._prov[upper]
+        return {key: ([(v, self._keyed(j)) for v, j in entries[t]]
+                      if prov else bound)
+                for t, (key, bound) in enumerate(zip(self._keys, bounds))
+                if bound is not None}
+
+    @cached_property
+    def lower(self) -> dict[PairKey, int]:
+        return self._view(False, False)
+
+    @cached_property
+    def upper(self) -> dict[PairKey, int]:
+        return self._view(True, False)
+
+    @cached_property
+    def prov_lower(self) -> dict[PairKey, list]:
+        return self._view(False, True)
+
+    @cached_property
+    def prov_upper(self) -> dict[PairKey, list]:
+        return self._view(True, True)
 
     def lower_of(self, pair: PairKey) -> int:
-        return self.lower.get(pair, 0)
+        t = self._id(pair)
+        return 0 if t is None else self._bounds[0][t]
 
     def upper_of(self, pair: PairKey) -> int | None:
-        got = self.upper.get(pair)
+        t = self._id(pair)
+        got = None if t is None else self._bounds[1][t]
         if got is None and pair[0] == pair[1].opposite():
             return 0
         return got
+
+    def justification(self, pair: PairKey, side: str, value: int):
+        """The first justification recorded for `value` as the pair's lower
+        (side "lower") or upper bound, or None."""
+        t = self._id(pair)
+        entries = () if t is None else self._prov[side == "upper"][t]
+        just = next((j for v, j in entries if v == value), None)
+        return None if just is None else self._keyed(just)
 
 
 def _check_unary(phi) -> list[UnaryAtom]:
@@ -206,7 +262,8 @@ def saturate(phi, *, max_updates: int = 500_000) -> BoundTable:
     Saturation halts early when a contradiction surfaces (everything is then
     derivable).  Each improvement, premises included, counts as one update;
     once the count exceeds `max_updates` after the premises are in, the
-    table is returned with complete=False.
+    table is returned with complete=False.  The table keeps the flat lists
+    as they are.
     """
     atoms = _check_unary(phi)
     preds = sorted({l.pred for a in atoms for l in a.lits})
@@ -323,29 +380,9 @@ def saturate(phi, *, max_updates: int = 500_000) -> BoundTable:
     except _Halt:
         pass
 
-    def key(t: int) -> PairKey:
-        return literals[ends[t][0]], literals[ends[t][1]]
-
-    def keyed(entries: list) -> list:
-        out = []
-        for val, just in entries:
-            if just[0] in (R1, R2, R3):
-                rule, (pa, sa, va), (pb, sb, vb) = just
-                just = (rule, (key(pa), sa, va), (key(pb), sb, vb))
-            out.append((val, just))
-        return out
-
-    table = BoundTable(literals=literals, updates=updates, complete=complete,
-                       contradiction=None if contradiction is None
-                       else key(contradiction))
-    for t in range(len(ends)):
-        pr = key(t)
-        table.lower[pr] = lower[t]
-        table.prov_lower[pr] = keyed(prov_lower[t])
-        if upper[t] is not None:
-            table.upper[pr] = upper[t]
-            table.prov_upper[pr] = keyed(prov_upper[t])
-    return table
+    return BoundTable(literals, pid, ends, (lower, upper),
+                      (prov_lower, prov_upper), contradiction, complete,
+                      updates)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +401,7 @@ def _rebuild(table: BoundTable, pr: PairKey, side: str, value: int,
     key = (pr, side, value)
     if key in memo:
         return memo[key]
-    entries = (table.prov_lower if side == "lower" else
-               table.prov_upper).get(pr, [])
-    just = next((j for v, j in entries if v == value), None)
+    just = table.justification(pr, side, value)
     if just is None or just[0] == "axiom":
         atom = (at_least(value, *pr) if side == "lower" else at_most(value, *pr))
         node = Derivation(atom, "axiom")

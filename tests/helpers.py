@@ -1,12 +1,20 @@
 """Shared generators for randomized test suites (all seeded by the caller),
-and the dense simplex loop that `linsys._Tableau.solve` must match."""
+and earlier forms of three kernels that the current ones must match: the
+dense simplex loop of `linsys._Tableau.solve`, the 1-type walk that tested
+every kill and body one by one, and `derives` over a bound table converted
+to dicts as soon as saturation ends."""
 
 from fractions import Fraction
 from itertools import chain
 
+from numlog import logic
 from numlog.errors import BudgetExhaustedError
 from numlog.linsys import MAX_PIVOTS
-from numlog.logic import AT_LEAST, AT_MOST, Lit, UnaryAtom, structure
+from numlog.logic import (AT_LEAST, AT_MOST, And, Lit, UnaryAtom, _bit,
+                          _literal_bits, at_least, at_most, compile_body,
+                          formula_predicates, structure)
+from numlog.proofs import (Derivation, R1, R2, R3, _pair, _weaken_lower,
+                           _weaken_upper, saturate)
 from numlog.psat import ProbabilityAssignment
 
 
@@ -132,3 +140,157 @@ def dense_solve(self, log=None):
         pivots += 1
         if pivots > MAX_PIVOTS:
             raise BudgetExhaustedError("simplex pivot budget exhausted")
+
+
+def reference_live_signatures(preds, kills, bodies, max_nodes=None):
+    """`logic.live_signatures` as it was before it folded literal kills and
+    bodies into masks: each kill and body is tested on its own, for every
+    child it is decided on.  It reads `logic.FRONTIER` when called."""
+    index = {p: i for i, p in enumerate(preds)}
+    kills = list(kills)
+    # at[b][c]: (kills, bodies) decided on child c of bit b, as (pos, neg,
+    # test, sig bit): a literal conjunction's bits, or 0, 0 and a test
+    at = [[([], []), ([], [])] for _ in preds]
+    dead, sig = False, 0
+    for i, body in enumerate(kills + list(bodies)):
+        conj = _literal_bits(body, And, index)
+        test = compile_body(body, index) if conj is None else None
+        top = max((_bit(p, index) for p in formula_predicates(body)), default=-1)
+        bit = 0 if i < len(kills) else 1 << (i - len(kills))
+        if top < 0:
+            if compile_body(body, index)(0):
+                dead |= not bit
+                sig |= bit
+            continue
+        for c in (0, 1) if conj is None else (conj[0] >> top & 1,):
+            at[top][c][bool(bit)].append((*(conj or (0, 0)), test, bit))
+    n = len(preds)
+    stack = [] if dead else [(0, [(0, sig)])]
+    nodes = 0
+    while stack:
+        level, frontier = stack.pop()
+        nodes += len(frontier)
+        if max_nodes is not None and nodes > max_nodes:
+            raise BudgetExhaustedError("1-type walk node cap exceeded")
+        if level == n:
+            yield from frontier
+            continue
+        bit = 1 << level
+        if not any(map(any, at[level])):
+            children = [(m | c, s) for m, s in frontier for c in (0, bit)]
+        else:
+            sides = []
+            for c, (kill_tests, body_tests) in zip((0, bit), at[level]):
+                if not kill_tests and not body_tests:
+                    sides.append([(m | c, s) for m, s in frontier])
+                    continue
+                side = []
+                for mask, sig in frontier:
+                    child = mask | c
+                    for pos, neg, test, _ in kill_tests:
+                        if (child & pos == pos and not child & neg
+                                and (test is None or test(child))):
+                            side.append(None)
+                            break
+                    else:
+                        for pos, neg, test, b in body_tests:
+                            if (child & pos == pos and not child & neg
+                                    and (test is None or test(child))):
+                                sig |= b
+                        side.append((child, sig))
+                sides.append(side)
+            children = [x for pair in zip(*sides) for x in pair if x]
+        for k in reversed(range(0, len(children), logic.FRONTIER)):
+            stack.append((level + 1, children[k:k + logic.FRONTIER]))
+
+
+class EagerTable:
+    """A saturated `proofs.BoundTable` converted to dicts at once, as
+    `saturate` returned it before the table kept its flat lists: every
+    pair's lower bound and provenance, and the upper bound and provenance
+    of the pairs that have one, keyed by literal pairs."""
+
+    def __init__(self, table):
+        literals, ends = table.literals, table._ends
+        (lower, upper), (prov_lower, prov_upper) = table._bounds, table._prov
+
+        def key(t):
+            return literals[ends[t][0]], literals[ends[t][1]]
+
+        def keyed(entries):
+            out = []
+            for val, just in entries:
+                if just[0] in (R1, R2, R3):
+                    rule, (pa, sa, va), (pb, sb, vb) = just
+                    just = (rule, (key(pa), sa, va), (key(pb), sb, vb))
+                out.append((val, just))
+            return out
+
+        self.contradiction = table.contradiction
+        self.complete = table.complete
+        self.lower, self.upper, self.prov_lower, self.prov_upper = {}, {}, {}, {}
+        for t in range(len(ends)):
+            pr = key(t)
+            self.lower[pr] = lower[t]
+            self.prov_lower[pr] = keyed(prov_lower[t])
+            if upper[t] is not None:
+                self.upper[pr] = upper[t]
+                self.prov_upper[pr] = keyed(prov_upper[t])
+
+    def lower_of(self, pair):
+        return self.lower.get(pair, 0)
+
+    def upper_of(self, pair):
+        got = self.upper.get(pair)
+        if got is None and pair[0] == pair[1].opposite():
+            return 0
+        return got
+
+
+def _eager_rebuild(table, pr, side, value, memo):
+    key = (pr, side, value)
+    if key in memo:
+        return memo[key]
+    entries = (table.prov_lower if side == "lower" else
+               table.prov_upper).get(pr, [])
+    just = next((j for v, j in entries if v == value), None)
+    if just is None or just[0] == "axiom":
+        atom = (at_least(value, *pr) if side == "lower" else at_most(value, *pr))
+        node = Derivation(atom, "axiom")
+    elif just[0] == "premise":
+        node = Derivation(just[1], "premise")
+    else:
+        rule, (pa, sa, va), (pb, sb, vb) = just
+        ca = _eager_rebuild(table, pa, sa, va, memo)
+        cb = _eager_rebuild(table, pb, sb, vb, memo)
+        atom = (at_least(value, *pr) if side == "lower" else at_most(value, *pr))
+        node = Derivation(atom, rule, (ca, cb))
+    memo[key] = node
+    return node
+
+
+def eager_derives(phi, goal, **kwargs):
+    """`proofs.derives` over an `EagerTable`: (derivable, derivation,
+    complete)."""
+    table = EagerTable(saturate(phi, **kwargs))
+    memo = {}
+    if table.contradiction is not None:
+        pr = table.contradiction
+        node = Derivation(goal, "exfalso", (
+            _eager_rebuild(table, pr, "upper", table.upper_of(pr), memo),
+            _eager_rebuild(table, pr, "lower", table.lower_of(pr), memo)))
+        return True, node, table.complete
+    pr = _pair(*goal.lits)
+    if goal.direction == AT_LEAST:
+        best = table.lower_of(pr)
+        if best >= goal.bound:
+            base = _eager_rebuild(table, pr, "lower", best, memo)
+            node = base if best == goal.bound else _weaken_lower(base, goal)
+            return True, node, table.complete
+        return False, None, table.complete
+    best = table.upper_of(pr)
+    if best is not None and best <= goal.bound:
+        base = _eager_rebuild(table, pr, "upper", best, memo)
+        node = base if best == goal.bound else _weaken_upper(base, goal)
+        return True, node, table.complete
+    return False, None, table.complete

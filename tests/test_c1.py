@@ -13,9 +13,9 @@ from numlog.errors import BudgetExhaustedError, InputError
 from numlog.linsys import _Tableau
 from numlog.logic import (AT_LEAST, AT_MOST, And, Count, Lit, Not, Pred,
                           RelationalAtom, UnaryAtom, at_least, at_most,
-                          evaluate, live_signatures, negate_atom,
+                          atom_formula, evaluate, live_signatures, negate_atom,
                           render_structure, structure)
-from helpers import random_unary_atom
+from helpers import random_lit, random_unary_atom
 
 
 def brute_sat_flat(atoms, preds, cap):
@@ -91,6 +91,30 @@ class TestNormalize:
                                   for d, b, body_ in br.conjuncts)
                               for br in branches)
                     assert direct == via
+
+    def test_atoms_normalize_as_their_formulas_do(self):
+        # atoms alone skip the formula rewriting; their embeddings take it
+        rng = random.Random(251)
+        seen = {"branch": 0, "no branch": 0, ">=0": 0, "p & !p": 0,
+                "repeated": 0}
+        for _ in range(400):
+            preds = ["p", "q", "r"][:rng.randint(1, 3)]
+            atoms = [random_unary_atom(rng, preds, max_bound=3)
+                     for _ in range(rng.randint(0, 6))]
+            if rng.random() < 0.2:
+                atoms.append(at_most(-1, random_lit(rng, preds),
+                                     random_lit(rng, preds)))
+            if atoms and rng.random() < 0.3:
+                atoms.insert(rng.randrange(len(atoms)), rng.choice(atoms))
+            got = normalize(atoms)
+            assert got == normalize([atom_formula(a) for a in atoms])
+            seen["branch" if got else "no branch"] += 1
+            seen[">=0"] += any(a.direction == AT_LEAST and a.bound == 0
+                               for a in atoms)
+            seen["p & !p"] += any(a.lits[0] == a.lits[1].opposite()
+                                  for a in atoms)
+            seen["repeated"] += len(set(atoms)) < len(atoms)
+        assert min(seen.values()) >= 20, seen
 
     def test_rejects_relational(self):
         a = RelationalAtom(AT_LEAST, 1, "p", "r", AT_LEAST, 1, "q")

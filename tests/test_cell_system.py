@@ -4,17 +4,22 @@ The reference below shares no code with numlog: it evaluates bodies with
 its own walk over the formula, enumerates all 2^l masks in the walk's order
 (lexicographic in the bits read from bit 0 upwards, that is, bit-reversed
 counting), drops the masks a kill holds on and keeps the first mask of each
-row signature.
+row signature.  `TestWalkFold` also holds the walk to the one that tested
+every kill and body on its own (`helpers.reference_live_signatures`), down
+to where a node cap stops it.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
-from numlog import c1, logic
+from numlog import c1, logic, proofs, reductions
 from numlog.errors import BudgetExhaustedError, UnknownPredicateError
 from numlog.linsys import EQ, GE, LE, LinearSystem
 from numlog.logic import FALSE, TRUE, And, Not, Or, Pred, live_signatures
+
+from helpers import reference_live_signatures
 
 # bodies without predicates, decided once at the root of the walk
 CONSTANTS = (TRUE, FALSE, Not(TRUE), Not(FALSE), And((TRUE, Not(FALSE))),
@@ -178,3 +183,131 @@ class TestCellSystemDifferential:
             with pytest.raises(BudgetExhaustedError):
                 c1.cell_system(preds, kills, rows)
             done += 1
+
+
+FOLD_KINDS = ("literal", "p & p", "!p & !p", "two literals", "p & !p",
+              "three literals", "clause", "nested", "constant")
+
+
+def fold_body(rng, preds, kind):
+    """A kill or row body of one kind: the walk folds the first four into
+    masks, drops `p & !p` and tests the rest."""
+    p = Pred(rng.choice(preds))
+    if kind == "literal":
+        return literal(rng, preds)
+    if kind == "p & p":
+        return And((p, p))
+    if kind == "!p & !p":
+        return And((Not(p), Not(p)))
+    if kind == "two literals":
+        return And((literal(rng, preds), literal(rng, preds)))
+    if kind == "p & !p":
+        extra = (literal(rng, preds),) if rng.random() < 0.5 else ()
+        return And((p, Not(p)) + extra)
+    if kind == "three literals":
+        return And(tuple(literal(rng, preds) for _ in range(3)))
+    if kind == "clause":
+        return Or(tuple(literal(rng, preds) for _ in range(rng.randint(1, 3))))
+    if kind == "nested":
+        return random_body(rng, preds)
+    return rng.choice(CONSTANTS)
+
+
+def fold_kinds(preds, kills, bodies):
+    """How many kills and bodies the walk folds, by kind, how many bodies
+    share their child and remaining literal with an earlier one, and how
+    many `p & !p` conjunctions it drops."""
+    index = {p: i for i, p in enumerate(preds)}
+    kinds, rests = Counter(), set()
+    for i, body in enumerate(kills + bodies):
+        bits = logic._literal_bits(body, And, index)
+        if bits is None or not any(bits):
+            continue
+        pos, neg = bits
+        if pos & neg:
+            kinds["p & !p"] += 1
+            continue
+        top = (pos | neg).bit_length() - 1
+        rest = (pos | neg) ^ 1 << top
+        if rest & (rest - 1):
+            continue
+        role = "kill" if i < len(kills) else "body"
+        kinds[f"{role} on a {'literal' if rest else 'side'}"] += 1
+        if role == "body" and rest:
+            kinds["merged body"] += (top, pos >> top & 1, rest) in rests
+            rests.add((top, pos >> top & 1, rest))
+    return kinds
+
+
+def walk_outcome(walk):
+    """What a walk yields before it ends, and whether it hit its node cap."""
+    got = []
+    try:
+        for pair in walk:
+            got.append(pair)
+    except BudgetExhaustedError:
+        return got, True
+    return got, False
+
+
+def colouring_round():
+    """k3, k4, c5 and seeded graphs of 2 to 8 nodes with half of the
+    possible edges, as one round of the benchmark's colouring workload."""
+    rng = random.Random(71)
+    graphs = [reductions.graph(3, [(1, 2), (1, 3), (2, 3)]),
+              reductions.graph(4, [(i, j) for i in range(1, 5)
+                                   for j in range(i + 1, 5)]),
+              reductions.graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])]
+    for n in (2, 2, 3, 4, 4, 4, 5, 6, 7, 8, 8):
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        graphs.append(reductions.graph(n, rng.sample(pairs, len(pairs) // 2)))
+    return [reductions.encode_3col(g) for g in graphs]
+
+
+class TestWalkFold:
+    """The walk that folds literal kills and bodies into masks against the
+    one that tested each of them (`reference_live_signatures`)."""
+
+    @pytest.mark.parametrize("frontier", [2, logic.FRONTIER])
+    def test_mixes_match_the_reference(self, monkeypatch, frontier):
+        monkeypatch.setattr(logic, "FRONTIER", frontier)
+        seen = Counter()
+        rng = random.Random(241)
+        for _ in range(1000):
+            preds = [f"x{i}" for i in range(rng.randint(1, 8))]
+            kills = [fold_body(rng, preds, rng.choice(FOLD_KINDS))
+                     for _ in range(rng.randint(0, 3))]
+            bodies = [fold_body(rng, preds, rng.choice(FOLD_KINDS))
+                      for _ in range(rng.randint(0, 6))]
+            if bodies and rng.random() < 0.3:
+                bodies.append(rng.choice(bodies))  # an exact count's pair
+            seen.update(fold_kinds(preds, kills, bodies))
+            want = walk_outcome(reference_live_signatures(preds, kills, bodies))
+            assert want == (list(live_signatures(preds, kills, bodies)), False)
+            cap = rng.randint(0, 2 << len(preds))
+            want = walk_outcome(
+                reference_live_signatures(preds, kills, bodies, cap))
+            assert walk_outcome(live_signatures(preds, kills, bodies, cap)) \
+                == want
+            seen["node cap"] += want[1]
+        assert min(seen.values()) >= 20 and len(seen) == 7, seen
+
+    def test_recorded_walks_match_the_reference(self, monkeypatch):
+        walks = []
+
+        def record(preds, kills, bodies, max_nodes=None):
+            walks.append((preds, list(kills), list(bodies), max_nodes))
+            return live_signatures(*walks[-1])
+
+        monkeypatch.setattr(c1, "live_signatures", record)
+        for m in (6, 8):
+            phi, goals = proofs.incompleteness_instance(m)
+            for goal in goals:
+                assert c1.entails(phi, goal)
+        for atoms in colouring_round():
+            c1.decide_sat(atoms)
+        assert len(walks) == 7 + 9 + 14
+        for preds, kills, bodies, max_nodes in walks:
+            assert (list(live_signatures(preds, kills, bodies, max_nodes))
+                    == list(reference_live_signatures(preds, kills, bodies,
+                                                      max_nodes)))

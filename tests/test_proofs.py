@@ -13,7 +13,7 @@ from numlog.logic import Lit, at_least, at_most, evaluate, negate_atom
 from numlog.proofs import (apply_rule, check_derivation, derives,
                            incompleteness_instance, is_numerically_explicit,
                            render_derivation, rule_conclusions, saturate)
-from helpers import random_structure, random_unary_atom
+from helpers import eager_derives, random_structure, random_unary_atom
 
 P, Q, R_ = Lit("p"), Lit("q"), Lit("r")
 
@@ -255,6 +255,20 @@ class TestIncompletenessInstance:
         results = [derives(phi, g) for g in goals]
         assert all(r.complete for r in results)
         assert any(not r.derivable for r in results)
+
+    @pytest.mark.parametrize("m", [6, 8])
+    def test_derives_over_the_lazy_table_is_unchanged(self, m):
+        phi, goals = incompleteness_instance(m)
+        derivable = 0
+        for goal in goals:
+            tj = goal.lits[1] if goal.lits[0].pred == "r" else goal.lits[0]
+            # the goal, its dual, and >=3 (t_j & t) by R2 from two premises
+            for g in (goal, negate_atom(goal), at_least(3, tj, Lit("t"))):
+                res = derives(phi, g)
+                assert (res.derivable, res.derivation, res.complete) == \
+                    eager_derives(phi, g)
+                derivable += res.derivable
+        assert derivable == len(goals)
 
     def test_rejects_small_m(self):
         with pytest.raises(InputError):

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from numlog.c1 import entails
 from numlog.logic import AT_LEAST, AT_MOST, Lit, UnaryAtom, at_least, at_most
 from numlog.parsing import parse_symbolic
-from numlog.proofs import check_derivation, derives, rule_conclusions, saturate
+from numlog.proofs import (check_derivation, derives, render_derivation,
+                           rule_conclusions, saturate)
 
-from helpers import random_unary_atom
+from helpers import eager_derives, random_unary_atom
 
 PREDS = ["p", "q", "r", "s"]
 SUITE = settings(derandomize=True, database=None, deadline=None,
@@ -87,6 +88,37 @@ def test_upper_from_r3_against_the_zero_lower_axiom():
     assert res.derivable and check_derivation(res.derivation, prem)
 
 
+def same_as_eager(prem, goal, **kwargs):
+    """`derives` answers as it does over the eagerly converted table:
+    verdict, completeness and the rendered derivation."""
+    res = derives(prem, goal, **kwargs)
+    derivable, derivation, complete = eager_derives(prem, goal, **kwargs)
+    assert (res.derivable, res.complete) == (derivable, complete), prem
+    assert res.derivation == derivation
+    if derivable:
+        assert render_derivation(res.derivation) == render_derivation(derivation)
+    return res
+
+
+def test_derives_matches_the_eager_table():
+    rng = random.Random(257)
+    seen = {"derivable": 0, "not derivable": 0, "ex falso": 0,
+            "incomplete": 0, "goal off the table": 0}
+    for _ in range(600):
+        prem = random_premises(rng)
+        goal = random_unary_atom(rng, PREDS, max_bound=8)
+        budget = rng.choice([None, 0, 2, 10])
+        kwargs = {} if budget is None else {"max_updates": budget}
+        res = same_as_eager(prem, goal, **kwargs)
+        seen["derivable" if res.derivable else "not derivable"] += 1
+        seen["ex falso"] += bool(res.derivable
+                                 and res.derivation.rule == "exfalso")
+        seen["incomplete"] += not res.complete
+        seen["goal off the table"] += not goal.predicates() <= {
+            l.pred for a in prem for l in a.lits}
+    assert min(seen.values()) >= 20, seen
+
+
 # ---------------------------------------------------------------------------
 # Metamorphic suite
 # ---------------------------------------------------------------------------
@@ -125,6 +157,12 @@ def test_premise_order_does_not_matter(prem, goal, rnd):
     rnd.shuffle(shuffled)
     assert bounds(saturate(shuffled)) == bounds(saturate(prem))
     assert derives(shuffled, goal).derivable == derives(prem, goal).derivable
+
+
+@SUITE
+@given(premise_sets, atoms)
+def test_derives_over_the_lazy_table_is_unchanged(prem, goal):
+    same_as_eager(prem, goal)
 
 
 @SUITE
