@@ -251,14 +251,10 @@ def build_system(normal: NormalC1, preds: list[str]) -> BuiltSystem:
     body holds under it (such conjuncts are consumed by the pruning and
     dropped as rows, as are >=0 conjuncts).  The other conjuncts, then an
     all-ones >=1 row that keeps the domain nonempty, go to `cell_system`,
-    which merges identical columns.
+    which merges identical columns.  Its walk raises UnknownPredicateError
+    for a body predicate outside `preds`.
     """
     rows_in = normal.conjuncts
-    found: set[str] = set()
-    for _, _, body in rows_in:
-        found |= formula_predicates(body)
-    if not found <= set(preds):
-        raise InputError("predicate list does not cover the branch")
     preds = tuple(preds)
     kills = [body for d, b, body in rows_in if d == AT_MOST and b == 0]
     kept = [(d, b, body) for d, b, body in rows_in

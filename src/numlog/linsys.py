@@ -20,9 +20,9 @@ disagree are refuted before any pivot.  The presolve lives only inside
 `lp_feasible` and `ilp_solve`; stored rows are never gcd-divided.
 `ilp_solve` is one LP-based branch and bound: it presolves once at the
 root, every child re-solves from its parent's tableau with one more row (a
-warm start), and an infeasible LP is the only way a node below the root is
-pruned; the root also refutes an `=` row whose coefficient gcd does not
-divide its rhs.
+warm start) and keeps only its own bounds, and an infeasible LP is the only
+way a node below the root is pruned; the root also refutes an `=` row whose
+coefficient gcd does not divide its rhs.
 
 Two sparsifiers shrink a solution's support and never create new nonzero
 coordinates: over the rationals, a phase-1 vertex of the system restricted
@@ -667,8 +667,11 @@ def ilp_solve(system: LinearSystem, upper_bounds: Sequence[int], *,
     at the floor of its value.  The root LP is one cold solve; each child
     copies its parent's solved tableau, appends its branch row and continues
     phase 1 from the parent's basis (the last child takes the parent's
-    tableau itself).  Box rows x_j <= upper_bounds[j] join the LP only once
-    a solution violates them, and are appended to the tableau the same way.
+    tableau itself).  A node reads its point off the basis: d * x_j for each
+    basic column j < n, every other column 0, so x_j is fractional when d
+    does not divide it.  Box rows x_j <= upper_bounds[j] join a node's LP,
+    in increasing j, only once its point breaks them, and are appended to
+    its tableau the same way; its children inherit them with the tableau.
     The search has a second, integer-only leaf, at the root: a presolved
     `=` row whose coefficient gcd does not divide its rhs has no integer
     solution.  That test is wrong over the rationals, so it stays out of
@@ -690,47 +693,42 @@ def ilp_solve(system: LinearSystem, upper_bounds: Sequence[int], *,
     for row, rel, c in presolved:
         if rel == EQ and c % math.gcd(*(a for _, a in row)):
             return None
-    boxed: list[int] = []  # box rows in the order they joined the LP
-    # Depth first over a stack of open nodes (lo, hi, tableau, box rows in
-    # it, rows still to append); the low child is searched first.  `lo` and
-    # `hi` are the node's branch and box bounds, read only to pick the
-    # branch variable: every one of them is a row of the node's LP.
-    stack = [([0] * n, list(ubs), root, 0, [])]
+    # Depth first over a stack of open nodes (lo, hi, tableau, rows to
+    # append); the low child is searched first.  `lo` and `hi` hold only
+    # the bounds the node's own branches set (0 and the box otherwise) and
+    # are read only to pick the branch variable: every one of them is a
+    # row of the node's LP.
+    stack = [({}, {}, root, [])]
     nodes = 0
     while stack:
-        lo, hi, tab, have, new_rows = stack.pop()
+        lo, hi, tab, rows = stack.pop()
         nodes += 1
         if nodes > max_nodes:
             raise BudgetExhaustedError("ilp_solve node budget exhausted")
-        while True:
-            tab.add_rows(new_rows + [(((j, 1),), LE, ubs[j])
-                                     for j in boxed[have:]])
-            have = len(boxed)
-            sol = tab.solution() if tab.solve() else None
-            violated = [] if sol is None else [
-                j for j in range(n) if sol[j] > ubs[j]]
-            if not violated:
+        tab.add_rows(rows)
+        while tab.solve():
+            d = tab.d
+            point = [(j, x) for j, x in zip(tab.basis, tab.xb) if j < n]
+            broken = sorted(j for j, x in point if x > ubs[j] * d)
+            if not broken:
                 break
-            boxed.extend(violated)
-            new_rows = []
-        if sol is None:
+            tab.add_rows([(((j, 1),), LE, ubs[j]) for j in broken])
+        else:  # infeasible
             continue
-        frac = [(hi[j] - lo[j], j) for j in range(n)
-                if sol[j].denominator != 1]
+        frac = [(hi.get(j, ubs[j]) - lo.get(j, 0), j, x)
+                for j, x in point if x % d]
         if not frac:
-            cand = tuple(int(v) for v in sol)
+            cand = [0] * n
+            for j, x in point:
+                cand[j] = x // d
             assert system.is_solution(cand)
-            return cand
-        _, j = min(frac)
-        split = math.floor(sol[j])
-        assert lo[j] <= split < hi[j]
+            return tuple(cand)
+        _, j, x = min(frac)
+        split = x // d
+        assert lo.get(j, 0) <= split < hi.get(j, ubs[j])
         var = ((j, 1),)
-        hi_child_lo = lo[:]
-        hi_child_lo[j] = split + 1
-        stack.append((hi_child_lo, hi, tab, have, [(var, GE, split + 1)]))
-        lo_child_hi = hi[:]
-        lo_child_hi[j] = split
-        stack.append((lo, lo_child_hi, tab.copy(), have, [(var, LE, split)]))
+        stack.append(({**lo, j: split + 1}, hi, tab, [(var, GE, split + 1)]))
+        stack.append((lo, {**hi, j: split}, tab.copy(), [(var, LE, split)]))
     return None
 
 

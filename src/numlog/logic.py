@@ -583,45 +583,40 @@ class _Side:
     (the child dies when it has a `pos` bit or lacks a `neg` bit; with no
     other literal, the highest one's bit, which kills every child here); as
     a body, `sig` (no other literal: set on every child) or `lits[b] = [on,
-    off]`, the sig bits set when mask bit b is on or off.  `kills` and
-    `bodies` hold the other tests as (pos, neg, test, sig bit): a wider
-    conjunction's bits, or 0, 0 and a `compile_body` test."""
+    off]`, the sig bits set when mask bit b is on or off.  `kills` holds
+    the other kill bodies as `compile_body` tests, and `bodies` the other
+    row bodies as (test, sig bit)."""
 
     def __init__(self):
         self.pos = self.neg = self.sig = 0
         self.lits: dict[int, list[int]] = {}
-        self.kills: list[tuple] = []
-        self.bodies: list[tuple] = []
+        self.kills: list[Callable[[int], bool]] = []
+        self.bodies: list[tuple[Callable[[int], bool], int]] = []
 
     def children(self, frontier: list, c: int) -> list:
         """Child c of every frontier pair as (mask, sig), or None if dead."""
         pos, neg, const, kills, bodies = (self.pos, self.neg, self.sig,
                                           self.kills, self.bodies)
         if not (self.lits or kills or bodies):
-            if not (pos or neg):
-                return [(mask | c, sig | const) for mask, sig in frontier]
             return [None if (child := mask | c) & pos or ~child & neg
                     else (child, sig | const) for mask, sig in frontier]
         lits = self.lits.items()
-        folds = pos or neg or const or lits  # a side of tests alone skips them
         side = []
         for mask, sig in frontier:
             child = mask | c
-            if folds:
-                if child & pos or ~child & neg:
-                    side.append(None)
-                    continue
-                sig |= const
-                for b, (on, off) in lits:
-                    sig |= on if child & b else off
-            for p, n, t, _ in kills:
-                if child & p == p and not child & n and (t is None or t(child)):
+            if child & pos or ~child & neg:
+                side.append(None)
+                continue
+            for t in kills:
+                if t(child):
                     side.append(None)
                     break
             else:
-                for p, n, t, b in bodies:
-                    if (child & p == p and not child & n
-                            and (t is None or t(child))):
+                sig |= const
+                for b, (on, off) in lits:
+                    sig |= on if child & b else off
+                for t, b in bodies:
+                    if t(child):
                         sig |= b
                 side.append((child, sig))
         return side
@@ -644,13 +639,14 @@ def live_signatures(preds: Sequence[str], kills: Iterable[C1Formula],
     p and !p never holds and is dropped.  With at most one literal besides
     that predicate's (every two-literal atom), it is folded into masks (see
     `_Side`): all such kills of a child are one test, and all such bodies
-    one lookup per remaining literal; a wider conjunction is tested on its
-    bits.  Any other body is decided by `compile_body`, on both children;
-    a body without predicates once, at the root; a child with nothing to
-    decide is copied untested.  A kill decided only at a high bit leaves
-    dead partial masks that no yield counts, so the walk raises
-    BudgetExhaustedError on popping (a frontier at a time) more than
-    `max_nodes` nodes, if given.
+    one lookup per remaining literal; a wider conjunction is one
+    `compile_body` test, a mask test on its bits, on that one child.  Any
+    other body is decided by `compile_body`, on both children; a body
+    without predicates once, at the root; a child with nothing to decide is
+    copied untested.  A kill decided only at a high bit leaves dead partial
+    masks that no yield counts, so the walk raises BudgetExhaustedError on
+    popping (a frontier at a time) more than `max_nodes` nodes, if given.
+    A body predicate outside `preds` raises UnknownPredicateError.
     """
     index = {p: i for i, p in enumerate(preds)}
     kills = list(kills)
@@ -676,25 +672,31 @@ def live_signatures(preds: Sequence[str], kills: Iterable[C1Formula],
                 dead |= not bit
                 sig |= bit
             continue
-        if test is not None:
-            for side in (side_at(top, 0), side_at(top, 1)):
-                (side.bodies if bit else side.kills).append((0, 0, test, bit))
-            continue
-        pos, neg = conj
-        if pos & neg:
-            continue
-        side = side_at(top, pos >> top & 1)
-        rest = (pos | neg) ^ 1 << top
-        if rest & (rest - 1):
-            (side.bodies if bit else side.kills).append((pos, neg, None, bit))
-        elif not bit:
-            rest = rest or 1 << top
-            side.pos |= pos & rest
-            side.neg |= neg & rest
-        elif rest:
-            side.lits.setdefault(rest, [0, 0])[not pos & rest] |= bit
+        if test is None:
+            pos, neg = conj
+            if pos & neg:
+                continue
+            side = side_at(top, pos >> top & 1)
+            rest = (pos | neg) ^ 1 << top
+            if rest & (rest - 1):
+                test, sides = compile_body(body, index), (side,)
+            else:
+                if not bit:
+                    rest = rest or 1 << top
+                    side.pos |= pos & rest
+                    side.neg |= neg & rest
+                elif rest:
+                    side.lits.setdefault(rest, [0, 0])[not pos & rest] |= bit
+                else:
+                    side.sig |= bit
+                continue
         else:
-            side.sig |= bit
+            sides = (side_at(top, 0), side_at(top, 1))
+        for side in sides:
+            if bit:
+                side.bodies.append((test, bit))
+            else:
+                side.kills.append(test)
     n = len(preds)
     stack = [] if dead else [(0, [(0, sig)])]
     nodes = 0

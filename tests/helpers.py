@@ -1,15 +1,17 @@
 """Shared generators for randomized test suites (all seeded by the caller),
-and earlier forms of three kernels that the current ones must match: the
-dense simplex loop of `linsys._Tableau.solve`, the 1-type walk that tested
-every kill and body one by one, and `derives` over a bound table converted
-to dicts as soon as saturation ends."""
+and earlier forms of four kernels that the current ones must match: the
+dense simplex loop of `linsys._Tableau.solve`, the branch and bound that
+shared its box rows across nodes, the 1-type walk that tested every kill
+and body one by one, and `derives` over a bound table converted to dicts as
+soon as saturation ends."""
 
+import math
 from fractions import Fraction
 from itertools import chain
 
 from numlog import logic
-from numlog.errors import BudgetExhaustedError
-from numlog.linsys import MAX_PIVOTS
+from numlog.errors import BudgetExhaustedError, InputError
+from numlog.linsys import EQ, GE, LE, MAX_PIVOTS, _greedy_seed, _Tableau
 from numlog.logic import (AT_LEAST, AT_MOST, And, Lit, UnaryAtom, _bit,
                           _literal_bits, at_least, at_most, compile_body,
                           formula_predicates, structure)
@@ -140,6 +142,73 @@ def dense_solve(self, log=None):
         pivots += 1
         if pivots > MAX_PIVOTS:
             raise BudgetExhaustedError("simplex pivot budget exhausted")
+
+
+def reference_ilp_solve(system, upper_bounds, *, max_nodes=200_000, log=None):
+    """`linsys.ilp_solve` as it was while one `boxed` list, shared by every
+    node, held the box rows x_j <= upper_bounds[j] that some LP point broke,
+    and each node appended those it had not seen yet; every node read its
+    point as dense `Fraction`s over all n columns.  `log`, if given, gets
+    `(nodes, waiting)` each time a point breaks a box: the node count so far
+    and the number of open nodes on the stack."""
+    n = system.num_vars
+    ubs = [int(b) for b in upper_bounds]
+    if len(ubs) != n or any(b < 0 for b in ubs):
+        raise InputError("need one nonnegative upper bound per variable")
+    seed = _greedy_seed(system, ubs)
+    if seed is not None:
+        return seed
+    root = _Tableau(n)
+    presolved = root.start(system)
+    if presolved is None:
+        return None
+    for row, rel, c in presolved:
+        if rel == EQ and c % math.gcd(*(a for _, a in row)):
+            return None
+    boxed = []  # box rows in the order they joined the LP
+    # Depth first over a stack of open nodes (lo, hi, tableau, box rows in
+    # it, rows still to append); the low child is searched first.  `lo` and
+    # `hi` are the node's branch and box bounds, read only to pick the
+    # branch variable: every one of them is a row of the node's LP.
+    stack = [([0] * n, list(ubs), root, 0, [])]
+    nodes = 0
+    while stack:
+        lo, hi, tab, have, new_rows = stack.pop()
+        nodes += 1
+        if nodes > max_nodes:
+            raise BudgetExhaustedError("ilp_solve node budget exhausted")
+        while True:
+            tab.add_rows(new_rows + [(((j, 1),), LE, ubs[j])
+                                     for j in boxed[have:]])
+            have = len(boxed)
+            sol = tab.solution() if tab.solve() else None
+            violated = [] if sol is None else [
+                j for j in range(n) if sol[j] > ubs[j]]
+            if not violated:
+                break
+            if log is not None:
+                log.append((nodes, len(stack)))
+            boxed.extend(violated)
+            new_rows = []
+        if sol is None:
+            continue
+        frac = [(hi[j] - lo[j], j) for j in range(n)
+                if sol[j].denominator != 1]
+        if not frac:
+            cand = tuple(int(v) for v in sol)
+            assert system.is_solution(cand)
+            return cand
+        _, j = min(frac)
+        split = math.floor(sol[j])
+        assert lo[j] <= split < hi[j]
+        var = ((j, 1),)
+        hi_child_lo = lo[:]
+        hi_child_lo[j] = split + 1
+        stack.append((hi_child_lo, hi, tab, have, [(var, GE, split + 1)]))
+        lo_child_hi = hi[:]
+        lo_child_hi[j] = split
+        stack.append((lo, lo_child_hi, tab.copy(), have, [(var, LE, split)]))
+    return None
 
 
 def reference_live_signatures(preds, kills, bodies, max_nodes=None):

@@ -9,11 +9,13 @@ import pytest
 
 from numlog.c1 import (SAT, UNSAT, build_system, decide_sat, entails,
                        normalize, render_certificate)
-from numlog.errors import BudgetExhaustedError, InputError
+from numlog.errors import (BudgetExhaustedError, InputError,
+                           UnknownPredicateError)
 from numlog.linsys import _Tableau
-from numlog.logic import (AT_LEAST, AT_MOST, And, Count, Lit, Not, Pred,
-                          RelationalAtom, UnaryAtom, at_least, at_most,
-                          atom_formula, evaluate, live_signatures, negate_atom,
+from numlog.logic import (AT_LEAST, AT_MOST, EXACTLY, FALSE, TRUE, And,
+                          Count, Lit, Not, Or, Pred, RelationalAtom,
+                          UnaryAtom, at_least, at_most, atom_formula,
+                          evaluate, live_signatures, negate_atom,
                           render_structure, structure)
 from helpers import random_lit, random_unary_atom
 
@@ -73,13 +75,32 @@ class TestNormalize:
     def test_equisatisfiable_over_small_domains(self):
         rng = random.Random(61)
         preds = ["p", "q"]
-        for _ in range(60):
-            inner = Count(AT_LEAST if rng.random() < 0.5 else AT_MOST,
-                          rng.randint(0, 2), Pred(rng.choice(preds)))
-            body = And((Pred(rng.choice(preds)),
-                        inner if rng.random() < 0.5 else Not(inner)))
-            f = Count(AT_LEAST if rng.random() < 0.5 else AT_MOST,
-                      rng.randint(0, 2), body)
+
+        def formula(depth, closed):
+            """A closed formula, or a count's body when not `closed`: And
+            and Or of 0-3 parts, Not, TRUE, FALSE and =, <= and >= counts
+            with bounds -1..3, whose bodies nest further counts."""
+            kinds = ["count"] if closed else ["pred", "pred", "count"]
+            if depth < 3:
+                kinds += ["and", "or", "not", "const"]
+            kind = rng.choice(kinds)
+            if kind == "pred":
+                return Pred(rng.choice(preds))
+            if kind == "const":
+                return rng.choice((TRUE, FALSE))
+            if kind == "not":
+                return Not(formula(depth + 1, closed))
+            if kind == "count":
+                body = (formula(depth + 1, False) if depth < 3
+                        else Pred(rng.choice(preds)))
+                return Count(rng.choice((AT_LEAST, AT_MOST, EXACTLY)),
+                             rng.randint(-1, 3), body)
+            parts = tuple(formula(depth + 1, closed)
+                          for _ in range(rng.randint(0, 3)))
+            return And(parts) if kind == "and" else Or(parts)
+
+        for _ in range(300):
+            f = formula(0, True)
             branches = normalize([f])
             for n in range(1, 5):
                 for bits in product([0, 1], repeat=n * 2):
@@ -138,6 +159,21 @@ class TestBuildSystem:
         assert len(built.live_types) == 1
         assert built.system.m == 1
         assert built.system.relations == (">=",)
+
+    def test_a_predicate_outside_the_list_is_refused_by_the_walk(self):
+        # a kill, a two-literal row, a wider conjunction and a clause: the
+        # walk decides each of them, so it names the predicate it lacks
+        for f in (at_most(0, Lit("p"), Lit("z")),
+                  at_least(1, Lit("z"), Lit("p")),
+                  Count(AT_LEAST, 1, And((Pred("p"), Pred("q"), Pred("z")))),
+                  Count(AT_LEAST, 1, Or((Pred("p"), Not(Pred("z")))))):
+            [branch] = normalize([f])
+            with pytest.raises(UnknownPredicateError, match="'z'"):
+                build_system(branch, ["p", "q"])
+        # a >=0 conjunct holds in every structure and is dropped unread
+        [branch] = normalize([at_least(0, Lit("z"), Lit("p")),
+                              at_least(1, Lit("p"), Lit("q"))])
+        assert build_system(branch, ["p", "q"]).system.m == 2
 
     def test_totality_row_always_added(self):
         branches = normalize([at_least(1, Lit("p"), Lit("p"))])
@@ -309,6 +345,15 @@ class TestEntails:
         with pytest.raises(InputError):
             entails([Count(AT_LEAST, 1, Pred("p"))],
                     at_least(1, Lit("p"), Lit("p")))
+
+    def test_budget_exhaustion_raises_instead_of_a_verdict(self):
+        # t2 is entailed, but only a branch and bound finds that out; one
+        # node is not enough, and the entailment is not guessed
+        from numlog.proofs import incompleteness_instance
+        phi, goals = incompleteness_instance(6)
+        assert entails(phi, goals[1])
+        with pytest.raises(BudgetExhaustedError, match="undecided"):
+            entails(phi, goals[1], max_nodes=1)
 
 
 class TestScaledBounds:

@@ -348,6 +348,17 @@ class TestDerive:
         code = main(["derive", str(workspace / "nc.txt")])
         assert code == 1
 
+    def test_verb_sentence_is_refused(self, workspace, capsys):
+        (workspace / "rel.txt").write_text(
+            ">=2 p [r >=1 q]\nTherefore:\n>=1 (p & q)\n", encoding="utf-8")
+        code = main(["derive", str(workspace / "rel.txt"),
+                     "--out", str(workspace)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == \
+            "error: the proof calculus handles unary sentences only\n"
+        assert not (workspace / "rel.derivation.txt").exists()
+
 
 class TestGenerate:
     def test_3col_named(self, workspace, capsys):
@@ -472,6 +483,25 @@ class TestCheckAndShrink:
         assert code == 0
         assert lines[0].startswith("True") and lines[1].startswith("False")
         assert lines[-1] == "some false"
+
+    def test_check_json_envelope(self, workspace, capsys):
+        # one JSON line, which bench/workloads.py parses for its re-checks
+        (workspace / "s.structure").write_text(
+            "domain 3\nunary p: 0, 1\nunary q: 1\n", encoding="utf-8")
+        (workspace / "f.formulas").write_text(
+            ">=1 (p & q)\n<=0 (p & q)\n", encoding="utf-8")
+        code, out = run(capsys, "check", "--json", workspace / "s.structure",
+                        workspace / "f.formulas")
+        [line] = out.splitlines()
+        assert code == 0 and json.loads(line) == {
+            "command": "check", "all_true": False,
+            "results": [{"formula": ">=1 (p & q)", "true": True},
+                        {"formula": "<=0 (p & q)", "true": False}]}
+        (workspace / "f.formulas").write_text(">=1 (p & q)\n",
+                                              encoding="utf-8")
+        code, out = run(capsys, "check", "--json", workspace / "s.structure",
+                        workspace / "f.formulas")
+        assert code == 0 and json.loads(out)["all_true"] is True
 
     def test_shrink_emits_smaller_model(self, workspace, capsys):
         n = 30

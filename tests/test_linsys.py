@@ -6,13 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import dense_solve
+from helpers import dense_solve, random_unary_atom, reference_ilp_solve
+from numlog.c1 import build_system, normalize
 from numlog.errors import BudgetExhaustedError, InputError, NotASolutionError
-from numlog.linsys import (_FLIP, EQ, GE, LE, LinearSystem, _presolve,
-                           _Tableau, check_prop2_bound, enumerate_solutions,
-                           ilp_solve, lp_feasible, many_nonzeros_instance,
-                           natural_sparsity_bound, sparsify_natural,
-                           sparsify_rational, system_from_rows)
+from numlog.linsys import (_FLIP, EQ, GE, LE, LinearSystem, _greedy_seed,
+                           _presolve, _Tableau, check_prop2_bound,
+                           enumerate_solutions, ilp_solve, lp_feasible,
+                           many_nonzeros_instance, natural_sparsity_bound,
+                           sparsify_natural, sparsify_rational,
+                           system_from_rows)
+from numlog.logic import negate_atom
+from numlog.proofs import incompleteness_instance
+from numlog.reductions import encode_3col, graph
 
 
 def nnz(x):
@@ -705,6 +710,64 @@ class TestWarmStart:
             else:
                 assert got is None
         assert warm > 100
+
+    def test_boxes_stay_with_the_node_that_broke_them(self):
+        # the earlier search shared every broken box with the nodes still
+        # waiting; now a box joins only the LP of a node whose point breaks
+        # it, and both searches answer as enumeration does
+        rng = random.Random(97)
+        shared = 0
+        for _ in range(1500):
+            s = random_small_system(rng, max_l=6)
+            box = [rng.randint(0, 3) for _ in range(s.num_vars)]
+            expected = enumerate_solutions(s, box)
+            log = []
+            for got in (ilp_solve(s, box),
+                        reference_ilp_solve(s, box, log=log)):
+                if expected:
+                    assert got in expected
+                else:
+                    assert got is None
+            shared += any(nodes > 1 and waiting for nodes, waiting in log)
+        assert shared >= 20, shared
+
+
+def c1_systems(atoms):
+    """(system, per-cell caps) of every branch of `atoms` that `decide_sat`
+    would search."""
+    preds = sorted({l.pred for a in atoms for l in a.lits})
+    for branch in normalize(atoms):
+        built = build_system(branch, preds)
+        if not built.infeasible:
+            yield built.system, [branch.cap] * built.system.num_vars
+
+
+class TestNodeLocalBoxes:
+    def test_matches_the_shared_box_search_on_c1_systems(self):
+        # seeded unary sets, seeded 3-colourings of 2-8 node graphs and the
+        # entailment of every m=6 and m=8 goal: the same answer tuples
+        rng = random.Random(131)
+        sets = []
+        for _ in range(400):
+            preds = ["p", "q", "r", "s"][:rng.randint(1, 4)]
+            sets.append([random_unary_atom(rng, preds)
+                         for _ in range(rng.randint(1, 8))])
+        for n in range(2, 9):
+            pairs = [(i, j) for i in range(1, n + 1)
+                     for j in range(i + 1, n + 1)]
+            for _ in range(8):
+                edges = rng.sample(pairs, len(pairs) // 2)
+                sets.append(encode_3col(graph(n, edges)))
+        for m in (6, 8):
+            phi, goals = incompleteness_instance(m)
+            sets += [list(phi) + [negate_atom(g)] for g in goals]
+        solves = searched = 0
+        for atoms in sets:
+            for s, caps in c1_systems(atoms):
+                assert ilp_solve(s, caps) == reference_ilp_solve(s, caps)
+                solves += 1
+                searched += _greedy_seed(s, caps) is None
+        assert solves >= 400 and searched >= 150, (solves, searched)
 
 
 class TestSparsePivot:
