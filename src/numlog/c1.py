@@ -36,8 +36,9 @@ SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
 
-# The one size cap of a 1-type system: live masks per `cell_system`, PSAT's
-# too; its walk pops at most 10 * MAX_LIVE nodes, dead partial masks too.
+# The one size cap of a 1-type system: masks its walk yields per
+# `cell_system`, PSAT's too (a collapsed subtree of one signature counts
+# once); the walk pops at most 10 * MAX_LIVE nodes, dead partial masks too.
 MAX_LIVE = 300_000
 # Nesting depth cap of normalization (one level per eliminated quantifier).
 MAX_DEPTH = 64
@@ -278,11 +279,16 @@ def cell_system(preds: Sequence[str], kills: Iterable[C1Formula],
     depth-first order; columns with equal signatures collapse into the
     first of them in that order (feasibility-preserving), and the masks of
     the kept columns are returned with the system, whose columns and rows
-    one pass over the kept signatures' bits writes.  No live mask gives no
-    columns.  Past MAX_LIVE masks or 10x as many nodes: BudgetExhaustedError.
+    one pass over the kept signatures' bits writes.  The walk collapses
+    each subtree in which no row body can tell the leaves apart (below
+    `p = 0` when every row is `x & p`) to its first live leaf, which is
+    the column the merge keeps, so the columns, their order and their
+    masks are those of the full walk.  No live mask gives no columns.
+    Past MAX_LIVE yielded masks or 10x as many nodes: BudgetExhaustedError.
     """
     first: dict[int, int] = {}  # signature -> first mask, in walk order
-    walk = live_signatures(preds, kills, [b for _, _, b in rows], 10 * MAX_LIVE)
+    walk = live_signatures(preds, kills, [b for _, _, b in rows], 10 * MAX_LIVE,
+                           collapse=True)
     for n, (mask, sig) in enumerate(walk):
         if n == MAX_LIVE:
             raise BudgetExhaustedError("live 1-type cap exceeded")

@@ -25,6 +25,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (BudgetExhaustedError, InputError, UnknownPredicateError,
@@ -623,8 +624,8 @@ class _Side:
 
 
 def live_signatures(preds: Sequence[str], kills: Iterable[C1Formula],
-                    bodies: Sequence[C1Formula], max_nodes: int | None = None
-                    ) -> Iterator[tuple[int, int]]:
+                    bodies: Sequence[C1Formula], max_nodes: int | None = None,
+                    collapse: bool = False) -> Iterator[tuple[int, int]]:
     """(mask, sig) for every mask over `preds` on which no quantifier-free
     kill body holds, where bit i of sig is the truth of bodies[i].
 
@@ -647,6 +648,19 @@ def live_signatures(preds: Sequence[str], kills: Iterable[C1Formula],
     masks that no yield counts, so the walk raises BudgetExhaustedError on
     popping (a frontier at a time) more than `max_nodes` nodes, if given.
     A body predicate outside `preds` raises UnknownPredicateError.
+
+    With `collapse`, a subtree whose leaves all share one sig yields only
+    its first live leaf, so the order and the first mask of every sig are
+    unchanged: a caller that keeps the first mask per sig gets the same
+    masks.  A node at level L with mask M is closed when every `_Side` of
+    a bit >= L has no general body test and a zero constant sig, its
+    `lits` lie on bits below L, and M gives each of them a zero
+    contribution (for `x & p`: M lacks p).  That is one test of M against
+    the masks it must avoid and cover, made only on the levels where a
+    child of an open node can close.  Each closed child is walked on its
+    own until its first leaf, in parts that double in width, up to
+    FRONTIER, at each dead end.  These nodes count towards `max_nodes`
+    too, and are a subset of the ones the full walk pops.
     """
     index = {p: i for i, p in enumerate(preds)}
     kills = list(kills)
@@ -698,15 +712,49 @@ def live_signatures(preds: Sequence[str], kills: Iterable[C1Formula],
             else:
                 side.kills.append(test)
     n = len(preds)
-    stack = [] if dead else [(0, [(0, sig)])]
-    nodes = 0
+    # closes[L]: (avoid, cover) when a node at level L whose mask has no
+    # avoid bit and every cover bit is closed, kept only at the levels
+    # where it differs from the level below (a child of an open node can
+    # only close there); never at the leaves
+    closes: list[tuple[int, int] | None] = [None] * (n + 1)
+    avoid = cover = 0
+    for level in reversed(range(n) if collapse else ()):
+        for side in at[level]:
+            if side is None:
+                continue
+            if side.bodies or side.sig:
+                break
+            for rest, (on, off) in side.lits.items():
+                avoid |= rest if on else 0
+                cover |= rest if off else 0
+        else:
+            if not avoid & cover and not (avoid | cover) >> level:
+                closes[level] = avoid, cover
+                continue
+        break
+    for level in reversed(range(1, n)):
+        if closes[level] == closes[level - 1]:
+            closes[level] = None
+    # an entry is (level, frontier, closed).  A closed entry popped outside
+    # a run roots one; the entries from `mark` up walk it, `width` nodes
+    # ahead of the rest, until its first leaf
+    stack = [] if dead else [(0, [(0, sig)], closes[0] is not None)]
+    nodes, mark = 0, -1
     while stack:
-        level, frontier = stack.pop()
+        if len(stack) == mark:  # the run's subtree has no live leaf
+            mark = -1
+        level, frontier, closed = stack.pop()
+        if closed and mark < 0:
+            mark, width = len(stack), 1
         nodes += len(frontier)
         if max_nodes is not None and nodes > max_nodes:
             raise BudgetExhaustedError("1-type walk node cap exceeded")
         if level == n:
-            yield from frontier
+            if closed:
+                yield frontier[0]
+                del stack[mark:]
+            else:
+                yield from frontier
             continue
         bit = 1 << level
         if at[level] == [None, None]:
@@ -716,8 +764,22 @@ def live_signatures(preds: Sequence[str], kills: Iterable[C1Formula],
                      else side.children(frontier, c)
                      for c, side in zip((0, bit), at[level])]
             children = [x for pair in zip(*sides) for x in pair if x]
-        for k in reversed(range(0, len(children), FRONTIER)):
-            stack.append((level + 1, children[k:k + FRONTIER]))
+        if closed:  # the parts double in width at each dead end
+            if not children:
+                width = min(2 * width, FRONTIER)
+            parts = [(True, children[:width]), (True, children[width:])]
+        elif (rule := closes[level + 1]) is None:
+            parts = [(False, children)]
+        else:  # each closed child roots a run of its own
+            avoid, cover = rule
+            parts = []
+            for shut, kin in groupby(children, lambda x: not (
+                    x[0] & avoid or ~x[0] & cover)):
+                parts += ([(True, [x]) for x in kin] if shut
+                          else [(False, list(kin))])
+        stack.extend(reversed([(level + 1, part[j:j + FRONTIER], shut)
+                               for shut, part in parts
+                               for j in range(0, len(part), FRONTIER)]))
 
 
 # ---------------------------------------------------------------------------

@@ -116,11 +116,12 @@ def psat_decide(instance) -> ProbabilityAssignment | None:
     of the C1 cell system (`c1.cell_system`) over the letters: each q
     becomes a count out of D, the lcm of the denominators, and a total row
     demands D.  A row forcing P(clause) = 0 kills the truth assignments
-    satisfying the clause, one forcing P(clause) = 1 those falsifying it;
-    such rows add no row of their own, and the pruning admits a few more
-    letters than brute enumeration would.  The assignment is the simplex
-    vertex divided by D: a basic solution, so it has at most one world per
-    row, total row included, for any mix of relations.
+    satisfying the clause, one forcing P(clause) = 1 those falsifying it
+    (the conjunction of the opposite literals, which the walk folds like
+    any literal kill); such rows add no row of their own, and the pruning
+    admits a few more letters than brute enumeration would.  The assignment
+    is the simplex vertex divided by D: a basic solution, so it has at most
+    one world per row, total row included, for any mix of relations.
     """
     norm: list[tuple[tuple, str, Fraction]] = []
     for item in instance:
@@ -143,7 +144,7 @@ def psat_decide(instance) -> ProbabilityAssignment | None:
         if q == 0 and rel != ">=":
             kills.append(body)
         elif q == 1 and rel != "<=":
-            kills.append(Not(body))
+            kills.append(And(tuple(lit_formula(lit.opposite()) for lit in cl)))
         else:
             kept.append((rel, q, body))
     if len(letters) > ENUMERATE_CAP and not kills:

@@ -2,8 +2,9 @@
 and earlier forms of four kernels that the current ones must match: the
 dense simplex loop of `linsys._Tableau.solve`, the branch and bound that
 shared its box rows across nodes, the 1-type walk that tested every kill
-and body one by one, and `derives` over a bound table converted to dicts as
-soon as saturation ends."""
+and body one by one (with the cell system built over all its masks), and
+`derives` over a bound table converted to dicts as soon as saturation
+ends."""
 
 import math
 from fractions import Fraction
@@ -11,7 +12,8 @@ from itertools import chain
 
 from numlog import logic
 from numlog.errors import BudgetExhaustedError, InputError
-from numlog.linsys import EQ, GE, LE, MAX_PIVOTS, _greedy_seed, _Tableau
+from numlog.linsys import (EQ, GE, LE, MAX_PIVOTS, LinearSystem,
+                           _greedy_seed, _Tableau)
 from numlog.logic import (AT_LEAST, AT_MOST, And, Lit, UnaryAtom, _bit,
                           _literal_bits, at_least, at_most, compile_body,
                           formula_predicates, structure)
@@ -271,6 +273,25 @@ def reference_live_signatures(preds, kills, bodies, max_nodes=None):
             children = [x for pair in zip(*sides) for x in pair if x]
         for k in reversed(range(0, len(children), logic.FRONTIER)):
             stack.append((level + 1, children[k:k + logic.FRONTIER]))
+
+
+def reference_cell_system(preds, kills, rows, max_live):
+    """`c1.cell_system` as it was before the walk collapsed the subtrees
+    whose leaves share a signature: the first mask of each signature over
+    every mask `reference_live_signatures` yields, each yield counted
+    against `max_live` and its nodes against 10 * `max_live`."""
+    first = {}
+    walk = reference_live_signatures(preds, kills, [b for _, _, b in rows],
+                                     10 * max_live)
+    for n, (mask, sig) in enumerate(walk):
+        if n == max_live:
+            raise BudgetExhaustedError("live 1-type cap exceeded")
+        first.setdefault(sig, mask)
+    sigs = list(first)
+    return tuple(first.values()), LinearSystem(
+        tuple(tuple((k, 1) for k, sig in enumerate(sigs) if sig >> i & 1)
+              for i in range(len(rows))),
+        tuple(d for d, _, _ in rows), tuple(b for _, b, _ in rows), len(sigs))
 
 
 class EagerTable:

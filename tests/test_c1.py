@@ -408,6 +408,16 @@ class TestScaledBounds:
         atoms.append(at_least(1, Lit("p0"), Lit("p0")))
         assert decide_sat(atoms).status == SAT
 
+    def test_a_subtree_of_one_signature_is_one_column(self):
+        # 4 * 3^12 (2.1 M) masks are live, past MAX_LIVE; but below a and b
+        # no row body changes, so each (a, b) subtree yields one mask
+        atoms = [at_least(3, Lit("a"), Lit("b")), at_most(5, Lit("a"), Lit("a"))]
+        atoms += [at_most(0, Lit(f"x_{i}"), Lit(f"y_{i}")) for i in range(12)]
+        res = decide_sat(atoms)
+        assert res.status == SAT and len(res.cells.preds) == 26
+        assert res.cells.cells == ((0b11, 3),)
+        assert all(evaluate(res.cells, a) for a in atoms)
+
     def test_kills_decided_at_the_last_predicate_are_refused(self):
         # every partial mask over a01..a40 dies only at z's bit, so no mask
         # is ever live and only the walk's node cap stops 2^41 nodes

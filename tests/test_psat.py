@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from numlog import psat
+from numlog.c1 import cell_system
 from numlog.errors import BudgetExhaustedError, InputError, UnknownPredicateError
 from numlog.linsys import lp_feasible, scaled_system
-from numlog.logic import And, Lit, Not, Or, Pred, at_least, at_most
+from numlog.logic import (And, Lit, Not, Or, Pred, _literal_bits, at_least,
+                          at_most)
 from numlog.proofs import incompleteness_instance, rule_conclusions
 from numlog.psat import (ProbabilityAssignment, approx_models,
                          counterexample_assignment, parse_psat_instance,
@@ -215,6 +218,37 @@ class TestPsatDifferential:
                 assert len(got.worlds) <= len(inst) + 1, inst
             verdicts.append(got is not None)
         assert 80 < sum(verdicts) < 300
+
+    def test_sure_clauses_kill_as_literal_conjunctions(self, monkeypatch):
+        # P(clause) = 1 kills the worlds that falsify the clause, stated as
+        # the conjunction of the opposite literals, which the walk folds
+        # into masks; the system is the one `Not(clause)` gives
+        calls = []
+
+        def record(letters, kills, rows):
+            calls.append((letters, list(kills), rows))
+            return cell_system(*calls[-1])
+
+        monkeypatch.setattr(psat, "cell_system", record)
+        rng = random.Random(163)
+        folded = 0
+        for _ in range(200):
+            letters = [f"x{i}" for i in range(rng.randint(1, 6))]
+            inst = [(tuple(Lit(rng.choice(letters), rng.random() < 0.5)
+                           for _ in range(rng.randint(1, 3))),
+                     rng.choice([Fraction(1), Fraction(1), HALF]))
+                    for _ in range(rng.randint(1, 6))]
+            psat_decide(inst)
+            letters, kills, rows = calls.pop()
+            index = {p: i for i, p in enumerate(letters)}
+            negated = [Not(Or(tuple(part.body if isinstance(part, Not)
+                                    else Not(part) for part in kill.parts)))
+                       for kill in kills]
+            assert cell_system(letters, kills, rows) \
+                == cell_system(letters, negated, rows)
+            folded += sum(_literal_bits(k, And, index) is not None
+                          for k in kills)
+        assert folded > 300
 
 
 class TestCounterexample:
