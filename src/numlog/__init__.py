@@ -21,7 +21,7 @@ from .linsys import (LinearSystem, enumerate_solutions, ilp_solve,
                      sparsify_rational, system_from_rows)
 from .c1 import SAT, UNKNOWN, UNSAT, SatResult, decide_sat, entails
 from .n2 import bounded_search, shrink_model, size_bound
-from .proofs import (Derivation, DeriveResult, apply_rule, derives,
+from .proofs import (Derivation, DeriveResult, derives,
                      incompleteness_instance, is_numerically_explicit,
                      saturate)
 from .psat import (ProbabilityAssignment, approx_models,

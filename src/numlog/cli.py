@@ -229,7 +229,6 @@ def cmd_generate(args) -> int:
         init = args.init.split(",") if args.init else [colours[0]]
         stem = f"tiling_k{args.k}_m{args.colours}"
         atoms = reductions.encode_tiling(ts, init, args.k)  # refuses a big k
-        save(f"{stem}.system", reductions.render_tiling_system(ts))
         save(f"{stem}.formulas",
              render_argument_symbolic(ArgumentFile(tuple(atoms))))
         tiling = reductions.brute_tiling(ts, 1 << args.k, init)

@@ -138,15 +138,6 @@ def parse_lexicon(text: str) -> Lexicon:
     return Lexicon(frozenset(nouns), frozenset(verbs), plural)
 
 
-def render_lexicon(lex: Lexicon) -> str:
-    lines = ["nouns: " + ", ".join(sorted(lex.nouns)),
-             "verbs: " + ", ".join(sorted(lex.verbs))]
-    if lex.plural:
-        lines.append("plural: " + ", ".join(
-            f"{s}={l}" for s, l in sorted(lex.plural.items())))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # English
 # ---------------------------------------------------------------------------

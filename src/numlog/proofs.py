@@ -80,12 +80,6 @@ def rule_conclusions(rule: str, a: UnaryAtom, b: UnaryAtom) -> list[UnaryAtom]:
     return out
 
 
-def apply_rule(rule: str, a: UnaryAtom, b: UnaryAtom) -> UnaryAtom | None:
-    """First conclusion of the rule schema on (a, b), or None."""
-    got = rule_conclusions(rule, a, b)
-    return got[0] if got else None
-
-
 def is_axiom(a: UnaryAtom) -> bool:
     if a.direction == AT_LEAST and a.bound == 0:
         return True

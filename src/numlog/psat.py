@@ -76,12 +76,10 @@ def prob(assignment: ProbabilityAssignment, formula) -> Fraction:
     """Exact probability of a propositional formula: the total weight of the
     worlds satisfying it.
 
-    Accepts a literal, a clause (tuple of literals), or a formula tree over
+    Accepts a clause (tuple of literals) or a formula tree over
     Pred/Not/And/Or.  Letters outside the signature are an error.
     """
-    if isinstance(formula, Lit):
-        formula = lit_formula(formula)
-    elif isinstance(formula, tuple):
+    if isinstance(formula, tuple):
         formula = _clause_formula(formula)
     elif not isinstance(formula, (Pred, Not, And, Or)):
         raise InputError(f"not a propositional formula: {formula!r}")

@@ -279,51 +279,6 @@ def brute_tiling(ts: TilingSystem, size: int, init=None, *,
     return None
 
 
-# Tiling system file: "colours: a, b" / "H: (a,b), ..." / "V: ...".
-
-_COLOUR_PAIR = r"\(\s*(\w+)\s*,\s*(\w+)\s*\)"
-
-
-def parse_tiling_system(text: str) -> TilingSystem:
-    colours: list[str] = []
-    colours_ln = None
-    rels = {"H": set(), "V": set()}
-    pair_line: dict[tuple[str, str], int] = {}  # first line of each pair
-    for ln, line in numbered_lines(text):
-        key, _, rest = line.partition(":")
-        key = key.strip()
-        with at_line(ln):
-            if key.lower() == "colours" or key.lower() == "colors":
-                if colours_ln is not None:
-                    raise InputError(f"colours line repeats line {colours_ln}")
-                colours = [t.strip() for t in rest.split(",") if t.strip()]
-                colours_ln = ln
-                # refuses an empty or repeated colour
-                TilingSystem(tuple(colours), frozenset(), frozenset())
-            elif key in ("H", "V"):
-                if re.sub(_COLOUR_PAIR, "", rest).replace(",", " ").strip():
-                    raise InputError(f"an {key} line holds only (a,b) pairs: "
-                                     f"{rest.strip()!r}")
-                pairs = re.findall(_COLOUR_PAIR, rest)
-                rels[key].update(pairs)
-                for pair in pairs:
-                    pair_line.setdefault(pair, ln)
-            else:
-                raise InputError(f"unrecognized section {key!r}")
-    for (a, b), ln in pair_line.items():  # no colours: the return says so
-        if colours and not {a, b} <= set(colours):
-            with at_line(ln):
-                raise InputError(f"constraint ({a},{b}) uses unknown colour")
-    return TilingSystem(tuple(colours), frozenset(rels["H"]), frozenset(rels["V"]))
-
-
-def render_tiling_system(ts: TilingSystem) -> str:
-    lines = ["colours: " + ", ".join(ts.colours),
-             "H: " + ", ".join(f"({a},{b})" for a, b in sorted(ts.horizontal)),
-             "V: " + ", ".join(f"({a},{b})" for a, b in sorted(ts.vertical))]
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # The tiling encoding
 # ---------------------------------------------------------------------------

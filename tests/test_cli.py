@@ -388,13 +388,15 @@ class TestGenerate:
         assert code == 0
 
     def test_tiling_emits_checking_witness(self, workspace, capsys):
-        code, _ = run(capsys, "generate", "tiling", "--k", "1",
-                      "--colours", "2", "--out", workspace / "gen")
+        code, out = run(capsys, "generate", "tiling", "--k", "1",
+                        "--colours", "2", "--out", workspace / "gen", "--json")
         assert code == 0
-        code2, out2 = run(
-            capsys, "check",
-            workspace / "gen" / "tiling_k1_m2.witness.structure",
-            workspace / "gen" / "tiling_k1_m2.formulas")
+        stem = workspace / "gen" / "tiling_k1_m2"
+        assert json.loads(out)["certificates"] == [
+            f"{stem}.formulas", f"{stem}.witness.structure",
+            f"{stem}.expected.txt"]
+        code2, out2 = run(capsys, "check", f"{stem}.witness.structure",
+                          f"{stem}.formulas")
         assert code2 == 0 and "all true" in out2
 
     def test_tiling_past_the_largest_grid_is_refused(self, workspace, capsys,

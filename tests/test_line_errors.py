@@ -9,7 +9,7 @@ from numlog.logic import parse_structure
 from numlog.parsing import (Lexicon, looks_symbolic, parse_argument,
                             parse_lexicon)
 from numlog.psat import parse_psat_instance
-from numlog.reductions import parse_graph, parse_tiling_system
+from numlog.reductions import parse_graph
 
 LEX = Lexicon(frozenset({"artist", "beekeeper"}), frozenset({"admire"}))
 
@@ -39,8 +39,6 @@ def english(text):
     (parse_graph, f"{PAD}e 3 1\np edge 2 1\n", 4),
     (parse_graph, f"{PAD}p edge -1 0\n", 4),
     (parse_graph, f"p edge 2 1\n{PAD}e 1 x\n", 5),
-    (parse_tiling_system, f"colours: a, b\n{PAD}V: (a,c)\n", 5),
-    (parse_tiling_system, f"{PAD}colours: a, a\n", 4),
     (parse_graph, f"{PAD}p edge 3 x\ne 1 2\n", 4),
     (parse_graph, f"{PAD}p edge 3 7\ne 1 2\n", 4),
     (parse_graph, f"{PAD}p edge 3 2\ne 1 2\ne 2 1\n", 4),
@@ -58,9 +56,8 @@ def english(text):
         "lexicon-fault", "unary-range", "unary-negative", "binary-range",
         "unary-name", "binary-name", "cell-sum", "psat", "edge-range",
         "edge-loop", "edge-before-problem", "negative-nodes", "edge-number",
-        "tiling-colour", "tiling-colours", "edge-count-number",
-        "edge-count", "edge-count-distinct", "unary-underscore",
-        "unary-plus", "unary-arabic", "binary-arabic", "symbolic-arabic",
+        "edge-count-number", "edge-count", "edge-count-distinct",
+        "unary-underscore", "unary-plus", "unary-arabic", "binary-arabic", "symbolic-arabic",
         "english-arabic", "nodes-arabic", "edge-plus", "psat-underscore"])
 def test_error_names_its_line(reader, text, line):
     with pytest.raises(InputError, match=rf"^line {line}: "):
@@ -76,8 +73,7 @@ def test_second_problem_line_names_the_first():
 @pytest.mark.parametrize("reader, text", [
     (parse_structure, f"{PAD}unary p: 0\n"),
     (parse_graph, f"{PAD}e 1 2\n"),
-    (parse_tiling_system, f"{PAD}H: (a,a)\n"),
-], ids=["no-domain", "no-problem-line", "no-colours"])
+], ids=["no-domain", "no-problem-line"])
 def test_an_error_with_no_line_to_name_names_none(reader, text):
     with pytest.raises(InputError) as info:
         reader(text)

@@ -11,10 +11,8 @@ from numlog.logic import RelationalAtom, UnaryAtom, evaluate
 from numlog.reductions import (TilingSystem, brute_3col,
                                brute_tiling, decode_3col, decode_tiling,
                                encode_3col, encode_tiling, graph,
-                               is_valid_tiling, parse_graph,
-                               parse_tiling_system, render_graph,
-                               render_tiling_system, tiling_from_rows,
-                               witness_model)
+                               is_valid_tiling, parse_graph, render_graph,
+                               tiling_from_rows, witness_model)
 
 K3 = graph(3, [(1, 2), (1, 3), (2, 3)])
 K4 = graph(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
@@ -249,35 +247,15 @@ class TestBruteTiling:
             assert decode_tiling(wit, ts, 1, init) == t
 
 
-class TestTilingFiles:
-    def test_round_trip(self):
-        text = render_tiling_system(FREE2)
-        assert parse_tiling_system(text) == FREE2
-
-    @pytest.mark.parametrize("text", [
-        "colours: a, b\nH: (a,b), junk, (b,a\nV: (a,a)\n",
-        "colours: a, b\nV: (a,a) (b,b))\nH: (a,b)\n",
-        "colours: a\ncolors: a, b\nH: (a,b)\nV: (b,b)\n",
+class TestTilingSystem:
+    @pytest.mark.parametrize("colours, pairs, match", [
+        (("a", "a"), [], "distinct names"),
+        ((), [], "distinct names"),
+        (("a", "b"), [("a", "c")], "unknown colour"),
     ])
-    def test_malformed_line_names_its_number(self, text):
-        with pytest.raises(InputError, match="^line 2: "):
-            parse_tiling_system(text)
-
-    @pytest.mark.parametrize("text, line", [
-        ("colours: a, b\nH: (a,b)\nV: (a,c)\n", 3),
-        ("H: (a,b), (d,a)\ncolours: a, b\nV: (a,a)\n", 1),
-    ])
-    def test_unknown_colour_names_its_line(self, text, line):
-        with pytest.raises(InputError, match=rf"^line {line}: .*unknown colour"):
-            parse_tiling_system(text)
-
-    @pytest.mark.parametrize("text, line", [
-        ("colours: a, a\nH: (a,a)\n", 1),
-        ("H: (a,a)\ncolours:\n", 2),
-    ])
-    def test_bad_colours_name_their_line(self, text, line):
-        with pytest.raises(InputError, match=rf"^line {line}: .*distinct names"):
-            parse_tiling_system(text)
+    def test_refuses_bad_colours(self, colours, pairs, match):
+        with pytest.raises(InputError, match=match):
+            TilingSystem(colours, frozenset(), frozenset(pairs))
 
 
 # rows of distinct neighbours, constant columns: tilings exist for every N
