@@ -13,11 +13,18 @@ is checked to be exact.  Its pricing resumes after the last entering
 column and falls back to Bland's rule during a run of degenerate pivots,
 so it terminates.  Before it runs, the rows are presolved: divided by
 their gcd, given a positive first coefficient and merged when their
-coefficients agree; a 0/1 row whose support complements an `=` 0/1 row's
-is folded into the all-ones row (the domain size of a cell system), so
-exact counts |p| and |!p| cost one tableau row, not two, and totals that
-disagree are refuted before any pivot.  The presolve lives only inside
-`lp_feasible` and `ilp_solve`; stored rows are never gcd-divided.
+coefficients agree.  Then the columns that exact counts force to zero are
+dropped: when an `=` 0/1 row R = c holds disjoint 0/1 rows whose lower
+bounds sum to c, every other column of R is 0 in every solution, since
+the variables are nonnegative and the supports disjoint (multiplier 1 on
+R's `<=` side and on each inner row's `>=` side sums to "those columns
+sum to at most 0"), and bounds that sum past c refute the system; a
+zeroed column gets no tableau entry, so no pivot prices it.  Last, a 0/1
+row whose support complements an `=` 0/1 row's is folded into the
+all-ones row (the domain size of a cell system), so exact counts |p| and
+|!p| cost one tableau row, not two, and totals that disagree are refuted
+before any pivot.  The presolve lives only inside `lp_feasible` and
+`ilp_solve`; stored rows are never gcd-divided.
 `ilp_solve` is one LP-based branch and bound: it presolves once at the
 root, every child re-solves from its parent's tableau with one more row (a
 warm start) and keeps only its own bounds, and an infeasible LP is the only
@@ -38,6 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, repeat
 from numbers import Rational
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import BudgetExhaustedError, InputError, NotASolutionError
@@ -154,40 +162,14 @@ _FLIP = {LE: GE, GE: LE, EQ: EQ}
 Row = tuple[SparseVector, str, int]
 
 
-def _presolve(system: LinearSystem, origin: list | None = None
-              ) -> list[Row] | None:
-    """The system's rows in canonical form, merged and folded, or None when
-    a row alone, or a fold, is infeasible.
-
-    Each row is divided by the gcd of its coefficients and rhs, and negated
-    (its relation flipped) when its first coefficient is negative, so rows
-    that are positive multiples of each other become equal.  Rows with equal
-    coefficients share one interval [lo, hi]: it gives one `=` row when
-    lo == hi, otherwise a `<=` and/or a `>=` row, at the place of the first
-    such row; lo > hi is infeasible.  Empty rows are checked and dropped.
-    A row that is already canonical is used as it is, not copied.  A list
-    `origin` receives each returned row's (r, g): the first input row r
-    with its coefficients, and the signed gcd g that divides r into it.
-
-    Then, when the all-ones row ONES is present, a 0/1 row R' whose support
-    is the complement of an `=` 0/1 row R = c is folded: R' = ONES - R, so
-    R' in [lo', hi'] is dropped and ONES's interval is intersected with
-    [lo' + c, hi' + c].  The solution set is unchanged; totals that
-    disagree (|p| + |!p| != |q| + |!q|) leave ONES empty, which is
-    infeasible.  When R' is an `=` row too, the pair keeps whichever row
-    comes first.  A candidate R' has length n - len(R) and is confirmed by
-    one disjointness test; without an `=` row nothing more is looked at.
-    A folded input row feeds no returned row.  For a Farkas map back to
-    the input rows: ONES's multiplier, when its folded bound is the tight
-    one, goes to both R' and R, since ONES >= lo' + c is R' >= lo' plus
-    R = c.
-    """
-    bounds: dict[SparseVector, list] = {}
-    for r, (row, rel, c) in enumerate(zip(system.rows, system.relations,
-                                          system.rhs)):
+def _merge(bounds: dict, rows: Iterable[tuple]) -> bool:
+    """Merge rows `(r, g0, row, rel, c)` into `bounds`, row -> [lo, hi, r,
+    g], in canonical form as `_presolve` says, g being g0 times the signed
+    divisor; False when an empty row is infeasible."""
+    for r, g0, row, rel, c in rows:
         if not row:
             if not _holds(0, rel, c):
-                return None
+                return False
             continue
         g = 0
         for _, a in row:
@@ -201,27 +183,143 @@ def _presolve(system: LinearSystem, origin: list | None = None
         if g != 1:
             row = tuple((j, a // g) for j, a in row)
             c //= g
-        b = bounds.setdefault(row, [None, None, r, g])
+        b = bounds.setdefault(row, [None, None, r, g0 * g])
         if rel != LE and (b[0] is None or c > b[0]):
             b[0] = c
         if rel != GE and (b[1] is None or c < b[1]):
             b[1] = c
+    return True
+
+
+def _is_01(row: SparseVector) -> bool:
+    return set(map(itemgetter(1), row)) == {1}
+
+
+def _supports(bounds: dict) -> list[tuple]:
+    """`(row, column set, lo, hi)` for each 0/1 row in `bounds` that is an
+    `=` row or has a lower bound lo > 0, in `bounds` order."""
+    return [(row, set(map(itemgetter(0), row)), lo, hi)
+            for row, (lo, hi, _, _) in bounds.items()
+            if lo is not None and (lo > 0 or lo == hi) and _is_01(row)]
+
+
+def _implicit_zeros(supports: list[tuple]) -> set[int] | None:
+    """The columns that disjoint 0/1 rows inside an `=` 0/1 row force to
+    zero, or None when such rows need more than the `=` row holds.
+
+    Each `=` 0/1 row R = c is a container.  Its contents are picked
+    greedily, smallest support first and ties in presolve order: 0/1 rows
+    with a lower bound lo > 0 whose supports lie inside R's and miss every
+    row picked before.  As the variables are nonnegative and the picked
+    supports are disjoint, the columns of R outside them sum to c minus
+    the picked rows' sums, at most c - sum(lo).  So sum(lo) > c is
+    infeasible, and sum(lo) == c forces each of those columns to 0.
+    `supports` is `_supports` of the merged rows.
+    """
+    contents = sorted([(len(inner), inner, lo)
+                       for _, inner, lo, _ in supports if lo > 0],
+                      key=itemgetter(0))
+    zero: set[int] = set()
+    for _, outer, c, hi in supports:
+        if c != hi:
+            continue
+        size, used, total = len(outer), set(), 0
+        for inner_size, inner, lo in contents:
+            if inner_size >= size:
+                break
+            if inner <= outer and used.isdisjoint(inner):
+                used |= inner
+                total += lo
+        if total > c:
+            return None
+        if total == c:
+            zero |= outer - used
+    return zero
+
+
+def _presolve(system: LinearSystem, origin: list | None = None,
+              zero: set | None = None) -> list[Row] | None:
+    """The system's rows in canonical form, merged and folded, or None when
+    a row alone, a container or a fold is infeasible.
+
+    Each row is divided by the gcd of its coefficients and rhs, and negated
+    (its relation flipped) when its first coefficient is negative, so rows
+    that are positive multiples of each other become equal.  Rows with equal
+    coefficients share one interval [lo, hi]: it gives one `=` row when
+    lo == hi, otherwise a `<=` and/or a `>=` row, at the place of the first
+    such row; lo > hi is infeasible.  Empty rows are checked and dropped.
+    A row that is already canonical is used as it is, not copied.  A list
+    `origin` receives each returned row's (r, g): the first input row r
+    with its coefficients, and the signed gcd g that divides r into it.
+
+    A set `zero` asks for implicit zeros too, and receives them: when an
+    `=` row is 0/1, `_implicit_zeros` runs on the merged rows.  An `=` 0/1
+    row R = c that contains disjoint 0/1 rows whose lower bounds sum to c
+    forces every other column of R to 0, since the variables are
+    nonnegative and the supports disjoint; lower bounds that sum past c are
+    infeasible.  The zeroed columns' entries leave every row, the stripped
+    rows are made canonical and merged again (the new divisor joins their
+    origin's g), and this repeats while a pass zeroes a column.  The rows
+    returned then hold the system's solutions only together with x_j = 0
+    for j in `zero`, which the caller keeps (`_Tableau.start` gives those
+    columns no entries).  For a Farkas map back to the input rows: the zero
+    sum of R's columns outside the picked rows is multiplier 1 on R's `<=`
+    side and on each picked row's `>=` side, which sums to "the zeroed
+    columns sum to at most 0".  The zeros are found before the fold, which
+    may drop a container for its complement.
+
+    Last, when the all-ones row ONES over the columns not zeroed is present,
+    a 0/1 row R' whose support is the complement of an `=` 0/1 row R = c
+    is folded: R' = ONES - R, so R' in [lo', hi'] is dropped and ONES's
+    interval is intersected with [lo' + c, hi' + c].  The solution set is
+    unchanged; totals that disagree (|p| + |!p| != |q| + |!q|) leave ONES
+    empty, which is infeasible.  When R' is an `=` row too, the pair keeps
+    whichever row comes first.  A candidate R' has length n - len(R) (n
+    counting the columns not zeroed) and is confirmed by one disjointness
+    test; without an `=` row nothing more is looked at.  A folded input row
+    feeds no returned row.  For a Farkas map back to the input rows: ONES's
+    multiplier, when its folded bound is the tight one, goes to both R' and
+    R, since ONES >= lo' + c is R' >= lo' plus R = c.
+    """
+    bounds: dict[SparseVector, list] = {}
+    if not _merge(bounds, zip(range(system.m), repeat(1), system.rows,
+                              system.relations, system.rhs)):
+        return None
+    supports = _supports(bounds) if any(
+        lo is not None and lo == hi for lo, hi, _, _ in bounds.values()) else []
+    gone = set() if zero is None else zero
+    if zero is not None and supports:
+        while found := _implicit_zeros(supports):
+            gone |= found
+            stripped = []
+            for row, (lo, hi, r, g) in bounds.items():
+                row = tuple([e for e in row if e[0] not in found])
+                stripped += ([(r, g, row, EQ, lo)] if lo == hi else
+                             [(r, g, row, rel, c)
+                              for rel, c in ((GE, lo), (LE, hi))
+                              if c is not None])
+            bounds = {}
+            if not _merge(bounds, stripped):
+                return None
+            supports = _supports(bounds)
+        if found is None:
+            return None
     # fold each 0/1 row R' complementing an `=` 0/1 row R = c into ONES
-    n = system.num_vars
-    eqs = [row for row, (lo, hi, _, _) in bounds.items()
-           if lo is not None and lo == hi]
-    ones = bounds.get(tuple(zip(range(n), repeat(1)))) if eqs else None
+    ones = None
+    if any(lo == hi for _, _, lo, hi in supports):
+        live = [j for j in range(system.num_vars) if j not in gone]
+        n = len(live)
+        ones = bounds.get(tuple(zip(live, repeat(1))))
     if ones is not None:
         by_len: dict[int, list[SparseVector]] = {}
         for row in bounds:
             by_len.setdefault(len(row), []).append(row)
-        for row in eqs:
-            if row not in bounds or any(a != 1 for _, a in row):
+        for row, support, lo, hi in supports:
+            if lo != hi or row not in bounds:
                 continue
-            support = {j for j, _ in row}
             for other in by_len.get(n - len(row), ()):
-                if (other in bounds and all(a == 1 for _, a in other)
-                        and support.isdisjoint(j for j, _ in other)):
+                if (other in bounds and _is_01(other)
+                        and support.isdisjoint(map(itemgetter(0), other))):
                     c, (lo, hi, _, _) = bounds[row][0], bounds.pop(other)
                     if lo is not None and (ones[0] is None or lo + c > ones[0]):
                         ones[0] = lo + c
@@ -279,10 +377,11 @@ class _Tableau:
     the diagonal, and d = det B' is unchanged.  `solve` then continues
     phase 1 from that basis.  The cold start `start` is `add_rows` of the
     presolved rows on an empty tableau, where every residual is the rhs,
-    except that it reads the structural columns off `system.columns`
-    through `_presolve`'s row map: the system's own tuples when no row moves.
-    An input row that was merged or folded away feeds no tableau row, so
-    its entries are left out of every column.
+    except that it builds each structural column in one pass over the
+    presolved rows (`add_rows` extends a column tuple per entry), and takes
+    the system's own column tuples when every input row is a tableau row
+    as it is.  An input row that was merged or folded away feeds no tableau
+    row, and a column the presolve zeroed has no entry.
     """
 
     def __init__(self, n: int):
@@ -304,21 +403,27 @@ class _Tableau:
         t.binv = [row[:] for row in self.binv]
         return t
 
-    def start(self, system: LinearSystem) -> list[Row] | None:
-        """The cold start of `system`: its presolved rows, or None."""
+    def start(self, system: LinearSystem, zero: set | None = None
+              ) -> list[Row] | None:
+        """The cold start of `system`: its presolved rows, or None.  A set
+        `zero` asks `_presolve` for implicit zeros and receives them; no
+        presolved row has an entry in a zeroed column, so its column is
+        empty and it never enters a basis."""
         origin: list[tuple[int, int]] = []
-        rows = _presolve(system, origin)
+        rows = _presolve(system, origin, zero)
         if rows is None:
             return None
         self.add_rows([((), rel, c) for _, rel, c in rows])
-        # feeds[r]: (i, g) per tableau row i that input row r gives, over g
-        feeds: list[tuple] = [()] * system.m
-        for i, ((r, g), (_, rel, c)) in enumerate(zip(origin, rows)):
-            feeds[r] += ((i, -g if c < 0 or (c == 0 and rel == GE) else g),)
-        in_place = all(f == ((r, 1),) for r, f in enumerate(feeds))
-        self.cols[:self.n] = system.columns if in_place else [
-            tuple((i, a // g) for r, a in col for i, g in feeds[r])
-            for col in system.columns]
+        negated = [c < 0 or (c == 0 and rel == GE) for _, rel, c in rows]
+        if (not zero and origin == [(r, 1) for r in range(system.m)]
+                and not any(negated)):
+            self.cols[:self.n] = system.columns
+            return rows
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for i, ((row, _, _), neg) in enumerate(zip(rows, negated)):
+            for j, a in row:
+                cols[j].append((i, -a if neg else a))
+        self.cols[:self.n] = map(tuple, cols)
         return rows
 
     def add_rows(self, rows: Sequence[Row]) -> None:
@@ -459,7 +564,7 @@ def lp_feasible(system: LinearSystem) -> tuple[Fraction, ...] | None:
     pivots falls back to Bland's rule).
     """
     tab = _Tableau(system.num_vars)
-    if tab.start(system) is None:
+    if tab.start(system, set()) is None:
         return None
     return tab.solution() if tab.solve() else None
 
@@ -687,7 +792,7 @@ def ilp_solve(system: LinearSystem, upper_bounds: Sequence[int], *,
     if seed is not None:
         return seed
     root = _Tableau(n)
-    presolved = root.start(system)
+    presolved = root.start(system, set())
     if presolved is None:
         return None
     for row, rel, c in presolved:
@@ -721,7 +826,8 @@ def ilp_solve(system: LinearSystem, upper_bounds: Sequence[int], *,
             cand = [0] * n
             for j, x in point:
                 cand[j] = x // d
-            assert system.is_solution(cand)
+            if not system.is_solution(cand):
+                raise AssertionError("branch and bound point fails the system")
             return tuple(cand)
         _, j, x = min(frac)
         split = x // d

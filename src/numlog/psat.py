@@ -162,7 +162,9 @@ def psat_decide(instance) -> ProbabilityAssignment | None:
     for cl, rel, q in norm:
         got = prob(out, cl)
         ok = got == q if rel == EQ else (got <= q if rel == "<=" else got >= q)
-        assert ok, "assignment fails to reproduce a demanded probability"
+        if not ok:
+            raise AssertionError(
+                "assignment fails to reproduce a demanded probability")
     return out
 
 

@@ -1,13 +1,19 @@
 """Exact LP/ILP kernels and the sparse-solution machinery."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from helpers import dense_solve, random_unary_atom, reference_ilp_solve
-from numlog.c1 import build_system, normalize
+from helpers import (dense_solve, random_unary_atom, reference_ilp_solve,
+                     reference_presolve)
+from numlog import linsys
+from numlog.c1 import build_system, decide_sat, entails, normalize
 from numlog.errors import BudgetExhaustedError, InputError, NotASolutionError
 from numlog.linsys import (_FLIP, EQ, GE, LE, LinearSystem, _greedy_seed,
                            _presolve, _Tableau, check_prop2_bound,
@@ -15,8 +21,9 @@ from numlog.linsys import (_FLIP, EQ, GE, LE, LinearSystem, _greedy_seed,
                            many_nonzeros_instance, natural_sparsity_bound,
                            sparsify_natural, sparsify_rational,
                            system_from_rows)
-from numlog.logic import negate_atom
+from numlog.logic import Lit, negate_atom
 from numlog.proofs import incompleteness_instance
+from numlog.psat import psat_decide
 from numlog.reductions import encode_3col, graph
 
 
@@ -924,3 +931,226 @@ class TestPricing:
         assert child.solve()
         assert (child.basis, child.xb, child.d) == (tab.basis, tab.xb, tab.d)
         assert s.is_solution(child.solution())
+
+
+def implicit_zero_case(rng):
+    """A 0/1 system over 3-6 columns, kind "zeroed", "refuted" or "decoy".
+    A container `=` row R = c; inside it, for "zeroed" and "refuted", 1-3
+    disjoint `=` or `>=` content rows that leave a column of R out and whose
+    bounds sum to c or past it; then 0-2 decoys: rows inside R with lower
+    bound at most c - 1 that all meet one column of R (the greedy picks at
+    most one), or rows that leave R.  Sometimes one more random 0/1 row.
+    Every row is scaled by 1, 2 or -1."""
+    n = rng.randint(3, 6)
+    rows = []
+
+    def add(support, rel, c):
+        k = rng.choice([1, 1, 2, -1])
+        rows.append(([k * (j in support) for j in range(n)],
+                     _FLIP[rel] if k < 0 else rel, k * c))
+
+    container = rng.sample(range(n), rng.randint(2, n))
+    kind = rng.choice(["zeroed", "refuted", "decoy"])
+    c = rng.randint(1, 4)
+    add(container, EQ, c)
+    if kind != "decoy":
+        parts = rng.randint(1, min(3, len(container) - 1, c))
+        inner = rng.sample(container, rng.randint(parts, len(container) - 1))
+        cuts = sorted(rng.sample(range(1, len(inner)), parts - 1))
+        total = c + (kind == "refuted") * rng.randint(1, 2)
+        splits = sorted(rng.sample(range(1, total), parts - 1))
+        for part, lo in zip(
+                [inner[a:b] for a, b in zip([0] + cuts, cuts + [len(inner)])],
+                [b - a for a, b in zip([0] + splits, splits + [total])]):
+            add(part, rng.choice([EQ, GE]), lo)
+    hub = rng.choice(container)
+    for _ in range(rng.randint(0, 2)):
+        if c > 1 and rng.random() < 0.6:
+            others = [j for j in container if j != hub]
+            add({hub, *rng.sample(others, rng.randint(0, len(others) - 1))},
+                rng.choice([EQ, GE]), rng.randint(1, c - 1))
+        elif len(container) < n:
+            outside = rng.choice([j for j in range(n) if j not in container])
+            add({outside, *rng.sample(container, rng.randint(1, len(container)))},
+                rng.choice([EQ, GE]), rng.randint(1, c + 1))
+    if rng.random() < 0.3:
+        add({j for j in range(n) if rng.random() < 0.5} or {0},
+            rng.choice([LE, GE]), rng.randint(0, 4))
+    rng.shuffle(rows)
+    return kind, system_from_rows(*zip(*rows))
+
+
+def goal_cell_system(atoms):
+    """The one branch's cell system of `atoms`, with its live masks and
+    the predicate list."""
+    preds = sorted(set().union(*(a.predicates() for a in atoms)))
+    (branch,) = normalize(atoms)
+    built = build_system(branch, preds)
+    return built.system, built.live_types, preds
+
+
+class TestImplicitZeros:
+    def test_planted_zeros_agree_with_the_oracles(self):
+        rng = random.Random(293)
+        seen = dict.fromkeys(["zeroed", "refuted", "decoy"], 0)
+        for _ in range(400):
+            kind, s = implicit_zero_case(rng)
+            n, box = s.num_vars, [3] * s.num_vars
+            zero = set()
+            rows = _presolve(s, None, zero)
+            expected = enumerate_solutions(s, box)
+            assert all(x[j] == 0 for x in expected for j in zero)
+            x = lp_feasible(s)
+            assert (x is not None) == fourier_motzkin_feasible(s)
+            assert x is None or s.is_solution(x)
+            got = ilp_solve(s, box)
+            assert got in expected if expected else got is None
+            tab = _Tableau(n)
+            assert tab.start(s, set()) == rows
+            if rows is None:
+                assert not fourier_motzkin_feasible(s)
+                seen["refuted"] += (kind == "refuted"
+                                    and reference_presolve(s) is not None)
+                continue
+            # the stripped rows and x_j = 0 on the zeroed columns
+            t = LinearSystem(tuple(r for r, _, _ in rows),
+                             tuple(rel for _, rel, _ in rows),
+                             tuple(c for _, _, c in rows), n)
+            assert [y for y in enumerate_solutions(t, box)
+                    if not any(y[j] for j in zero)] == expected
+            assert all(j not in zero for r, _, _ in rows for j, _ in r)
+            assert tab.cols[:n] == transposed(rows, n)
+            cold = _Tableau(n)
+            cold.add_rows(rows)
+            assert vars(tab) == vars(cold)
+            seen["zeroed"] += kind == "zeroed" and bool(zero)
+            seen["decoy"] += kind == "decoy" and not zero
+        assert min(seen.values()) >= 20, seen
+
+    def test_a_container_holds_its_disjoint_contents(self):
+        # p = 5 holds the disjoint q >= 3 and r >= 2: the cells of p with
+        # neither are 0; q >= 3 and r >= 3 need 6 > 5
+        s = system_from_rows([[1, 1, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0]],
+                             [EQ, GE, GE], [5, 3, 2])
+        zero = set()
+        assert _presolve(s, None, zero) == [(((0, 1), (1, 1)), EQ, 5),
+                                             (((0, 1),), GE, 3),
+                                             (((1, 1),), GE, 2)]
+        assert zero == {2}
+        assert _presolve(s) == reference_presolve(s)
+        s = system_from_rows([[1, 1, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0]],
+                             [EQ, GE, GE], [5, 3, 3])
+        assert _presolve(s, None, set()) is None
+        assert lp_feasible(s) is None and ilp_solve(s, [5] * 4) is None
+
+    @pytest.mark.parametrize("m, cells", [(6, 128), (8, 512)])
+    def test_premise_order_leaves_the_zeros(self, m, cells, monkeypatch):
+        # the first pass zeroes exactly the cells with t and no t_j, in
+        # any premise order, and every goal stays entailed
+        passes = []
+
+        def recorded(supports):
+            passes.append(implicit_zeros(supports))
+            return passes[-1]
+
+        implicit_zeros = linsys._implicit_zeros
+        monkeypatch.setattr(linsys, "_implicit_zeros", recorded)
+        rng = random.Random(307 + m)
+        phi, goals = incompleteness_instance(m)
+        for _ in range(5):
+            order = rng.sample(phi, len(phi))
+            for goal in goals:
+                s, live, preds = goal_cell_system(
+                    order + [negate_atom(goal)])
+                bit = {p: 1 << i for i, p in enumerate(preds)}
+                tj = sum(bit[f"t{j}"] for j in range(1, m + 2))
+                t_only = {k for k, mask in enumerate(live)
+                          if mask & bit["t"] and not mask & tj}
+                passes.clear()
+                zero = set()
+                _presolve(s, None, zero)
+                assert len(t_only) == cells
+                assert passes[0] == t_only <= zero
+                assert entails(order, goal)
+
+    def test_verdicts_match_the_presolve_without_zeros(self, monkeypatch):
+        # seeded unary sets, 3-colourings and the m=6/8 goals (the suite of
+        # TestNodeLocalBoxes), and TestPsatDifferential's PSAT instances:
+        # the same verdicts with the parent presolve
+        rng = random.Random(131)
+        sets = []
+        for _ in range(400):
+            preds = ["p", "q", "r", "s"][:rng.randint(1, 4)]
+            sets.append([random_unary_atom(rng, preds)
+                         for _ in range(rng.randint(1, 8))])
+        for n in range(2, 9):
+            pairs = [(i, j) for i in range(1, n + 1)
+                     for j in range(i + 1, n + 1)]
+            for _ in range(8):
+                edges = rng.sample(pairs, len(pairs) // 2)
+                sets.append(encode_3col(graph(n, edges)))
+        for m in (6, 8):
+            phi, goals = incompleteness_instance(m)
+            sets += [list(phi) + [negate_atom(g)] for g in goals]
+        rng = random.Random(157)
+        probabilities = [Fraction(0), Fraction(1), Fraction(1, 2),
+                         Fraction(1, 3), Fraction(2, 3), Fraction(1, 4),
+                         Fraction(3, 5), Fraction(5, 7)]
+        instances = []
+        for _ in range(320):
+            letters = ["p", "q", "r", "s"][:rng.randint(1, 4)]
+            inst = []
+            for _ in range(rng.randint(1, 5)):
+                cl = tuple(Lit(rng.choice(letters), rng.random() < 0.5)
+                           for _ in range(rng.randint(1, 3)))
+                inst.append((cl, rng.choice(["=", "<=", ">="]),
+                             rng.choice(probabilities)))
+            instances.append(inst)
+        fired = []
+
+        def counted(s, origin=None, zero=None):
+            rows = presolve(s, origin, zero)
+            fired.append(rows is None or bool(zero))
+            return rows
+
+        presolve = linsys._presolve
+        monkeypatch.setattr(linsys, "_presolve", counted)
+        verdicts = ([decide_sat(atoms).status for atoms in sets],
+                    [psat_decide(inst) is not None for inst in instances])
+        assert sum(fired) >= 50, sum(fired)
+        monkeypatch.setattr(linsys, "_presolve",
+                            lambda s, origin=None, zero=None:
+                            reference_presolve(s, origin))
+        assert verdicts == ([decide_sat(atoms).status for atoms in sets],
+                            [psat_decide(inst) is not None
+                             for inst in instances])
+
+
+EXACT_CHECK = """
+import sys
+from fractions import Fraction
+from numlog import linsys, psat
+from numlog.linsys import EQ, system_from_rows
+from numlog.logic import Lit
+if __debug__:
+    sys.exit("asserts are on: run under -O")
+linsys.LinearSystem.is_solution = lambda self, x: False
+psat.prob = lambda assignment, clause: Fraction(-1)
+try:
+    if sys.argv[1] == "ilp":
+        linsys.ilp_solve(system_from_rows([[1, 1]], [EQ], [2]), [2, 2])
+    else:
+        psat.psat_decide([((Lit("p"),), Fraction(1, 2))])
+except AssertionError:
+    print("raised")
+"""
+
+
+@pytest.mark.parametrize("check", ["ilp", "psat"])
+def test_exact_checks_survive_python_O(check):
+    # under -O a bare assert is stripped; these checks raise all the same
+    src = Path(linsys.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-O", "-c", EXACT_CHECK, check],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["raised"], out.stderr
