@@ -11,20 +11,13 @@ core is a phase-1 simplex on an integer tableau carrying one shared
 positive denominator (fraction-free pivoting); every division it performs
 is checked to be exact.  Its pricing resumes after the last entering
 column and falls back to Bland's rule during a run of degenerate pivots,
-so it terminates.  Before it runs, the rows are presolved: divided by
-their gcd, given a positive first coefficient and merged when their
-coefficients agree.  Then the columns that exact counts force to zero are
-dropped: when an `=` 0/1 row R = c holds disjoint 0/1 rows whose lower
-bounds sum to c, every other column of R is 0 in every solution, since
-the variables are nonnegative and the supports disjoint (multiplier 1 on
-R's `<=` side and on each inner row's `>=` side sums to "those columns
-sum to at most 0"), and bounds that sum past c refute the system; a
-zeroed column gets no tableau entry, so no pivot prices it.  Last, a 0/1
-row whose support complements an `=` 0/1 row's is folded into the
-all-ones row (the domain size of a cell system), so exact counts |p| and
-|!p| cost one tableau row, not two, and totals that disagree are refuted
-before any pivot.  The presolve lives only inside `lp_feasible` and
-`ilp_solve`; stored rows are never gcd-divided.
+so it terminates.  Before it runs, every system goes through one
+presolve (`_presolve`): rows are divided by their gcd, given a positive
+first coefficient and merged when their coefficients agree; the columns
+that disjoint exact counts inside an `=` 0/1 row force to zero are
+dropped, so no pivot prices them; and a 0/1 row whose support complements
+an `=` 0/1 row's is folded into the all-ones row, so exact counts |p| and
+|!p| cost one tableau row.  Stored rows are never gcd-divided.
 `ilp_solve` is one LP-based branch and bound: it presolves once at the
 root, every child re-solves from its parent's tableau with one more row (a
 warm start) and keeps only its own bounds, and an infeasible LP is the only
@@ -162,11 +155,11 @@ _FLIP = {LE: GE, GE: LE, EQ: EQ}
 Row = tuple[SparseVector, str, int]
 
 
-def _merge(bounds: dict, rows: Iterable[tuple]) -> bool:
-    """Merge rows `(r, g0, row, rel, c)` into `bounds`, row -> [lo, hi, r,
-    g], in canonical form as `_presolve` says, g being g0 times the signed
-    divisor; False when an empty row is infeasible."""
-    for r, g0, row, rel, c in rows:
+def _merge(bounds: dict, rows: Iterable[Row]) -> bool:
+    """Merge rows `(row, rel, c)` into `bounds`, row -> [lo, hi], in
+    canonical form as `_presolve` says; False when an empty row is
+    infeasible."""
+    for row, rel, c in rows:
         if not row:
             if not _holds(0, rel, c):
                 return False
@@ -183,12 +176,21 @@ def _merge(bounds: dict, rows: Iterable[tuple]) -> bool:
         if g != 1:
             row = tuple((j, a // g) for j, a in row)
             c //= g
-        b = bounds.setdefault(row, [None, None, r, g0 * g])
+        b = bounds.setdefault(row, [None, None])
         if rel != LE and (b[0] is None or c > b[0]):
             b[0] = c
         if rel != GE and (b[1] is None or c < b[1]):
             b[1] = c
     return True
+
+
+def _interval_rows(row: SparseVector, lo: int | None, hi: int | None
+                   ) -> list[Row] | None:
+    """The rows of `row` in [lo, hi]: one `=` row when lo == hi, otherwise
+    a `<=` and/or a `>=` row; None when lo > hi."""
+    if lo is not None and hi is not None and lo >= hi:
+        return None if lo > hi else [(row, EQ, lo)]
+    return [(row, rel, c) for rel, c in ((LE, hi), (GE, lo)) if c is not None]
 
 
 def _is_01(row: SparseVector) -> bool:
@@ -199,7 +201,7 @@ def _supports(bounds: dict) -> list[tuple]:
     """`(row, column set, lo, hi)` for each 0/1 row in `bounds` that is an
     `=` row or has a lower bound lo > 0, in `bounds` order."""
     return [(row, set(map(itemgetter(0), row)), lo, hi)
-            for row, (lo, hi, _, _) in bounds.items()
+            for row, (lo, hi) in bounds.items()
             if lo is not None and (lo > 0 or lo == hi) and _is_01(row)]
 
 
@@ -237,10 +239,10 @@ def _implicit_zeros(supports: list[tuple]) -> set[int] | None:
     return zero
 
 
-def _presolve(system: LinearSystem, origin: list | None = None,
-              zero: set | None = None) -> list[Row] | None:
-    """The system's rows in canonical form, merged and folded, or None when
-    a row alone, a container or a fold is infeasible.
+def _presolve(system: LinearSystem) -> list[Row] | None:
+    """The system's rows in canonical form, merged, stripped of the columns
+    exact counts force to zero and folded, or None when a row alone, a
+    container or a fold is infeasible.
 
     Each row is divided by the gcd of its coefficients and rhs, and negated
     (its relation flipped) when its first coefficient is negative, so rows
@@ -248,24 +250,18 @@ def _presolve(system: LinearSystem, origin: list | None = None,
     coefficients share one interval [lo, hi]: it gives one `=` row when
     lo == hi, otherwise a `<=` and/or a `>=` row, at the place of the first
     such row; lo > hi is infeasible.  Empty rows are checked and dropped.
-    A row that is already canonical is used as it is, not copied.  A list
-    `origin` receives each returned row's (r, g): the first input row r
-    with its coefficients, and the signed gcd g that divides r into it.
+    A row that is already canonical is used as it is, not copied.
 
-    A set `zero` asks for implicit zeros too, and receives them: when an
-    `=` row is 0/1, `_implicit_zeros` runs on the merged rows.  An `=` 0/1
-    row R = c that contains disjoint 0/1 rows whose lower bounds sum to c
-    forces every other column of R to 0, since the variables are
+    When an `=` row is 0/1, `_implicit_zeros` runs on the merged rows.  An
+    `=` 0/1 row R = c that contains disjoint 0/1 rows whose lower bounds
+    sum to c forces every other column of R to 0, since the variables are
     nonnegative and the supports disjoint; lower bounds that sum past c are
     infeasible.  The zeroed columns' entries leave every row, the stripped
-    rows are made canonical and merged again (the new divisor joins their
-    origin's g), and this repeats while a pass zeroes a column.  The rows
-    returned then hold the system's solutions only together with x_j = 0
-    for j in `zero`, which the caller keeps (`_Tableau.start` gives those
-    columns no entries).  For a Farkas map back to the input rows: the zero
-    sum of R's columns outside the picked rows is multiplier 1 on R's `<=`
-    side and on each picked row's `>=` side, which sums to "the zeroed
-    columns sum to at most 0".  The zeros are found before the fold, which
+    rows are made canonical and merged again, and this repeats while a pass
+    zeroes a column.  The rows returned then hold the system's solutions
+    only together with x_j = 0 for each zeroed column j, which is every
+    column of an input row that no returned row has; `_Tableau.start` gives
+    those columns no entries.  The zeros are found before the fold, which
     may drop a container for its complement.
 
     Last, when the all-ones row ONES over the columns not zeroed is present,
@@ -276,34 +272,34 @@ def _presolve(system: LinearSystem, origin: list | None = None,
     empty, which is infeasible.  When R' is an `=` row too, the pair keeps
     whichever row comes first.  A candidate R' has length n - len(R) (n
     counting the columns not zeroed) and is confirmed by one disjointness
-    test; without an `=` row nothing more is looked at.  A folded input row
-    feeds no returned row.  For a Farkas map back to the input rows: ONES's
-    multiplier, when its folded bound is the tight one, goes to both R' and
-    R, since ONES >= lo' + c is R' >= lo' plus R = c.
+    test; without an `=` row nothing more is looked at.
     """
     bounds: dict[SparseVector, list] = {}
-    if not _merge(bounds, zip(range(system.m), repeat(1), system.rows,
-                              system.relations, system.rhs)):
+    if not _merge(bounds, zip(system.rows, system.relations, system.rhs)):
         return None
     supports = _supports(bounds) if any(
-        lo is not None and lo == hi for lo, hi, _, _ in bounds.values()) else []
-    gone = set() if zero is None else zero
-    if zero is not None and supports:
-        while found := _implicit_zeros(supports):
-            gone |= found
-            stripped = []
-            for row, (lo, hi, r, g) in bounds.items():
-                row = tuple([e for e in row if e[0] not in found])
-                stripped += ([(r, g, row, EQ, lo)] if lo == hi else
-                             [(r, g, row, rel, c)
-                              for rel, c in ((GE, lo), (LE, hi))
-                              if c is not None])
-            bounds = {}
-            if not _merge(bounds, stripped):
-                return None
-            supports = _supports(bounds)
+        lo is not None and lo == hi for lo, hi in bounds.values()) else []
+    gone: set[int] = set()
+    while supports:
+        found = _implicit_zeros(supports)
         if found is None:
             return None
+        if not found:
+            break
+        gone |= found
+        stripped = []
+        for row, (lo, hi) in bounds.items():
+            rows = _interval_rows(
+                tuple([e for e in row if e[0] not in found]), lo, hi)
+            if rows is None:
+                return None
+            # `>=` side first: the two sides may divide by different gcds
+            # into different rows, and the first one merged comes first
+            stripped += rows[::-1]
+        bounds = {}
+        if not _merge(bounds, stripped):
+            return None
+        supports = _supports(bounds)
     # fold each 0/1 row R' complementing an `=` 0/1 row R = c into ONES
     ones = None
     if any(lo == hi for _, _, lo, hi in supports):
@@ -320,23 +316,18 @@ def _presolve(system: LinearSystem, origin: list | None = None,
             for other in by_len.get(n - len(row), ()):
                 if (other in bounds and _is_01(other)
                         and support.isdisjoint(map(itemgetter(0), other))):
-                    c, (lo, hi, _, _) = bounds[row][0], bounds.pop(other)
+                    c, (lo, hi) = bounds[row][0], bounds.pop(other)
                     if lo is not None and (ones[0] is None or lo + c > ones[0]):
                         ones[0] = lo + c
                     if hi is not None and (ones[1] is None or hi + c < ones[1]):
                         ones[1] = hi + c
                     break
     out = []
-    for row, (lo, hi, r, g) in bounds.items():
-        if lo is not None and hi is not None and lo >= hi:
-            if lo > hi:
-                return None
-            kept = [(EQ, lo)]
-        else:
-            kept = [(rel, c) for rel, c in ((LE, hi), (GE, lo)) if c is not None]
-        out += [(row, rel, c) for rel, c in kept]
-        if origin is not None:
-            origin += [(r, g)] * len(kept)
+    for row, (lo, hi) in bounds.items():
+        rows = _interval_rows(row, lo, hi)
+        if rows is None:
+            return None
+        out += rows
     return out
 
 
@@ -376,12 +367,10 @@ class _Tableau:
     = [[B, 0], [r_B, 1]], the new row of `binv` is -(r_B . binv) with d on
     the diagonal, and d = det B' is unchanged.  `solve` then continues
     phase 1 from that basis.  The cold start `start` is `add_rows` of the
-    presolved rows on an empty tableau, where every residual is the rhs,
-    except that it builds each structural column in one pass over the
-    presolved rows (`add_rows` extends a column tuple per entry), and takes
-    the system's own column tuples when every input row is a tableau row
-    as it is.  An input row that was merged or folded away feeds no tableau
-    row, and a column the presolve zeroed has no entry.
+    presolved rows on an empty tableau, where every residual is the rhs; it
+    takes the system's own column tuples when the presolve returned the
+    input rows untouched.  An input row that was merged or folded away
+    feeds no tableau row, and a column the presolve zeroed has no entry.
     """
 
     def __init__(self, n: int):
@@ -403,27 +392,20 @@ class _Tableau:
         t.binv = [row[:] for row in self.binv]
         return t
 
-    def start(self, system: LinearSystem, zero: set | None = None
-              ) -> list[Row] | None:
-        """The cold start of `system`: its presolved rows, or None.  A set
-        `zero` asks `_presolve` for implicit zeros and receives them; no
-        presolved row has an entry in a zeroed column, so its column is
-        empty and it never enters a basis."""
-        origin: list[tuple[int, int]] = []
-        rows = _presolve(system, origin, zero)
+    def start(self, system: LinearSystem) -> list[Row] | None:
+        """The cold start of `system`: its presolved rows, or None.  When
+        they are the input rows untouched (each the input row's own tuple
+        at the same index, none negated), the columns are the system's."""
+        rows = _presolve(system)
         if rows is None:
             return None
-        self.add_rows([((), rel, c) for _, rel, c in rows])
-        negated = [c < 0 or (c == 0 and rel == GE) for _, rel, c in rows]
-        if (not zero and origin == [(r, 1) for r in range(system.m)]
-                and not any(negated)):
+        if len(rows) == system.m and not any(
+                row is not r or c < 0 or (c == 0 and rel == GE)
+                for (row, rel, c), r in zip(rows, system.rows)):
             self.cols[:self.n] = system.columns
-            return rows
-        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for i, ((row, _, _), neg) in enumerate(zip(rows, negated)):
-            for j, a in row:
-                cols[j].append((i, -a if neg else a))
-        self.cols[:self.n] = map(tuple, cols)
+            self.add_rows([((), rel, c) for _, rel, c in rows])
+        else:
+            self.add_rows(rows)
         return rows
 
     def add_rows(self, rows: Sequence[Row]) -> None:
@@ -435,6 +417,7 @@ class _Tableau:
         where = {b: i for i, b in enumerate(self.basis) if b < n}
         for row in binv:
             row.extend([0] * (m - m0))
+        entries: dict[int, list[tuple[int, int]]] = {}
         slacks, arts = [], []
         for i, (sparse, rel, c) in enumerate(rows, m0):
             res = d * c
@@ -451,7 +434,7 @@ class _Tableau:
             if res < 0 or (res == 0 and rel == GE):
                 sign, res, rel = -1, -res, _FLIP[rel]
             for j, a in sparse:
-                cols[j] = (*cols[j], (i, sign * a))
+                entries.setdefault(j, []).append((i, sign * a))
             new = [-sign * v for v in r_binv]
             new[i] = d
             binv.append(new)
@@ -460,6 +443,8 @@ class _Tableau:
                 slacks.append((i, 1 if rel == LE else -1))
             if rel != LE:
                 arts.append(i)
+        for j, col in entries.items():
+            cols[j] += tuple(col)
         basis = self.basis
         basis.extend([-1] * (m - m0))
         for i, a in slacks:
@@ -564,7 +549,7 @@ def lp_feasible(system: LinearSystem) -> tuple[Fraction, ...] | None:
     pivots falls back to Bland's rule).
     """
     tab = _Tableau(system.num_vars)
-    if tab.start(system, set()) is None:
+    if tab.start(system) is None:
         return None
     return tab.solution() if tab.solve() else None
 
@@ -673,8 +658,8 @@ def sparsify_natural(system: LinearSystem, solution: Sequence[int]
             sol[j] -= step
         for j in j_inc:
             sol[j] += step
-        assert system.is_solution(sol)
-        assert len(_support(sol)) < len(support)
+        if not system.is_solution(sol) or len(_support(sol)) >= len(support):
+            raise AssertionError("an exchange broke the solution")
     return tuple(sol)
 
 
@@ -792,7 +777,7 @@ def ilp_solve(system: LinearSystem, upper_bounds: Sequence[int], *,
     if seed is not None:
         return seed
     root = _Tableau(n)
-    presolved = root.start(system, set())
+    presolved = root.start(system)
     if presolved is None:
         return None
     for row, rel, c in presolved:

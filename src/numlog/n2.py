@@ -144,12 +144,20 @@ def shrink_model(s: FiniteStructure | CellStructure, phi) -> ShrinkReport:
                               if a in new_index and b in new_index})
 
     out = structure(len(kept), unary, binary)
-    for a in atoms:
-        assert evaluate(out, a), f"shrunk structure lost {a}"
-    assert out.domain_size <= size_bound(atoms)
+    _check_shrunk(out, atoms)
     assert a_phi <= set(kept), "a designated witness was dropped"
     return ShrinkReport(s.domain_size, out, kept_per_cell, cap,
                         frozenset(a_phi), tuple(kept))
+
+
+def _check_shrunk(out, atoms) -> None:
+    """Raise AssertionError, kept under -O, unless `out` models `atoms`
+    within `size_bound`."""
+    for a in atoms:
+        if not evaluate(out, a):
+            raise AssertionError(f"shrunk structure lost {a}")
+    if out.domain_size > size_bound(atoms):
+        raise AssertionError("shrunk structure exceeds the size bound")
 
 
 def _shrink_cells(s: CellStructure, atoms, preds, cap) -> ShrinkReport:
@@ -168,9 +176,7 @@ def _shrink_cells(s: CellStructure, atoms, preds, cap) -> ShrinkReport:
         left[group] -= keep
         cells.append((mask, keep))
     out = CellStructure(s.preds, tuple(cells))
-    for a in atoms:
-        assert evaluate(out, a), f"shrunk structure lost {a}"
-    assert out.domain_size <= size_bound(atoms)
+    _check_shrunk(out, atoms)
     return ShrinkReport(s.domain_size, out,
                         {g: cap - r for g, r in sorted(left.items())}, cap)
 

@@ -256,9 +256,11 @@ def counterexample_assignment(m: int) -> tuple[ProbabilityAssignment, int]:
 
     phi, goals = incompleteness_instance(m)
     for atom in phi:
-        assert approx_models(assignment, atom), f"assignment misses {atom}"
+        if not approx_models(assignment, atom):
+            raise AssertionError(f"assignment misses {atom}")
     zero_j = next(j for j in range(m + 1) if u_vec[j] == 0) + 1
     conj = And((Pred(f"t{zero_j}"), Pred("r")))
-    assert prob(assignment, conj) == 0
-    assert not approx_models(assignment, goals[zero_j - 1])
+    if prob(assignment, conj) != 0 or approx_models(assignment,
+                                                    goals[zero_j - 1]):
+        raise AssertionError(f"assignment does not refute goal {zero_j}")
     return assignment, zero_j

@@ -559,7 +559,8 @@ def witness_model(ts: TilingSystem, t: Tiling, init, k: int) -> FiniteStructure:
 
     out = structure(domain, unary, binary)
     for a in encode_tiling(ts, init, k):
-        assert evaluate(out, a), f"witness fails {a}"
+        if not evaluate(out, a):
+            raise AssertionError(f"witness fails {a}")
     return out
 
 

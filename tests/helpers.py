@@ -152,7 +152,9 @@ def reference_ilp_solve(system, upper_bounds, *, max_nodes=200_000, log=None):
     and each node appended those it had not seen yet; every node read its
     point as dense `Fraction`s over all n columns.  `log`, if given, gets
     `(nodes, waiting)` each time a point breaks a box: the node count so far
-    and the number of open nodes on the stack."""
+    and the number of open nodes on the stack.  Its root runs
+    `_Tableau.start`, so it gets the presolve's implicit-zero pass, which
+    always runs."""
     n = system.num_vars
     ubs = [int(b) for b in upper_bounds]
     if len(ubs) != n or any(b < 0 for b in ubs):
@@ -213,11 +215,10 @@ def reference_ilp_solve(system, upper_bounds, *, max_nodes=200_000, log=None):
     return None
 
 
-def reference_presolve(system: LinearSystem, origin: list | None = None
-              ) -> list[Row] | None:
-    """`linsys._presolve` before it found implicit zeros, as it was then:
-    the system's rows in canonical form, merged and folded, or None when
-    a row alone, or a fold, is infeasible.
+def reference_presolve(system: LinearSystem) -> list[Row] | None:
+    """`linsys._presolve` before it found implicit zeros, as it was then
+    less its `origin` out-list: the system's rows in canonical form, merged
+    and folded, or None when a row alone, or a fold, is infeasible.
 
     Each row is divided by the gcd of its coefficients and rhs, and negated
     (its relation flipped) when its first coefficient is negative, so rows
@@ -225,9 +226,7 @@ def reference_presolve(system: LinearSystem, origin: list | None = None
     coefficients share one interval [lo, hi]: it gives one `=` row when
     lo == hi, otherwise a `<=` and/or a `>=` row, at the place of the first
     such row; lo > hi is infeasible.  Empty rows are checked and dropped.
-    A row that is already canonical is used as it is, not copied.  A list
-    `origin` receives each returned row's (r, g): the first input row r
-    with its coefficients, and the signed gcd g that divides r into it.
+    A row that is already canonical is used as it is, not copied.
 
     Then, when the all-ones row ONES is present, a 0/1 row R' whose support
     is the complement of an `=` 0/1 row R = c is folded: R' = ONES - R, so
@@ -243,8 +242,7 @@ def reference_presolve(system: LinearSystem, origin: list | None = None
     R = c.
     """
     bounds: dict[SparseVector, list] = {}
-    for r, (row, rel, c) in enumerate(zip(system.rows, system.relations,
-                                          system.rhs)):
+    for row, rel, c in zip(system.rows, system.relations, system.rhs):
         if not row:
             if not _holds(0, rel, c):
                 return None
@@ -261,14 +259,14 @@ def reference_presolve(system: LinearSystem, origin: list | None = None
         if g != 1:
             row = tuple((j, a // g) for j, a in row)
             c //= g
-        b = bounds.setdefault(row, [None, None, r, g])
+        b = bounds.setdefault(row, [None, None])
         if rel != LE and (b[0] is None or c > b[0]):
             b[0] = c
         if rel != GE and (b[1] is None or c < b[1]):
             b[1] = c
     # fold each 0/1 row R' complementing an `=` 0/1 row R = c into ONES
     n = system.num_vars
-    eqs = [row for row, (lo, hi, _, _) in bounds.items()
+    eqs = [row for row, (lo, hi) in bounds.items()
            if lo is not None and lo == hi]
     ones = bounds.get(tuple(zip(range(n), repeat(1)))) if eqs else None
     if ones is not None:
@@ -282,14 +280,14 @@ def reference_presolve(system: LinearSystem, origin: list | None = None
             for other in by_len.get(n - len(row), ()):
                 if (other in bounds and all(a == 1 for _, a in other)
                         and support.isdisjoint(j for j, _ in other)):
-                    c, (lo, hi, _, _) = bounds[row][0], bounds.pop(other)
+                    c, (lo, hi) = bounds[row][0], bounds.pop(other)
                     if lo is not None and (ones[0] is None or lo + c > ones[0]):
                         ones[0] = lo + c
                     if hi is not None and (ones[1] is None or hi + c < ones[1]):
                         ones[1] = hi + c
                     break
     out = []
-    for row, (lo, hi, r, g) in bounds.items():
+    for row, (lo, hi) in bounds.items():
         if lo is not None and hi is not None and lo >= hi:
             if lo > hi:
                 return None
@@ -297,8 +295,6 @@ def reference_presolve(system: LinearSystem, origin: list | None = None
         else:
             kept = [(rel, c) for rel, c in ((LE, hi), (GE, lo)) if c is not None]
         out += [(row, rel, c) for rel, c in kept]
-        if origin is not None:
-            origin += [(r, g)] * len(kept)
     return out
 
 

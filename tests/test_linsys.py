@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -457,9 +458,10 @@ class TestPresolve:
     def test_equation_pair_folds_into_the_all_ones_row(self):
         s = system_from_rows([[1, 1, 1], [1, 0, 0], [0, 1, 1], [0, 2, 2]],
                              [GE, EQ, LE, GE], [1, 2, 3, 6])
-        origin = []
-        assert _presolve(s, origin) == [(self.ONES, EQ, 5), (self.R, EQ, 2)]
-        assert origin == [(0, 1), (1, 1)]
+        out = _presolve(s)
+        assert out == [(self.ONES, EQ, 5), (self.R, EQ, 2)]
+        # the first two input rows, as they are; the last two fold away
+        assert out[0][0] is s.rows[0] and out[1][0] is s.rows[1]
         assert lp_feasible(s) is not None
         assert ilp_solve(s, [5] * 3) in enumerate_solutions(s, [5] * 3)
 
@@ -546,6 +548,19 @@ def transposed(rows, n):
     return list(map(tuple, cols))
 
 
+def zeroed(s, rows):
+    """The columns the presolve zeroed: in some input row and in no
+    presolved row."""
+    return ({j for row in s.rows for j, _ in row}
+            - {j for row, _, _ in rows for j, _ in row})
+
+
+def presolved_system(rows, n):
+    return LinearSystem(tuple(r for r, _, _ in rows),
+                        tuple(rel for _, rel, _ in rows),
+                        tuple(c for _, _, c in rows), n)
+
+
 class TestColdStart:
     def test_columns_are_the_transposed_presolved_rows(self):
         rng = random.Random(241)
@@ -554,8 +569,7 @@ class TestColdStart:
         for _ in range(600):
             s = presolve_case(rng)
             n = s.num_vars
-            origin = []
-            rows = _presolve(s, origin)
+            rows = _presolve(s)
             tab = _Tableau(n)
             assert tab.start(s) == rows
             box = [rng.randint(3, 6)] * n
@@ -574,14 +588,111 @@ class TestColdStart:
             cold.add_rows(rows)
             assert vars(tab) == vars(cold)
             seen["in place"] += all(c is d for c, d in zip(tab.cols, s.columns))
-            seen["negated"] += any(g < 0 for _, g in origin)
-            seen["divided"] += any(abs(g) > 1 for _, g in origin)
-            used = [r for r, _ in origin]
-            seen["merged"] += len(set(used)) < sum(1 for row in s.rows if row)
-            seen["split"] += len(set(used)) < len(used)
+            live = [(row, c) for row, c in zip(s.rows, s.rhs) if row]
+            seen["negated"] += any(row[0][1] < 0 for row, _ in live)
+            seen["divided"] += any(math.gcd(c, *map(itemgetter(1), row)) > 1
+                                   for row, c in live)
+            kept = {row for row, _, _ in rows}
+            seen["merged"] += len(kept) < len(live)
+            seen["split"] += len(kept) < len(rows)
             seen["made ="] += (sum(rel == EQ for _, rel, _ in rows)
                                > s.relations.count(EQ))
         assert min(seen.values()) >= 20, seen
+
+    def test_columns_are_reused_exactly_when_the_rows_are_untouched(self):
+        # untouched: as many presolved rows as input rows, each the input
+        # row's own tuple at the same index, none that `add_rows` negates
+        rng = random.Random(263)
+        cases = [presolve_case, complement_case,
+                 lambda rng: implicit_zero_case(rng)[1]]
+        seen = dict.fromkeys(["reused", "divided", "negated", "merged",
+                              "stripped", "folded", "dropped"], 0)
+        for _ in range(900):
+            s = rng.choice(cases)(rng)
+            n, rows = s.num_vars, _presolve(s)
+            if rows is None or not any(s.rows):
+                continue
+            tab = _Tableau(n)
+            assert tab.start(s) == rows
+            assert tab.cols[:n] == transposed(rows, n)
+            same = [c is d for c, d in zip(tab.cols, s.columns) if d]
+            reused = all(same)
+            assert reused or not any(same)
+            assert reused == (len(rows) == s.m and all(
+                row is r and c >= 0 and not (c == 0 and rel == GE)
+                for (row, rel, c), r in zip(rows, s.rows)))
+            live = [(row, c) for row, c in zip(s.rows, s.rhs) if row]
+            kept, zero = {row for row, _, _ in rows}, zeroed(s, rows)
+            forms = [form(row, c) for row, c in live]
+            causes = {
+                "divided": any(math.gcd(c, *map(itemgetter(1), row)) > 1
+                               for row, c in live),
+                "negated": any(row[0][1] < 0 for row, _ in live),
+                "merged": len(set(forms)) < len({id(row) for row, _ in live}),
+                "stripped": bool(zero),
+                "folded": any(f not in kept for f in forms
+                              if zero.isdisjoint(map(itemgetter(0), f))),
+                "dropped": len(live) < s.m}
+            assert not reused or not any(causes.values()), causes
+            seen["reused"] += reused
+            for cause, happened in causes.items():
+                seen[cause] += happened
+        assert min(seen.values()) >= 20, seen
+
+    def test_a_band_on_one_row_tuple_reuses_the_columns(self):
+        row = ((0, 1), (1, 2))
+        s = LinearSystem((row, row, ((1, 1),)), (GE, LE, EQ), (1, 4, 2), 2)
+        tab = _Tableau(2)
+        assert tab.start(s) == [(row, LE, 4), (row, GE, 1), (((1, 1),), EQ, 2)]
+        assert all(c is d for c, d in zip(tab.cols, s.columns))
+        # the same band over two equal tuples is a merge: the columns are built
+        t = LinearSystem((row, tuple(list(row)), ((1, 1),)), s.relations,
+                         s.rhs, 2)
+        tab = _Tableau(2)
+        assert tab.start(t) == [(row, LE, 4), (row, GE, 1), (((1, 1),), EQ, 2)]
+        assert not any(c is d for c, d in zip(tab.cols, t.columns))
+        assert tab.cols[:2] == list(t.columns)
+
+    def test_a_batch_of_rows_is_its_rows_one_at_a_time(self):
+        # on a solved tableau, so each row's residual reads the basis; the
+        # batch appends its slacks before its artificials, so the basis is
+        # compared as the basic columns
+        rng = random.Random(269)
+        batches = 0
+        for _ in range(300):
+            s = random_small_system(rng)
+            rows = _presolve(s)
+            if rows is None:
+                continue
+            root = _Tableau(s.num_vars)
+            root.add_rows(rows)
+            root.solve()
+            extra = [(tuple((j, rng.randint(-3, 3) or 1)
+                            for j in sorted(rng.sample(range(s.num_vars),
+                                                       rng.randint(1, 2)))),
+                      rng.choice([LE, GE, EQ]), rng.randint(-4, 6))
+                     for _ in range(rng.randint(2, 4))]
+            batch, single = root.copy(), root.copy()
+            batch.add_rows(extra)
+            for row in extra:
+                single.add_rows([row])
+            n = s.num_vars
+            assert batch.cols[:n] == single.cols[:n]
+            assert ([batch.cols[b] for b in batch.basis]
+                    == [single.cols[b] for b in single.basis])
+            assert (batch.binv, batch.xb, batch.art, batch.d) == (
+                single.binv, single.xb, single.art, single.d)
+            assert sorted(batch.cols) == sorted(single.cols)
+            assert batch.solve() == single.solve()
+            batches += 1
+        assert batches >= 100, batches
+
+
+def form(row, c):
+    """A nonempty row as `_presolve` writes it: divided by the gcd of its
+    coefficients and c, with a positive first entry."""
+    g = math.gcd(c, *(a for _, a in row)) * (1 if row[0][1] > 0 else -1)
+    return tuple((j, a // g) for j, a in row)
 
 
 def complement_case(rng):
@@ -618,12 +729,6 @@ def complement_case(rng):
     return system_from_rows(*zip(*rows))
 
 
-def canonical(row):
-    """A nonempty row divided by its gcd, with a positive first entry."""
-    g = math.gcd(*(a for _, a in row)) * (1 if row[0][1] > 0 else -1)
-    return tuple((j, a // g) for j, a in row)
-
-
 class TestComplementFold:
     def test_folded_systems_agree_with_the_oracles(self):
         rng = random.Random(251)
@@ -644,14 +749,16 @@ class TestComplementFold:
                 assert expected == []
                 refuted += 1
                 continue
-            t = LinearSystem(tuple(r for r, _, _ in rows),
-                             tuple(rel for _, rel, _ in rows),
-                             tuple(c for _, _, c in rows), n)
-            assert enumerate_solutions(t, box) == expected
+            # the presolved rows and x_j = 0 on the zeroed columns
+            zero = zeroed(s, rows)
+            assert [y for y in enumerate_solutions(presolved_system(rows, n), box)
+                    if not any(y[j] for j in zero)] == expected
             assert tab.cols[:n] == transposed(rows, n)
             # a merged row keeps its coefficients; only a fold drops them
             kept = {row for row, _, _ in rows}
-            folded += any(canonical(r) not in kept for r in s.rows if r)
+            folded += any(form(r, c) not in kept
+                          for r, c in zip(s.rows, s.rhs)
+                          if r and zero.isdisjoint(map(itemgetter(0), r)))
         assert folded >= 20 and refuted >= 20, (folded, refuted)
 
 
@@ -990,35 +1097,43 @@ def goal_cell_system(atoms):
 
 
 class TestImplicitZeros:
-    def test_planted_zeros_agree_with_the_oracles(self):
+    def test_planted_zeros_agree_with_the_oracles(self, monkeypatch):
+        passes = []
+
+        def recorded(supports):
+            passes.append(implicit_zeros(supports))
+            return passes[-1]
+
+        implicit_zeros = linsys._implicit_zeros
+        monkeypatch.setattr(linsys, "_implicit_zeros", recorded)
         rng = random.Random(293)
         seen = dict.fromkeys(["zeroed", "refuted", "decoy"], 0)
         for _ in range(400):
             kind, s = implicit_zero_case(rng)
             n, box = s.num_vars, [3] * s.num_vars
-            zero = set()
-            rows = _presolve(s, None, zero)
+            passes.clear()
+            rows = _presolve(s)
+            found = list(passes)
             expected = enumerate_solutions(s, box)
-            assert all(x[j] == 0 for x in expected for j in zero)
             x = lp_feasible(s)
             assert (x is not None) == fourier_motzkin_feasible(s)
             assert x is None or s.is_solution(x)
             got = ilp_solve(s, box)
             assert got in expected if expected else got is None
             tab = _Tableau(n)
-            assert tab.start(s, set()) == rows
+            assert tab.start(s) == rows
             if rows is None:
                 assert not fourier_motzkin_feasible(s)
                 seen["refuted"] += (kind == "refuted"
                                     and reference_presolve(s) is not None)
                 continue
+            # the columns the passes zeroed are those no presolved row has
+            zero = zeroed(s, rows)
+            assert zero == set().union(*found)
+            assert all(x[j] == 0 for x in expected for j in zero)
             # the stripped rows and x_j = 0 on the zeroed columns
-            t = LinearSystem(tuple(r for r, _, _ in rows),
-                             tuple(rel for _, rel, _ in rows),
-                             tuple(c for _, _, c in rows), n)
-            assert [y for y in enumerate_solutions(t, box)
+            assert [y for y in enumerate_solutions(presolved_system(rows, n), box)
                     if not any(y[j] for j in zero)] == expected
-            assert all(j not in zero for r, _, _ in rows for j, _ in r)
             assert tab.cols[:n] == transposed(rows, n)
             cold = _Tableau(n)
             cold.add_rows(rows)
@@ -1032,16 +1147,23 @@ class TestImplicitZeros:
         # neither are 0; q >= 3 and r >= 3 need 6 > 5
         s = system_from_rows([[1, 1, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0]],
                              [EQ, GE, GE], [5, 3, 2])
-        zero = set()
-        assert _presolve(s, None, zero) == [(((0, 1), (1, 1)), EQ, 5),
-                                             (((0, 1),), GE, 3),
-                                             (((1, 1),), GE, 2)]
-        assert zero == {2}
-        assert _presolve(s) == reference_presolve(s)
+        rows = _presolve(s)
+        assert rows == [(((0, 1), (1, 1)), EQ, 5), (((0, 1),), GE, 3),
+                        (((1, 1),), GE, 2)]
+        assert zeroed(s, rows) == {2}
+        # without the zero pass the rows are the same but for column 2
+        assert [(tuple(e for e in row if e[0] != 2), rel, c)
+                for row, rel, c in reference_presolve(s)] == rows
         s = system_from_rows([[1, 1, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0]],
                              [EQ, GE, GE], [5, 3, 3])
-        assert _presolve(s, None, set()) is None
+        assert _presolve(s) is None
         assert lp_feasible(s) is None and ilp_solve(s, [5] * 4) is None
+
+    def test_a_stripped_band_merges_its_lower_side_first(self):
+        # x1 = 0 strips the band -1 <= 2x0 + x1 <= 2, whose sides then
+        # divide by different gcds: 2x0 >= -1 and x0 <= 1, in that order
+        s = system_from_rows([[0, 1], [2, 1], [2, 1]], [EQ, GE, LE], [0, -1, 2])
+        assert _presolve(s) == [(((0, 2),), GE, -1), (((0, 1),), LE, 1)]
 
     @pytest.mark.parametrize("m, cells", [(6, 128), (8, 512)])
     def test_premise_order_leaves_the_zeros(self, m, cells, monkeypatch):
@@ -1067,10 +1189,10 @@ class TestImplicitZeros:
                 t_only = {k for k, mask in enumerate(live)
                           if mask & bit["t"] and not mask & tj}
                 passes.clear()
-                zero = set()
-                _presolve(s, None, zero)
+                rows = _presolve(s)
                 assert len(t_only) == cells
-                assert passes[0] == t_only <= zero
+                assert passes[0] == t_only
+                assert rows is None or t_only <= zeroed(s, rows)
                 assert entails(order, goal)
 
     def test_verdicts_match_the_presolve_without_zeros(self, monkeypatch):
@@ -1108,9 +1230,9 @@ class TestImplicitZeros:
             instances.append(inst)
         fired = []
 
-        def counted(s, origin=None, zero=None):
-            rows = presolve(s, origin, zero)
-            fired.append(rows is None or bool(zero))
+        def counted(s):
+            rows = presolve(s)
+            fired.append(rows is None or bool(zeroed(s, rows)))
             return rows
 
         presolve = linsys._presolve
@@ -1118,9 +1240,7 @@ class TestImplicitZeros:
         verdicts = ([decide_sat(atoms).status for atoms in sets],
                     [psat_decide(inst) is not None for inst in instances])
         assert sum(fired) >= 50, sum(fired)
-        monkeypatch.setattr(linsys, "_presolve",
-                            lambda s, origin=None, zero=None:
-                            reference_presolve(s, origin))
+        monkeypatch.setattr(linsys, "_presolve", reference_presolve)
         assert verdicts == ([decide_sat(atoms).status for atoms in sets],
                             [psat_decide(inst) is not None
                              for inst in instances])
@@ -1129,24 +1249,48 @@ class TestImplicitZeros:
 EXACT_CHECK = """
 import sys
 from fractions import Fraction
-from numlog import linsys, psat
+from numlog import linsys, n2, psat, reductions
 from numlog.linsys import EQ, system_from_rows
-from numlog.logic import Lit
+from numlog.logic import CellStructure, Lit, at_least, structure
 if __debug__:
     sys.exit("asserts are on: run under -O")
-linsys.LinearSystem.is_solution = lambda self, x: False
-psat.prob = lambda assignment, clause: Fraction(-1)
+check = sys.argv[1]
+phi = [at_least(2, Lit("p"), Lit("p"))]
 try:
-    if sys.argv[1] == "ilp":
+    if check == "ilp":
+        linsys.LinearSystem.is_solution = lambda self, x: False
         linsys.ilp_solve(system_from_rows([[1, 1]], [EQ], [2]), [2, 2])
-    else:
+    elif check == "psat":
+        psat.prob = lambda assignment, clause: Fraction(-1)
         psat.psat_decide([((Lit("p"),), Fraction(1, 2))])
+    elif check == "shrink":
+        n2.size_bound = lambda phi: 0
+        n2.shrink_model(structure(3, {"p": {0, 1, 2}}), phi)
+    elif check == "shrink_cells":
+        n2.size_bound = lambda phi: 0
+        n2.shrink_model(CellStructure(("p",), ((1, 3),)), phi)
+    elif check == "incompleteness":
+        psat.approx_models = lambda assignment, atom: False
+        psat.counterexample_assignment(6)
+    elif check == "tiling":
+        reductions.evaluate = lambda s, atom: False
+        pairs = frozenset({("c1", "c1")})
+        ts = reductions.TilingSystem(("c1",), pairs, pairs)
+        tiling = reductions.brute_tiling(ts, 2, ["c1"])
+        reductions.witness_model(ts, tiling, ["c1"], 1)
+    else:
+        # subsets whose column sums differ: 1 against 2
+        linsys._colliding_subsets = lambda system, support: (
+            (support[0],), (support[1], support[2]))
+        linsys.sparsify_natural(system_from_rows([[1] * 7], [EQ], [7]),
+                                [1] * 7)
 except AssertionError:
     print("raised")
 """
 
 
-@pytest.mark.parametrize("check", ["ilp", "psat"])
+@pytest.mark.parametrize("check", ["ilp", "psat", "shrink", "shrink_cells",
+                                   "incompleteness", "tiling", "sparsify"])
 def test_exact_checks_survive_python_O(check):
     # under -O a bare assert is stripped; these checks raise all the same
     src = Path(linsys.__file__).resolve().parent.parent

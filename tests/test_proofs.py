@@ -218,19 +218,23 @@ class TestIncompletenessInstance:
         assert len(phi) == system_part + explicit_part == 156
         assert len(goals) == m + 1
 
-    @pytest.mark.parametrize("m, rows, total", [(6, 22, 42), (8, 28, 54)])
-    def test_presolve_folds_the_exact_counts(self, m, rows, total):
+    @pytest.mark.parametrize("m, rows, columns, total",
+                             [(6, 21, 14, 42), (8, 26, 17, 54)])
+    def test_presolve_folds_the_exact_counts(self, m, rows, columns, total):
         # |p| and |!p| are both exact for every predicate, so each !p row
-        # folds into the domain-size row, which becomes "= total"
+        # folds into the domain-size row over the columns not zeroed, which
+        # becomes "= total"; the presolve refutes goal 0, so goal 1 is used
         phi, goals = incompleteness_instance(m)
-        atoms = phi + [negate_atom(goals[0])]
+        atoms = phi + [negate_atom(goals[1])]
         preds = sorted(set().union(*(a.predicates() for a in atoms)))
         (branch,) = normalize(atoms)
         system = build_system(branch, preds).system
         presolved = _presolve(system)
         assert len(presolved) == rows
+        live = {j for row, _, _ in presolved for j, _ in row}
+        assert len(live) == columns
         assert [(rel, c) for row, rel, c in presolved
-                if len(row) == system.num_vars] == [(EQ, total)]
+                if len(row) == columns] == [(EQ, total)]
 
     @pytest.mark.parametrize("m", range(7, 11))
     def test_every_goal_is_entailed(self, m):
