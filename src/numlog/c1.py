@@ -5,7 +5,12 @@ The pipeline: normalize a formula set into branches whose conjuncts are
 counting quantifiers over quantifier-free bodies; translate each branch into
 a linear system over 1-type cardinalities (one column per live 1-type, one
 row per conjunct, plus a row making the domain nonempty); search for a
-natural solution with every cell capped at the largest bound.  A Sat verdict
+natural solution with every cell capped at the largest bound.  A 1-type is
+dead under a `<=0` conjunct's body and under the kills a branch's exact
+counts derive: when `=c R` holds disjoint bodies inside it whose lower
+bounds sum to exactly c, `R & !B_1 & ... & !B_k` holds on no element, so
+those cells are never built (a sum past c is left to the presolve, which
+refutes it).  A Sat verdict
 carries one piece of evidence, its witness as 1-type cells, model-checked
 against the original input before being returned and expanded to explicit
 elements only on request; an Unsat verdict carries each refuted branch
@@ -17,6 +22,7 @@ system with `build_system` and refutes it again.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -54,6 +60,11 @@ class NormalC1:
     def cap(self) -> int:
         """The per-cell cap of its search: the largest bound, at least 1."""
         return max([1] + [b for _, b, _ in self.conjuncts])
+
+    @cached_property
+    def count_kills(self) -> tuple[tuple[C1Formula, tuple[str, ...]], ...]:
+        """`_count_kills` of the conjuncts, derived once per branch."""
+        return _count_kills(self.conjuncts)
 
 
 @dataclass(frozen=True)
@@ -245,19 +256,134 @@ class BuiltSystem:
     infeasible: bool = False
 
 
+def _count_kills(conjuncts: Sequence[tuple[str, int, C1Formula]]
+                 ) -> tuple[tuple[C1Formula, tuple[str, ...]], ...]:
+    """The kills that a branch's exact counts derive, each with the
+    predicates of its contents, then of its container, in literal order.
+
+    A container is a literal-conjunction body R with both `<=c` and `>=c`
+    (c > 0).  Its contents are the literal-conjunction bodies B != R with
+    a lower bound lo > 0 (the largest `>=` on B), picked greedily, smallest
+    lo first and ties in conjunct order, when B lies inside R and misses
+    every B' picked before.  Both facts are read off the two-literal kills
+    (`<=0` conjuncts): B lies inside R when each literal r of R is in B or
+    some b in B has the kill `b & !r`; B misses B' when some x in B and y
+    in B' have the kill `x & y` or are complementary.  When the picked
+    lower bounds sum to exactly c, no element of a model of the branch is
+    in R and in none of the B, so `R & !B_1 & ... & !B_k` is a kill (a
+    one-literal B negates to the opposite literal, a wider one to a
+    negated conjunction).  A sum past c adds nothing: the presolve refutes
+    that system.  Without a body whose bounds meet, nothing more is read.
+
+    A literal is a key: 2i for p and 2i + 1 for !p, i being p's place in
+    first-seen order.  `apart[x]` holds the keys y of the kills `x & y`,
+    and `holding[x]` the contents with literal x as bits of their place in
+    pick order, so the contents inside R, and those that miss B, are each
+    one OR of `holding` entries.
+    """
+    tight = {b for d, b, _ in conjuncts if d == AT_MOST and b > 0}
+    if not any(d == AT_LEAST and b in tight for d, b, _ in conjuncts):
+        return ()
+    place: dict[str, int] = {}
+
+    def literals(f: C1Formula) -> dict[int, C1Formula] | None:
+        """Each literal key of f with its first formula in f, in body
+        order, when f is a literal or a flat conjunction of them."""
+        out: dict[int, C1Formula] = {}
+        for part in f.parts if isinstance(f, And) else (f,):
+            neg = isinstance(part, Not)
+            atom = part.body if neg else part
+            if not isinstance(atom, Pred):
+                return None
+            out.setdefault(2 * place.setdefault(atom.name, len(place)) + neg,
+                           part)
+        return out
+
+    apart: dict[int, list[int]] = defaultdict(list)
+    upper: dict[int, int] = {}  # literal set (as bits of keys) -> least <=
+    lower: dict[int, list] = {}  # literal set -> [largest >=, its literals]
+    for d, b, body in conjuncts:
+        lits = literals(body)
+        if lits is None or b < 0:
+            continue
+        if b == 0:
+            if d == AT_MOST and len(lits) == 2:
+                x, y = lits
+                apart[x].append(y)
+                apart[y].append(x)
+            continue
+        bits = 0
+        for x in lits:
+            bits |= 1 << x
+        if d == AT_MOST:
+            upper[bits] = min(b, upper.get(bits, b))
+        elif bits in lower:
+            lower[bits][0] = max(b, lower[bits][0])
+        else:
+            lower[bits] = [b, lits]
+    contents = sorted((lo, n, bits, lits)
+                      for n, (bits, (lo, lits)) in enumerate(lower.items()))
+    holding: dict[int, int] = defaultdict(int)
+    for k, (_, _, _, lits) in enumerate(contents):
+        for x in lits:
+            holding[x] |= 1 << k
+    shun: dict[int, int] = {}  # content k -> the contents that miss it
+
+    def reach(xs: Iterable[int]) -> int:
+        out = 0
+        for x in xs:
+            out |= holding.get(x, 0)
+        return out
+
+    names = list(place)
+    kills = []
+    for outer_bits, c in upper.items():
+        if outer_bits not in lower or lower[outer_bits][0] != c:
+            continue
+        outer = lower[outer_bits][1]
+        inside = (1 << len(contents)) - 1
+        for r in outer:
+            inside &= holding.get(r, 0) | reach(apart.get(r ^ 1, ()))
+        picked, total = [], 0
+        while inside:
+            k = (inside & -inside).bit_length() - 1
+            inside ^= 1 << k
+            lo, _, bits, lits = contents[k]
+            if bits == outer_bits:
+                continue
+            picked.append(lits)
+            total += lo
+            if k not in shun:
+                shun[k] = reach(y for x in lits for y in [x ^ 1, *apart.get(x, ())])
+            inside &= shun[k]
+        if total != c:
+            continue
+        parts = list(outer.values())
+        for lits in picked:
+            [(x, f), *more] = lits.items()
+            parts.append(Not(And(tuple(lits.values()))) if more
+                         else f.body if x & 1 else Not(f))
+        used = [names[x >> 1] for lits in picked for x in lits]
+        kills.append((And(tuple(parts)), tuple(dict.fromkeys(
+            used + [names[x >> 1] for x in outer]))))
+    return tuple(kills)
+
+
 def build_system(normal: NormalC1, preds: list[str]) -> BuiltSystem:
     """The 1-type cardinality system of a normal-form branch over `preds`.
 
     One column per live 1-type: a 1-type is dead when some <=0 conjunct's
-    body holds under it (such conjuncts are consumed by the pruning and
-    dropped as rows, as are >=0 conjuncts).  The other conjuncts, then an
-    all-ones >=1 row that keeps the domain nonempty, go to `cell_system`,
-    which merges identical columns.  Its walk raises UnknownPredicateError
-    for a body predicate outside `preds`.
+    body, or some kill that the branch's exact counts derive
+    (`_count_kills`), holds under it.  The <=0 conjuncts are consumed by
+    the pruning and dropped as rows, as are >=0 conjuncts.  The other
+    conjuncts, then an all-ones >=1 row that keeps the domain nonempty, go
+    to `cell_system`, which merges identical columns.  Its walk raises
+    UnknownPredicateError for a body predicate outside `preds`.
     """
     rows_in = normal.conjuncts
     preds = tuple(preds)
     kills = [body for d, b, body in rows_in if d == AT_MOST and b == 0]
+    kills += [kill for kill, _ in normal.count_kills]
     kept = [(d, b, body) for d, b, body in rows_in
             if not (d == AT_MOST and b == 0) and not (d == AT_LEAST and b <= 0)]
     live, system = cell_system(preds, kills, kept + [(GE, 1, TRUE)])
@@ -317,7 +443,12 @@ def decide_sat(formulas, *, max_nodes: int = 2_000_000) -> SatResult:
     Branches are solved in order; the first Sat wins.  A solution over the
     live 1-types is searched with every cell capped at max(1, largest
     bound), which is complete by the finite-model-property cap argument.
-    Every branch's system is over all input predicates.  Unsat carries, in
+    Every branch's system is over all input predicates, in one order: for
+    each kill the branches' exact counts derive (`NormalC1.count_kills`),
+    branch by branch, its contents' predicates, then its container's, each
+    at its first place; then every other predicate by name.  So the walk
+    settles the contents and the container before the rest, and an input
+    with no derived kill keeps the sorted order.  Unsat carries, in
     `refuted`, every branch in normalization order with the column count
     of the system its search refuted, 0 for a branch infeasible before any
     search, and the predicates in `preds`.
@@ -332,7 +463,11 @@ def decide_sat(formulas, *, max_nodes: int = 2_000_000) -> SatResult:
     for f in formulas:
         all_preds |= (f.predicates() if isinstance(f, UnaryAtom)
                       else formula_predicates(f))
-    preds = sorted(all_preds)
+    first: dict[str, None] = {}
+    for branch in branches:
+        for _, names in branch.count_kills:
+            first.update(dict.fromkeys(names))
+    preds = list(first) + sorted(all_preds - first.keys())
 
     saw_budget = False
     refuted: list[tuple[NormalC1, int]] = []
@@ -374,7 +509,10 @@ def render_certificate(res: SatResult) -> str:
     search.  The refuted system is `build_system` of the conjuncts over
     those predicates: its rows are the conjuncts other than the <=0 ones
     (which kill the 1-types they hold on) and the >=0 ones, plus an
-    implicit all-ones >=1 row that keeps the domain nonempty.  When
+    implicit all-ones >=1 row that keeps the domain nonempty.  K counts
+    the columns left after the kills the exact counts derive too: they are
+    a function of the conjuncts alone, so a checker that reruns
+    `build_system` derives the same kills and gets the same K.  When
     normalization leaves no branch (a constant-false conjunct such as
     `<=-1`, the dual of a `>=0` conclusion, folds each one away) the
     certificate is the line `no branches`.  A Sat result's evidence is its

@@ -1,20 +1,22 @@
 """Shared generators for randomized test suites (all seeded by the caller),
-and earlier forms of five kernels that the current ones must match: the
+and earlier forms of six kernels that the current ones must match: the
 dense simplex loop of `linsys._Tableau.solve`, the branch and bound that
 shared its box rows across nodes, the presolve that found no implicit
 zeros, the 1-type walk that tested every kill and body one by one (with
-the cell system built over all its masks), and `derives` over a bound
-table converted to dicts as soon as saturation ends."""
+the cell system built over all its masks), `c1.build_system` before exact
+counts derived kills, and `derives` over a bound table converted to dicts
+as soon as saturation ends."""
 
 import math
 from fractions import Fraction
 from itertools import chain, repeat
 
 from numlog import logic
+from numlog.c1 import BuiltSystem, cell_system
 from numlog.errors import BudgetExhaustedError, InputError
 from numlog.linsys import (_FLIP, EQ, GE, LE, MAX_PIVOTS, LinearSystem,
                            Row, SparseVector, _greedy_seed, _holds, _Tableau)
-from numlog.logic import (AT_LEAST, AT_MOST, And, Lit, UnaryAtom, _bit,
+from numlog.logic import (AT_LEAST, AT_MOST, TRUE, And, Lit, UnaryAtom, _bit,
                           _literal_bits, at_least, at_most, compile_body,
                           formula_predicates, structure)
 from numlog.proofs import (Derivation, R1, R2, R3, _pair, _weaken_lower,
@@ -377,6 +379,20 @@ def reference_cell_system(preds, kills, rows, max_live):
         tuple(tuple((k, 1) for k, sig in enumerate(sigs) if sig >> i & 1)
               for i in range(len(rows))),
         tuple(d for d, _, _ in rows), tuple(b for _, b, _ in rows), len(sigs))
+
+
+def reference_build_system(normal, preds):
+    """`c1.build_system` as it was before exact counts derived kills: the
+    kills are the <=0 conjuncts alone."""
+    rows_in = normal.conjuncts
+    preds = tuple(preds)
+    kills = [body for d, b, body in rows_in if d == AT_MOST and b == 0]
+    kept = [(d, b, body) for d, b, body in rows_in
+            if not (d == AT_MOST and b == 0) and not (d == AT_LEAST and b <= 0)]
+    live, system = cell_system(preds, kills, kept + [(GE, 1, TRUE)])
+    if not live:
+        return BuiltSystem(None, (), preds, infeasible=True)
+    return BuiltSystem(system, live, preds)
 
 
 class EagerTable:

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from numlog import c1
 from numlog.c1 import (SAT, UNSAT, build_system, decide_sat, entails,
                        normalize, render_certificate)
 from numlog.errors import (BudgetExhaustedError, InputError,
@@ -17,7 +18,7 @@ from numlog.logic import (AT_LEAST, AT_MOST, EXACTLY, FALSE, TRUE, And,
                           UnaryAtom, at_least, at_most, atom_formula,
                           evaluate, live_signatures, negate_atom,
                           render_structure, structure)
-from helpers import random_lit, random_unary_atom
+from helpers import random_lit, random_unary_atom, reference_build_system
 
 
 def brute_sat_flat(atoms, preds, cap):
@@ -195,7 +196,7 @@ class TestBuildSystem:
 
     def test_incompleteness_instance_live_columns(self):
         # independent oracle: enumerate all 2^15 masks, applying the <=0
-        # sentences directly
+        # sentences directly, then the kill that |t| = 21 = 7 * 3 derives
         from numlog.proofs import incompleteness_instance
         phi, goals = incompleteness_instance(6)
         kills = [a for a in phi if a.direction == AT_MOST and a.bound == 0]
@@ -209,15 +210,22 @@ class TestBuildSystem:
                     return False
             return True
 
-        oracle_live = sum(1 for mask in range(1 << 15) if alive(mask))
+        def in_no_tj(mask):
+            return not any(mask >> index[f"t{j}"] & 1 for j in range(1, 8))
+
+        live = [mask for mask in range(1 << 15) if alive(mask)]
+        assert len(live) == 144
+        # 128 of them have t and no t_j: the count-derived kill's cells
+        oracle_live = sum(1 for mask in live
+                          if not (mask >> index["t"] & 1 and in_no_tj(mask)))
         branches = normalize(phi)
         assert len(branches) == 1
         built = build_system(branches[0], preds)
-        assert len(built.live_types) == oracle_live == 144
+        assert len(built.live_types) == oracle_live == 16
         # with one goal negated, its cell dies too
         aug = phi + [negate_atom(goals[0])]
         built2 = build_system(normalize(aug)[0], preds)
-        assert len(built2.live_types) == 143
+        assert len(built2.live_types) == 15
 
 
 class TestDecideSat:
@@ -427,3 +435,116 @@ class TestScaledBounds:
                   at_most(0, Lit("z", False), Lit("z", False))]
         with pytest.raises(BudgetExhaustedError, match="walk node cap"):
             decide_sat(atoms)
+
+
+def planted_counts(rng):
+    """A unary set with an exact count on a container R, contents with
+    lower bounds summing below, at or past it, most of the kills that put
+    them inside R and keep them apart, probes and a little noise; returns
+    the atoms and how the planted bounds compare with R's count."""
+    container = (Lit("c"), rng.choice([Lit("c"), Lit("x"), Lit("x", False)]))
+    contents = []
+    for i in range(1, rng.choice([1, 2, 2, 3, 3]) + 1):
+        b = Lit(f"b{i}")
+        contents.append((b, rng.choice([b, b, Lit("y"), Lit("y", False)])))
+    lows = [rng.randint(1, 3) for _ in contents]
+    kind = rng.choice(["below", "at", "past"])
+    c = sum(lows) + {"below": rng.randint(1, 2), "at": 0,
+                     "past": -rng.randint(1, min(2, sum(lows)))}[kind]
+    atoms = [at_most(c, *container), at_least(c, *container)]
+    atoms += [at_least(lo, *b) for lo, b in zip(lows, contents)]
+    for b, _ in contents:
+        atoms += [at_most(0, b, r.opposite()) for r in set(container)
+                  if rng.random() < 0.85]
+    # probes that a wrong kill would falsify: tight contents, elements of
+    # R outside a content, and contents that meet where no kill parts them
+    for i, (b, _) in enumerate(contents):
+        for b2, _ in contents[i + 1:]:
+            if rng.random() < 0.7:
+                atoms.append(at_most(0, b, b2))
+            elif rng.random() < 0.7:
+                atoms.append(rng.choice([at_least(1, b, b2),
+                                         at_most(0, b, b2.opposite())]))
+    atoms += [at_most(lo, *b) for lo, b in zip(lows, contents)
+              if rng.random() < 0.7]
+    atoms += [at_least(rng.randint(1, 2), container[0], b.opposite())
+              for b, _ in contents if rng.random() < 0.3]
+    atoms += [random_unary_atom(rng, ["c", "x", "y", "b1"], max_bound=3)
+              for _ in range(rng.randint(0, 2))]
+    rng.shuffle(atoms)
+    return atoms, kind
+
+
+class TestCountDerivedKills:
+    @pytest.mark.parametrize("m", [6, 8, 10, 12, 16, 20])
+    def test_the_family_kill_and_goal_t1_columns(self, m):
+        # |t| = 3(m+1) holds the m+1 disjoint t_j of at least 3 each, so
+        # no element has t and no t_j; goal t1 is refuted over 2m+3 columns
+        from numlog.proofs import incompleteness_instance
+        phi, goals = incompleteness_instance(m)
+        atoms = phi + [negate_atom(goals[0])]
+        (branch,) = normalize(atoms)
+        tj = [f"t{j}" for j in range(1, m + 2)]
+        kill, names = branch.count_kills[0]
+        assert kill == And((Pred("t"),) + tuple(Not(Pred(t)) for t in tj))
+        assert names == (*tj, "t")
+        res = decide_sat(atoms)
+        assert res.status == UNSAT
+        assert [columns for _, columns in res.refuted] == [2 * m + 3]
+        # derived kills' predicates first, the rest by name
+        assert res.preds[:m + 2] == (*tj, "t")
+        assert res.preds[m + 2:] == (*[f"s{i}" for i in range(1, m + 1)], "r")
+
+    def test_verdicts_match_the_build_without_derived_kills(self, monkeypatch):
+        rng = random.Random(331)
+        cases = [planted_counts(rng) for _ in range(400)]
+        fired, kinds = 0, dict.fromkeys(["below", "at", "past"], 0)
+        verdicts = []
+        for atoms, kind in cases:
+            kinds[kind] += 1
+            fired += any(b.count_kills for b in normalize(atoms))
+            res = decide_sat(atoms)
+            if res.status == SAT:
+                assert all(evaluate(res.cells, a) for a in atoms)
+            verdicts.append(res.status)
+        assert fired >= 75 and min(kinds.values()) >= 100, (fired, kinds)
+        monkeypatch.setattr(c1, "build_system", reference_build_system)
+        assert verdicts == [decide_sat(atoms).status for atoms, _ in cases]
+        assert {SAT, UNSAT} <= set(verdicts)
+
+    def test_a_two_literal_content_gives_a_negated_conjunction(self,
+                                                               monkeypatch):
+        p, q, r, s = Lit("p"), Lit("q"), Lit("r"), Lit("s")
+        atoms = [at_most(4, p, p), at_least(4, p, p), at_least(2, q, r),
+                 at_most(0, q, p.opposite()), at_least(2, s, s),
+                 at_most(0, s, p.opposite()), at_most(0, q, s)]
+        (branch,) = normalize(atoms)
+        assert branch.count_kills == (
+            (And((Pred("p"), Not(And((Pred("q"), Pred("r")))), Not(Pred("s")))),
+             ("q", "r", "s", "p")),)
+        # p & !s holds on at most 2 elements, all in q & r
+        verdicts = [decide_sat(atoms + extra).status
+                    for extra in ([], [at_least(3, p, s.opposite())])]
+        assert verdicts == [SAT, UNSAT]
+        monkeypatch.setattr(c1, "build_system", reference_build_system)
+        assert verdicts == [decide_sat(atoms + extra).status
+                            for extra in ([], [at_least(3, p, s.opposite())])]
+
+    def test_a_sum_past_the_count_adds_no_kill(self):
+        # q and r lie inside p and are disjoint, and |q| + |r| >= 6 > |p|
+        # = 5: the presolve refutes it, over the columns it had before
+        p, q, r = Lit("p"), Lit("q"), Lit("r")
+        atoms = [at_least(5, p, p), at_most(5, p, p),
+                 at_most(0, p.opposite(), q), at_most(0, p.opposite(), r),
+                 at_most(0, q, r), at_least(3, q, q), at_least(3, r, r)]
+        (branch,) = normalize(atoms)
+        assert branch.count_kills == ()
+        res = decide_sat(atoms)
+        assert render_certificate(res).splitlines()[0] == (
+            "branch 0: cap 5, 4 columns, over p, q, r")
+
+    def test_no_exact_count_keeps_the_sorted_order(self):
+        z, a = Lit("z"), Lit("a")
+        res = decide_sat([at_least(2, z, z), at_most(1, z, a),
+                          at_most(1, a, a), at_least(2, a, a)])
+        assert res.status == UNSAT and res.preds == ("a", "z")
