@@ -273,7 +273,8 @@ def _count_kills(conjuncts: Sequence[tuple[str, int, C1Formula]]
     in R and in none of the B, so `R & !B_1 & ... & !B_k` is a kill (a
     one-literal B negates to the opposite literal, a wider one to a
     negated conjunction).  A sum past c adds nothing: the presolve refutes
-    that system.  Without a body whose bounds meet, nothing more is read.
+    that system.  Unless some `>=` bound equals a positive `<=` bound, no
+    body is read.
 
     A literal is a key: 2i for p and 2i + 1 for !p, i being p's place in
     first-seen order.  `apart[x]` holds the keys y of the kills `x & y`,

@@ -454,8 +454,8 @@ def planted_counts(rng):
     atoms = [at_most(c, *container), at_least(c, *container)]
     atoms += [at_least(lo, *b) for lo, b in zip(lows, contents)]
     for b, _ in contents:
-        atoms += [at_most(0, b, r.opposite()) for r in set(container)
-                  if rng.random() < 0.85]
+        atoms += [at_most(0, b, r.opposite())
+                  for r in dict.fromkeys(container) if rng.random() < 0.85]
     # probes that a wrong kill would falsify: tight contents, elements of
     # R outside a content, and contents that meet where no kill parts them
     for i, (b, _) in enumerate(contents):
