@@ -9,7 +9,7 @@ natural solution with every cell capped at the largest bound.  A 1-type is
 dead under a `<=0` conjunct's body and under the kills a branch's exact
 counts derive: when `=c R` holds disjoint bodies inside it whose lower
 bounds sum to exactly c, `R & !B_1 & ... & !B_k` holds on no element, so
-those cells are never built (a sum past c is left to the presolve, which
+those cells are never built (a sum past c is left to the exact LP, which
 refutes it).  A Sat verdict
 carries one piece of evidence, its witness as 1-type cells, model-checked
 against the original input before being returned and expanded to explicit
@@ -272,7 +272,7 @@ def _count_kills(conjuncts: Sequence[tuple[str, int, C1Formula]]
     lower bounds sum to exactly c, no element of a model of the branch is
     in R and in none of the B, so `R & !B_1 & ... & !B_k` is a kill (a
     one-literal B negates to the opposite literal, a wider one to a
-    negated conjunction).  A sum past c adds nothing: the presolve refutes
+    negated conjunction).  A sum past c adds nothing: the exact LP refutes
     that system.  Unless some `>=` bound equals a positive `<=` bound, no
     body is read.
 

@@ -13,11 +13,10 @@ is checked to be exact.  Its pricing resumes after the last entering
 column and falls back to Bland's rule during a run of degenerate pivots,
 so it terminates.  Before it runs, every system goes through one
 presolve (`_presolve`): rows are divided by their gcd, given a positive
-first coefficient and merged when their coefficients agree; the columns
-that disjoint exact counts inside an `=` 0/1 row force to zero are
-dropped, so no pivot prices them; and a 0/1 row whose support complements
-an `=` 0/1 row's is folded into the all-ones row, so exact counts |p| and
-|!p| cost one tableau row.  Stored rows are never gcd-divided.
+first coefficient and merged when their coefficients agree, and a 0/1 row
+whose support complements an `=` 0/1 row's is folded into the all-ones
+row, so exact counts |p| and |!p| cost one tableau row.  Stored rows are
+never gcd-divided.
 `ilp_solve` is one LP-based branch and bound: it presolves once at the
 root, every child re-solves from its parent's tableau with one more row (a
 warm start) and keeps only its own bounds, and an infeasible LP is the only
@@ -155,14 +154,45 @@ _FLIP = {LE: GE, GE: LE, EQ: EQ}
 Row = tuple[SparseVector, str, int]
 
 
-def _merge(bounds: dict, rows: Iterable[Row]) -> bool:
-    """Merge rows `(row, rel, c)` into `bounds`, row -> [lo, hi], in
-    canonical form as `_presolve` says; False when an empty row is
-    infeasible."""
-    for row, rel, c in rows:
+def _interval_rows(row: SparseVector, lo: int | None, hi: int | None
+                   ) -> list[Row] | None:
+    """The rows of `row` in [lo, hi]: one `=` row when lo == hi, otherwise
+    a `<=` and/or a `>=` row; None when lo > hi."""
+    if lo is not None and hi is not None and lo >= hi:
+        return None if lo > hi else [(row, EQ, lo)]
+    return [(row, rel, c) for rel, c in ((LE, hi), (GE, lo)) if c is not None]
+
+
+def _is_01(row: SparseVector) -> bool:
+    return set(map(itemgetter(1), row)) == {1}
+
+
+def _presolve(system: LinearSystem) -> list[Row] | None:
+    """The system's rows in canonical form, merged and folded, or None when
+    a row alone, or a fold, is infeasible.
+
+    Each row is divided by the gcd of its coefficients and rhs, and negated
+    (its relation flipped) when its first coefficient is negative, so rows
+    that are positive multiples of each other become equal.  Rows with equal
+    coefficients share one interval [lo, hi]: it gives one `=` row when
+    lo == hi, otherwise a `<=` and/or a `>=` row, at the place of the first
+    such row; lo > hi is infeasible.  Empty rows are checked and dropped.
+    A row that is already canonical is used as it is, not copied.
+
+    Then, when the all-ones row ONES is present, a 0/1 row R' whose support
+    is the complement of an `=` 0/1 row R = c is folded: R' = ONES - R, so
+    R' in [lo', hi'] is dropped and ONES's interval is intersected with
+    [lo' + c, hi' + c].  The solution set is unchanged; totals that
+    disagree (|p| + |!p| != |q| + |!q|) leave ONES empty, which is
+    infeasible.  When R' is an `=` row too, the pair keeps whichever row
+    comes first.  A candidate R' has length n - len(R) and is confirmed by
+    one disjointness test; without an `=` row nothing more is looked at.
+    """
+    bounds: dict[SparseVector, list] = {}
+    for row, rel, c in zip(system.rows, system.relations, system.rhs):
         if not row:
             if not _holds(0, rel, c):
-                return False
+                return None
             continue
         g = 0
         for _, a in row:
@@ -181,138 +211,19 @@ def _merge(bounds: dict, rows: Iterable[Row]) -> bool:
             b[0] = c
         if rel != GE and (b[1] is None or c < b[1]):
             b[1] = c
-    return True
-
-
-def _interval_rows(row: SparseVector, lo: int | None, hi: int | None
-                   ) -> list[Row] | None:
-    """The rows of `row` in [lo, hi]: one `=` row when lo == hi, otherwise
-    a `<=` and/or a `>=` row; None when lo > hi."""
-    if lo is not None and hi is not None and lo >= hi:
-        return None if lo > hi else [(row, EQ, lo)]
-    return [(row, rel, c) for rel, c in ((LE, hi), (GE, lo)) if c is not None]
-
-
-def _is_01(row: SparseVector) -> bool:
-    return set(map(itemgetter(1), row)) == {1}
-
-
-def _supports(bounds: dict) -> list[tuple]:
-    """`(row, column set, lo, hi)` for each 0/1 row in `bounds` that is an
-    `=` row or has a lower bound lo > 0, in `bounds` order."""
-    return [(row, set(map(itemgetter(0), row)), lo, hi)
-            for row, (lo, hi) in bounds.items()
-            if lo is not None and (lo > 0 or lo == hi) and _is_01(row)]
-
-
-def _implicit_zeros(supports: list[tuple]) -> set[int] | None:
-    """The columns that disjoint 0/1 rows inside an `=` 0/1 row force to
-    zero, or None when such rows need more than the `=` row holds.
-
-    Each `=` 0/1 row R = c is a container.  Its contents are picked
-    greedily, smallest support first and ties in presolve order: 0/1 rows
-    with a lower bound lo > 0 whose supports lie inside R's and miss every
-    row picked before.  As the variables are nonnegative and the picked
-    supports are disjoint, the columns of R outside them sum to c minus
-    the picked rows' sums, at most c - sum(lo).  So sum(lo) > c is
-    infeasible, and sum(lo) == c forces each of those columns to 0.
-    `supports` is `_supports` of the merged rows.
-    """
-    contents = sorted([(len(inner), inner, lo)
-                       for _, inner, lo, _ in supports if lo > 0],
-                      key=itemgetter(0))
-    zero: set[int] = set()
-    for _, outer, c, hi in supports:
-        if c != hi:
-            continue
-        size, used, total = len(outer), set(), 0
-        for inner_size, inner, lo in contents:
-            if inner_size >= size:
-                break
-            if inner <= outer and used.isdisjoint(inner):
-                used |= inner
-                total += lo
-        if total > c:
-            return None
-        if total == c:
-            zero |= outer - used
-    return zero
-
-
-def _presolve(system: LinearSystem) -> list[Row] | None:
-    """The system's rows in canonical form, merged, stripped of the columns
-    exact counts force to zero and folded, or None when a row alone, a
-    container or a fold is infeasible.
-
-    Each row is divided by the gcd of its coefficients and rhs, and negated
-    (its relation flipped) when its first coefficient is negative, so rows
-    that are positive multiples of each other become equal.  Rows with equal
-    coefficients share one interval [lo, hi]: it gives one `=` row when
-    lo == hi, otherwise a `<=` and/or a `>=` row, at the place of the first
-    such row; lo > hi is infeasible.  Empty rows are checked and dropped.
-    A row that is already canonical is used as it is, not copied.
-
-    When an `=` row is 0/1, `_implicit_zeros` runs on the merged rows.  An
-    `=` 0/1 row R = c that contains disjoint 0/1 rows whose lower bounds
-    sum to c forces every other column of R to 0, since the variables are
-    nonnegative and the supports disjoint; lower bounds that sum past c are
-    infeasible.  The zeroed columns' entries leave every row, the stripped
-    rows are made canonical and merged again, and this repeats while a pass
-    zeroes a column.  The rows returned then hold the system's solutions
-    only together with x_j = 0 for each zeroed column j, which is every
-    column of an input row that no returned row has; `_Tableau.start` gives
-    those columns no entries.  The zeros are found before the fold, which
-    may drop a container for its complement.
-
-    Last, when the all-ones row ONES over the columns not zeroed is present,
-    a 0/1 row R' whose support is the complement of an `=` 0/1 row R = c
-    is folded: R' = ONES - R, so R' in [lo', hi'] is dropped and ONES's
-    interval is intersected with [lo' + c, hi' + c].  The solution set is
-    unchanged; totals that disagree (|p| + |!p| != |q| + |!q|) leave ONES
-    empty, which is infeasible.  When R' is an `=` row too, the pair keeps
-    whichever row comes first.  A candidate R' has length n - len(R) (n
-    counting the columns not zeroed) and is confirmed by one disjointness
-    test; without an `=` row nothing more is looked at.
-    """
-    bounds: dict[SparseVector, list] = {}
-    if not _merge(bounds, zip(system.rows, system.relations, system.rhs)):
-        return None
-    supports = _supports(bounds) if any(
-        lo is not None and lo == hi for lo, hi in bounds.values()) else []
-    gone: set[int] = set()
-    while supports:
-        found = _implicit_zeros(supports)
-        if found is None:
-            return None
-        if not found:
-            break
-        gone |= found
-        stripped = []
-        for row, (lo, hi) in bounds.items():
-            rows = _interval_rows(
-                tuple([e for e in row if e[0] not in found]), lo, hi)
-            if rows is None:
-                return None
-            # `>=` side first: the two sides may divide by different gcds
-            # into different rows, and the first one merged comes first
-            stripped += rows[::-1]
-        bounds = {}
-        if not _merge(bounds, stripped):
-            return None
-        supports = _supports(bounds)
     # fold each 0/1 row R' complementing an `=` 0/1 row R = c into ONES
-    ones = None
-    if any(lo == hi for _, _, lo, hi in supports):
-        live = [j for j in range(system.num_vars) if j not in gone]
-        n = len(live)
-        ones = bounds.get(tuple(zip(live, repeat(1))))
+    n = system.num_vars
+    eqs = [row for row, (lo, hi) in bounds.items()
+           if lo is not None and lo == hi and _is_01(row)]
+    ones = bounds.get(tuple(zip(range(n), repeat(1)))) if eqs else None
     if ones is not None:
         by_len: dict[int, list[SparseVector]] = {}
         for row in bounds:
             by_len.setdefault(len(row), []).append(row)
-        for row, support, lo, hi in supports:
-            if lo != hi or row not in bounds:
+        for row in eqs:
+            if row not in bounds:
                 continue
+            support = set(map(itemgetter(0), row))
             for other in by_len.get(n - len(row), ()):
                 if (other in bounds and _is_01(other)
                         and support.isdisjoint(map(itemgetter(0), other))):
@@ -370,7 +281,7 @@ class _Tableau:
     presolved rows on an empty tableau, where every residual is the rhs; it
     takes the system's own column tuples when the presolve returned the
     input rows untouched.  An input row that was merged or folded away
-    feeds no tableau row, and a column the presolve zeroed has no entry.
+    feeds no tableau row.
     """
 
     def __init__(self, n: int):

@@ -1,21 +1,20 @@
 """Shared generators for randomized test suites (all seeded by the caller),
-and earlier forms of six kernels that the current ones must match: the
+and earlier forms of five kernels that the current ones must match: the
 dense simplex loop of `linsys._Tableau.solve`, the branch and bound that
-shared its box rows across nodes, the presolve that found no implicit
-zeros, the 1-type walk that tested every kill and body one by one (with
-the cell system built over all its masks), `c1.build_system` before exact
-counts derived kills, and `derives` over a bound table converted to dicts
-as soon as saturation ends."""
+shared its box rows across nodes, the 1-type walk that tested every kill
+and body one by one (with the cell system built over all its masks),
+`c1.build_system` before exact counts derived kills, and `derives` over a
+bound table converted to dicts as soon as saturation ends."""
 
 import math
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 
 from numlog import logic
 from numlog.c1 import BuiltSystem, cell_system
 from numlog.errors import BudgetExhaustedError, InputError
-from numlog.linsys import (_FLIP, EQ, GE, LE, MAX_PIVOTS, LinearSystem,
-                           Row, SparseVector, _greedy_seed, _holds, _Tableau)
+from numlog.linsys import (EQ, GE, LE, MAX_PIVOTS, LinearSystem, _greedy_seed,
+                           _Tableau)
 from numlog.logic import (AT_LEAST, AT_MOST, TRUE, And, Lit, UnaryAtom, _bit,
                           _literal_bits, at_least, at_most, compile_body,
                           formula_predicates, structure)
@@ -155,8 +154,7 @@ def reference_ilp_solve(system, upper_bounds, *, max_nodes=200_000, log=None):
     point as dense `Fraction`s over all n columns.  `log`, if given, gets
     `(nodes, waiting)` each time a point breaks a box: the node count so far
     and the number of open nodes on the stack.  Its root runs
-    `_Tableau.start`, so it gets the presolve's implicit-zero pass, which
-    always runs."""
+    `_Tableau.start`, the same presolve and cold start as `ilp_solve`."""
     n = system.num_vars
     ubs = [int(b) for b in upper_bounds]
     if len(ubs) != n or any(b < 0 for b in ubs):
@@ -215,89 +213,6 @@ def reference_ilp_solve(system, upper_bounds, *, max_nodes=200_000, log=None):
         lo_child_hi[j] = split
         stack.append((lo, lo_child_hi, tab.copy(), have, [(var, LE, split)]))
     return None
-
-
-def reference_presolve(system: LinearSystem) -> list[Row] | None:
-    """`linsys._presolve` before it found implicit zeros, as it was then
-    less its `origin` out-list: the system's rows in canonical form, merged
-    and folded, or None when a row alone, or a fold, is infeasible.
-
-    Each row is divided by the gcd of its coefficients and rhs, and negated
-    (its relation flipped) when its first coefficient is negative, so rows
-    that are positive multiples of each other become equal.  Rows with equal
-    coefficients share one interval [lo, hi]: it gives one `=` row when
-    lo == hi, otherwise a `<=` and/or a `>=` row, at the place of the first
-    such row; lo > hi is infeasible.  Empty rows are checked and dropped.
-    A row that is already canonical is used as it is, not copied.
-
-    Then, when the all-ones row ONES is present, a 0/1 row R' whose support
-    is the complement of an `=` 0/1 row R = c is folded: R' = ONES - R, so
-    R' in [lo', hi'] is dropped and ONES's interval is intersected with
-    [lo' + c, hi' + c].  The solution set is unchanged; totals that
-    disagree (|p| + |!p| != |q| + |!q|) leave ONES empty, which is
-    infeasible.  When R' is an `=` row too, the pair keeps whichever row
-    comes first.  A candidate R' has length n - len(R) and is confirmed by
-    one disjointness test; without an `=` row nothing more is looked at.
-    A folded input row feeds no returned row.  For a Farkas map back to
-    the input rows: ONES's multiplier, when its folded bound is the tight
-    one, goes to both R' and R, since ONES >= lo' + c is R' >= lo' plus
-    R = c.
-    """
-    bounds: dict[SparseVector, list] = {}
-    for row, rel, c in zip(system.rows, system.relations, system.rhs):
-        if not row:
-            if not _holds(0, rel, c):
-                return None
-            continue
-        g = 0
-        for _, a in row:
-            g = math.gcd(g, a)
-            if g == 1:
-                break
-        if g != 1:
-            g = math.gcd(g, c)
-        if row[0][1] < 0:
-            g, rel = -g, _FLIP[rel]
-        if g != 1:
-            row = tuple((j, a // g) for j, a in row)
-            c //= g
-        b = bounds.setdefault(row, [None, None])
-        if rel != LE and (b[0] is None or c > b[0]):
-            b[0] = c
-        if rel != GE and (b[1] is None or c < b[1]):
-            b[1] = c
-    # fold each 0/1 row R' complementing an `=` 0/1 row R = c into ONES
-    n = system.num_vars
-    eqs = [row for row, (lo, hi) in bounds.items()
-           if lo is not None and lo == hi]
-    ones = bounds.get(tuple(zip(range(n), repeat(1)))) if eqs else None
-    if ones is not None:
-        by_len: dict[int, list[SparseVector]] = {}
-        for row in bounds:
-            by_len.setdefault(len(row), []).append(row)
-        for row in eqs:
-            if row not in bounds or any(a != 1 for _, a in row):
-                continue
-            support = {j for j, _ in row}
-            for other in by_len.get(n - len(row), ()):
-                if (other in bounds and all(a == 1 for _, a in other)
-                        and support.isdisjoint(j for j, _ in other)):
-                    c, (lo, hi) = bounds[row][0], bounds.pop(other)
-                    if lo is not None and (ones[0] is None or lo + c > ones[0]):
-                        ones[0] = lo + c
-                    if hi is not None and (ones[1] is None or hi + c < ones[1]):
-                        ones[1] = hi + c
-                    break
-    out = []
-    for row, (lo, hi) in bounds.items():
-        if lo is not None and hi is not None and lo >= hi:
-            if lo > hi:
-                return None
-            kept = [(EQ, lo)]
-        else:
-            kept = [(rel, c) for rel, c in ((LE, hi), (GE, lo)) if c is not None]
-        out += [(row, rel, c) for rel, c in kept]
-    return out
 
 
 def reference_live_signatures(preds, kills, bodies, max_nodes=None):

@@ -532,7 +532,7 @@ class TestCountDerivedKills:
 
     def test_a_sum_past_the_count_adds_no_kill(self):
         # q and r lie inside p and are disjoint, and |q| + |r| >= 6 > |p|
-        # = 5: the presolve refutes it, over the columns it had before
+        # = 5: the exact LP refutes it, over the columns it had before
         p, q, r = Lit("p"), Lit("q"), Lit("r")
         atoms = [at_least(5, p, p), at_most(5, p, p),
                  at_most(0, p.opposite(), q), at_most(0, p.opposite(), r),

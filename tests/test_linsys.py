@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 from helpers import (dense_solve, random_unary_atom, reference_build_system,
-                     reference_ilp_solve, reference_presolve)
+                     reference_ilp_solve)
 from numlog import linsys
-from numlog.c1 import build_system, decide_sat, entails, normalize
+from numlog.c1 import build_system, entails, normalize
 from numlog.errors import BudgetExhaustedError, InputError, NotASolutionError
 from numlog.linsys import (_FLIP, EQ, GE, LE, LinearSystem, _greedy_seed,
                            _presolve, _Tableau, check_prop2_bound,
@@ -22,9 +22,8 @@ from numlog.linsys import (_FLIP, EQ, GE, LE, LinearSystem, _greedy_seed,
                            many_nonzeros_instance, natural_sparsity_bound,
                            sparsify_natural, sparsify_rational,
                            system_from_rows)
-from numlog.logic import Lit, negate_atom
+from numlog.logic import negate_atom
 from numlog.proofs import incompleteness_instance
-from numlog.psat import psat_decide
 from numlog.reductions import encode_3col, graph
 
 
@@ -548,13 +547,6 @@ def transposed(rows, n):
     return list(map(tuple, cols))
 
 
-def zeroed(s, rows):
-    """The columns the presolve zeroed: in some input row and in no
-    presolved row."""
-    return ({j for row in s.rows for j, _ in row}
-            - {j for row, _, _ in rows for j, _ in row})
-
-
 def presolved_system(rows, n):
     return LinearSystem(tuple(r for r, _, _ in rows),
                         tuple(rel for _, rel, _ in rows),
@@ -606,7 +598,7 @@ class TestColdStart:
         cases = [presolve_case, complement_case,
                  lambda rng: implicit_zero_case(rng)[1]]
         seen = dict.fromkeys(["reused", "divided", "negated", "merged",
-                              "stripped", "folded", "dropped"], 0)
+                              "folded", "dropped"], 0)
         for _ in range(900):
             s = rng.choice(cases)(rng)
             n, rows = s.num_vars, _presolve(s)
@@ -622,16 +614,14 @@ class TestColdStart:
                 row is r and c >= 0 and not (c == 0 and rel == GE)
                 for (row, rel, c), r in zip(rows, s.rows)))
             live = [(row, c) for row, c in zip(s.rows, s.rhs) if row]
-            kept, zero = {row for row, _, _ in rows}, zeroed(s, rows)
+            kept = {row for row, _, _ in rows}
             forms = [form(row, c) for row, c in live]
             causes = {
                 "divided": any(math.gcd(c, *map(itemgetter(1), row)) > 1
                                for row, c in live),
                 "negated": any(row[0][1] < 0 for row, _ in live),
                 "merged": len(set(forms)) < len({id(row) for row, _ in live}),
-                "stripped": bool(zero),
-                "folded": any(f not in kept for f in forms
-                              if zero.isdisjoint(map(itemgetter(0), f))),
+                "folded": any(f not in kept for f in forms),
                 "dropped": len(live) < s.m}
             assert not reused or not any(causes.values()), causes
             seen["reused"] += reused
@@ -749,16 +739,12 @@ class TestComplementFold:
                 assert expected == []
                 refuted += 1
                 continue
-            # the presolved rows and x_j = 0 on the zeroed columns
-            zero = zeroed(s, rows)
-            assert [y for y in enumerate_solutions(presolved_system(rows, n), box)
-                    if not any(y[j] for j in zero)] == expected
+            assert enumerate_solutions(presolved_system(rows, n), box) == expected
             assert tab.cols[:n] == transposed(rows, n)
             # a merged row keeps its coefficients; only a fold drops them
             kept = {row for row, _, _ in rows}
             folded += any(form(r, c) not in kept
-                          for r, c in zip(s.rows, s.rhs)
-                          if r and zero.isdisjoint(map(itemgetter(0), r)))
+                          for r, c in zip(s.rows, s.rhs) if r)
         assert folded >= 20 and refuted >= 20, (folded, refuted)
 
 
@@ -1087,33 +1073,16 @@ def implicit_zero_case(rng):
     return kind, system_from_rows(*zip(*rows))
 
 
-def goal_cell_system(atoms):
-    """The one branch's cell system of `atoms` without the kills its exact
-    counts derive, with its live masks and the predicate list."""
-    preds = sorted(set().union(*(a.predicates() for a in atoms)))
-    (branch,) = normalize(atoms)
-    built = reference_build_system(branch, preds)
-    return built.system, built.live_types, preds
-
-
 class TestImplicitZeros:
-    def test_planted_zeros_agree_with_the_oracles(self, monkeypatch):
-        passes = []
-
-        def recorded(supports):
-            passes.append(implicit_zeros(supports))
-            return passes[-1]
-
-        implicit_zeros = linsys._implicit_zeros
-        monkeypatch.setattr(linsys, "_implicit_zeros", recorded)
+    def test_planted_zeros_agree_with_the_oracles(self):
+        # the presolve keeps every column; a sum past the container's count
+        # is left to the LP
         rng = random.Random(293)
         seen = dict.fromkeys(["zeroed", "refuted", "decoy"], 0)
         for _ in range(400):
             kind, s = implicit_zero_case(rng)
             n, box = s.num_vars, [3] * s.num_vars
-            passes.clear()
             rows = _presolve(s)
-            found = list(passes)
             expected = enumerate_solutions(s, box)
             x = lp_feasible(s)
             assert (x is not None) == fourier_motzkin_feasible(s)
@@ -1124,130 +1093,51 @@ class TestImplicitZeros:
             assert tab.start(s) == rows
             if rows is None:
                 assert not fourier_motzkin_feasible(s)
-                seen["refuted"] += (kind == "refuted"
-                                    and reference_presolve(s) is not None)
                 continue
-            # the columns the passes zeroed are those no presolved row has
-            zero = zeroed(s, rows)
-            assert zero == set().union(*found)
-            assert all(x[j] == 0 for x in expected for j in zero)
-            # the stripped rows and x_j = 0 on the zeroed columns
-            assert [y for y in enumerate_solutions(presolved_system(rows, n), box)
-                    if not any(y[j] for j in zero)] == expected
+            assert enumerate_solutions(presolved_system(rows, n), box) == expected
             assert tab.cols[:n] == transposed(rows, n)
             cold = _Tableau(n)
             cold.add_rows(rows)
             assert vars(tab) == vars(cold)
-            seen["zeroed"] += kind == "zeroed" and bool(zero)
-            seen["decoy"] += kind == "decoy" and not zero
+            seen["zeroed"] += kind == "zeroed" and x is not None
+            seen["refuted"] += kind == "refuted" and x is None
+            seen["decoy"] += kind == "decoy"
         assert min(seen.values()) >= 20, seen
 
     def test_a_container_holds_its_disjoint_contents(self):
         # p = 5 holds the disjoint q >= 3 and r >= 2: the cells of p with
-        # neither are 0; q >= 3 and r >= 3 need 6 > 5
+        # neither are 0; q >= 3 and r >= 3 need 6 > 5, which the LP refutes
         s = system_from_rows([[1, 1, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0]],
                              [EQ, GE, GE], [5, 3, 2])
-        rows = _presolve(s)
-        assert rows == [(((0, 1), (1, 1)), EQ, 5), (((0, 1),), GE, 3),
-                        (((1, 1),), GE, 2)]
-        assert zeroed(s, rows) == {2}
-        # without the zero pass the rows are the same but for column 2
-        assert [(tuple(e for e in row if e[0] != 2), rel, c)
-                for row, rel, c in reference_presolve(s)] == rows
+        assert all(x[2] == 0 for x in enumerate_solutions(s, [5] * 4))
+        assert lp_feasible(s)[2] == 0 and ilp_solve(s, [5] * 4)[2] == 0
         s = system_from_rows([[1, 1, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0]],
                              [EQ, GE, GE], [5, 3, 3])
-        assert _presolve(s) is None
+        assert _presolve(s) is not None
         assert lp_feasible(s) is None and ilp_solve(s, [5] * 4) is None
 
-    def test_a_stripped_band_merges_its_lower_side_first(self):
-        # x1 = 0 strips the band -1 <= 2x0 + x1 <= 2, whose sides then
-        # divide by different gcds: 2x0 >= -1 and x0 <= 1, in that order
-        s = system_from_rows([[0, 1], [2, 1], [2, 1]], [EQ, GE, LE], [0, -1, 2])
-        assert _presolve(s) == [(((0, 2),), GE, -1), (((0, 1),), LE, 1)]
-
     @pytest.mark.parametrize("m, cells", [(6, 128), (8, 512)])
-    def test_premise_order_leaves_the_zeros(self, m, cells, monkeypatch):
+    def test_premise_order_leaves_the_zeros(self, m, cells):
         # built without its derived kills, the system keeps the cells with
-        # t and no t_j; the first pass zeroes exactly those, in any premise
+        # t and no t_j; the derived kills drop exactly those, in any premise
         # order, and every goal stays entailed
-        passes = []
-
-        def recorded(supports):
-            passes.append(implicit_zeros(supports))
-            return passes[-1]
-
-        implicit_zeros = linsys._implicit_zeros
-        monkeypatch.setattr(linsys, "_implicit_zeros", recorded)
         rng = random.Random(307 + m)
         phi, goals = incompleteness_instance(m)
         for _ in range(5):
             order = rng.sample(phi, len(phi))
             for goal in goals:
-                s, live, preds = goal_cell_system(
-                    order + [negate_atom(goal)])
+                atoms = order + [negate_atom(goal)]
+                preds = sorted(set().union(*(a.predicates() for a in atoms)))
+                (branch,) = normalize(atoms)
                 bit = {p: 1 << i for i, p in enumerate(preds)}
                 tj = sum(bit[f"t{j}"] for j in range(1, m + 2))
-                t_only = {k for k, mask in enumerate(live)
+                live = set(reference_build_system(branch, preds).live_types)
+                t_only = {mask for mask in live
                           if mask & bit["t"] and not mask & tj}
-                (branch,) = normalize(order + [negate_atom(goal)])
-                assert not any(mask & bit["t"] and not mask & tj for mask
-                               in build_system(branch, preds).live_types)
-                passes.clear()
-                rows = _presolve(s)
                 assert len(t_only) == cells
-                assert passes[0] == t_only
-                assert rows is None or t_only <= zeroed(s, rows)
+                assert set(build_system(branch, preds).live_types) == (
+                    live - t_only)
                 assert entails(order, goal)
-
-    def test_verdicts_match_the_presolve_without_zeros(self, monkeypatch):
-        # seeded unary sets, 3-colourings and the m=6/8 goals (the suite of
-        # TestNodeLocalBoxes), and TestPsatDifferential's PSAT instances:
-        # the same verdicts with the parent presolve
-        rng = random.Random(131)
-        sets = []
-        for _ in range(400):
-            preds = ["p", "q", "r", "s"][:rng.randint(1, 4)]
-            sets.append([random_unary_atom(rng, preds)
-                         for _ in range(rng.randint(1, 8))])
-        for n in range(2, 9):
-            pairs = [(i, j) for i in range(1, n + 1)
-                     for j in range(i + 1, n + 1)]
-            for _ in range(8):
-                edges = rng.sample(pairs, len(pairs) // 2)
-                sets.append(encode_3col(graph(n, edges)))
-        for m in (6, 8):
-            phi, goals = incompleteness_instance(m)
-            sets += [list(phi) + [negate_atom(g)] for g in goals]
-        rng = random.Random(157)
-        probabilities = [Fraction(0), Fraction(1), Fraction(1, 2),
-                         Fraction(1, 3), Fraction(2, 3), Fraction(1, 4),
-                         Fraction(3, 5), Fraction(5, 7)]
-        instances = []
-        for _ in range(320):
-            letters = ["p", "q", "r", "s"][:rng.randint(1, 4)]
-            inst = []
-            for _ in range(rng.randint(1, 5)):
-                cl = tuple(Lit(rng.choice(letters), rng.random() < 0.5)
-                           for _ in range(rng.randint(1, 3)))
-                inst.append((cl, rng.choice(["=", "<=", ">="]),
-                             rng.choice(probabilities)))
-            instances.append(inst)
-        fired = []
-
-        def counted(s):
-            rows = presolve(s)
-            fired.append(rows is None or bool(zeroed(s, rows)))
-            return rows
-
-        presolve = linsys._presolve
-        monkeypatch.setattr(linsys, "_presolve", counted)
-        verdicts = ([decide_sat(atoms).status for atoms in sets],
-                    [psat_decide(inst) is not None for inst in instances])
-        assert sum(fired) >= 50, sum(fired)
-        monkeypatch.setattr(linsys, "_presolve", reference_presolve)
-        assert verdicts == ([decide_sat(atoms).status for atoms in sets],
-                            [psat_decide(inst) is not None
-                             for inst in instances])
 
 
 EXACT_CHECK = """

@@ -219,13 +219,12 @@ class TestIncompletenessInstance:
         assert len(goals) == m + 1
 
     @pytest.mark.parametrize("m, rows, columns, total",
-                             [(6, 21, 14, 42), (8, 26, 17, 54)])
+                             [(6, 22, 15, 42), (8, 28, 19, 54)])
     def test_presolve_folds_the_exact_counts(self, m, rows, columns, total):
         # |p| and |!p| are both exact for every predicate, so each !p row
-        # folds into the domain-size row over the columns not zeroed, which
-        # becomes "= total"; the presolve refutes goal 0, so goal 1 is used
+        # folds into the domain-size row, which becomes "= total"
         phi, goals = incompleteness_instance(m)
-        atoms = phi + [negate_atom(goals[1])]
+        atoms = phi + [negate_atom(goals[0])]
         preds = sorted(set().union(*(a.predicates() for a in atoms)))
         (branch,) = normalize(atoms)
         system = build_system(branch, preds).system
